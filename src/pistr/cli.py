@@ -3,8 +3,8 @@ labelings, compute exact strength, compute clique covers, and construct
 strength-3 labelings.
 
 Exit codes: 0 success / verdict true; 1 verdict false or nothing found;
-2 usage or budget errors. Vertex ids in documents and reports are 1-based.
-The PISTR_BUDGET environment variable overrides the default search budget.
+2 usage, budget or internal errors. Vertex ids in documents and reports are
+1-based. The PISTR_BUDGET environment variable overrides the default search budget.
 """
 
 from __future__ import annotations
@@ -261,6 +261,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"pistr: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 means "nothing found", never a crash
+        detail = " ".join(str(exc).splitlines())
+        print(f"pistr: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 2
 
 

@@ -155,24 +155,28 @@ def _vertex_maps(cover: CliqueCover, plan: _Plan) -> dict[int, dict[int, int]]:
     return maps
 
 
+def _block_labels(verts: list[int], mat: np.ndarray, labels: dict[Edge, int]) -> None:
+    """Write the nonzero upper-triangle entries of mat into labels; row and
+    column i of mat stand for vertex verts[i]."""
+    rows = mat.tolist()
+    for i, u in enumerate(verts):
+        for v, w in zip(verts[i + 1:], rows[i][i + 1:]):
+            if w:
+                labels[(u, v) if u < v else (v, u)] = w
+
+
 def _labeling_from_plan(g: Graph, cover: CliqueCover, plan: _Plan) -> tuple[EdgeLabeling, dict]:
     maps = _vertex_maps(cover, plan)
     inv = {p: {i: v for v, i in m.items()} for p, m in maps.items()}
-    labels: dict[Edge, int] = {}
+    labels: dict[Edge, int] = dict.fromkeys(g.edges, 1)
     for part_idx, mat in plan.blocks:
-        size = mat.shape[0]
-        for i in range(1, size + 1):
-            for j in range(i + 1, size + 1):
-                w = int(mat[i - 1, j - 1])
-                if w:
-                    labels[edge_key(inv[part_idx][i], inv[part_idx][j])] = w
+        local = inv[part_idx]
+        _block_labels([local[i] for i in range(1, mat.shape[0] + 1)], mat, labels)
     for pa, i, pb, j, w in plan.cross:
         e = edge_key(inv[pa][i], inv[pb][j])
         if e not in g.edges:
             raise ConstructionError(f"cross entry {e} is not an edge of the graph")
         labels[e] = w
-    for e in g.edges:
-        labels.setdefault(e, 1)
     return EdgeLabeling(g, labels, 3), maps
 
 
@@ -303,40 +307,29 @@ def three_clique_theorem_id(sizes: tuple[int, int, int]) -> str | None:
 
 def _three_clique_direct_plan(sizes, case_id) -> _Plan | None:
     s1, s2, s3 = sizes
+    A, B, C = (lambda n, w=w: named_family(n, w) for w in "ABC")
+    F = fixed_matrix
+    # Rows are thunks, so a call builds only the selected row's matrices.
     rows = {
-        "A+C+B": [(0, named_family(s1, "A")), (1, named_family(s2, "C")),
-                  (2, named_family(s3, "B"))],
-        "C_small+A+B": [(0, named_family(s1, "C")), (1, named_family(s2, "A")),
-                        (2, named_family(s3, "B"))],
-        "T6+T6_tilde+B": [(0, fixed_matrix("T6")), (1, fixed_matrix("T6_TILDE")),
-                          (2, named_family(s3, "B"))],
-        "A6+M666_3+B7": [(0, named_family(6, "A")), (1, fixed_matrix("M666_BLOCK3")),
-                         (2, named_family(7, "B"))],
-        "T5+T6_mod+B": [(0, fixed_matrix("T5")), (1, fixed_matrix("T6_MOD_567")),
-                        (2, named_family(s3, "B"))],
-        "T5+T5_tilde+B": [(0, fixed_matrix("T5")), (1, fixed_matrix("T5_TILDE")),
-                          (2, named_family(s3, "B"))],
-        "T5+T5_tilde+P6": [(0, fixed_matrix("T5")), (1, fixed_matrix("T5_TILDE")),
-                           (2, fixed_matrix("P6"))],
-        "A4+B6+B": [(0, named_family(4, "A")), (1, named_family(6, "B")),
-                    (2, named_family(s3, "B"))],
-        "B4+M666_3+B7": [(0, named_family(4, "B")), (1, fixed_matrix("M666_BLOCK3")),
-                         (2, named_family(7, "B"))],
-        "A4+T5_tilde+B": [(0, named_family(4, "A")), (1, fixed_matrix("T5_TILDE")),
-                          (2, named_family(s3, "B"))],
-        "A4+T5_tilde_mod+B6": [(0, named_family(4, "A")),
-                               (1, fixed_matrix("T5_TILDE_MOD_456")),
-                               (2, named_family(6, "B"))],
-        "M666": [(0, fixed_matrix("M666_BLOCK1")), (1, fixed_matrix("M666_BLOCK2")),
-                 (2, fixed_matrix("M666_BLOCK3"))],
-        "M666_minus_row1": [(0, fixed_matrix("M666_BLOCK1")[1:, 1:]),
-                            (1, fixed_matrix("M666_BLOCK2")),
-                            (2, fixed_matrix("M666_BLOCK3"))],
+        "A+C+B": lambda: [A(s1), C(s2), B(s3)],
+        "C_small+A+B": lambda: [C(s1), A(s2), B(s3)],
+        "T6+T6_tilde+B": lambda: [F("T6"), F("T6_TILDE"), B(s3)],
+        "A6+M666_3+B7": lambda: [A(6), F("M666_BLOCK3"), B(7)],
+        "T5+T6_mod+B": lambda: [F("T5"), F("T6_MOD_567"), B(s3)],
+        "T5+T5_tilde+B": lambda: [F("T5"), F("T5_TILDE"), B(s3)],
+        "T5+T5_tilde+P6": lambda: [F("T5"), F("T5_TILDE"), F("P6")],
+        "A4+B6+B": lambda: [A(4), B(6), B(s3)],
+        "B4+M666_3+B7": lambda: [B(4), F("M666_BLOCK3"), B(7)],
+        "A4+T5_tilde+B": lambda: [A(4), F("T5_TILDE"), B(s3)],
+        "A4+T5_tilde_mod+B6": lambda: [A(4), F("T5_TILDE_MOD_456"), B(6)],
+        "M666": lambda: [F("M666_BLOCK1"), F("M666_BLOCK2"), F("M666_BLOCK3")],
+        "M666_minus_row1": lambda: [F("M666_BLOCK1")[1:, 1:], F("M666_BLOCK2"),
+                                    F("M666_BLOCK3")],
     }
-    blocks = rows.get(case_id)
-    if blocks is None:
+    row = rows.get(case_id)
+    if row is None:
         return None
-    return _Plan(case_id, blocks, [], {})
+    return _Plan(case_id, list(enumerate(row())), [], {})
 
 
 def _three_clique_injection_plan(cover: CliqueCover, tree: _Tree,
@@ -483,13 +476,8 @@ def _spanning_graph(g: Graph, cover: CliqueCover, tree: _Tree) -> Graph:
 
 def _fixed_labels_for(cover: CliqueCover, part_idx: int, mat: np.ndarray,
                       order: list[int] | None = None) -> dict[Edge, int]:
-    verts = list(cover.parts[part_idx]) if order is None else order
-    labels = {}
-    for i, u in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            w = int(mat[i, j])
-            if w:
-                labels[edge_key(u, verts[j])] = w
+    labels: dict[Edge, int] = {}
+    _block_labels(list(cover.parts[part_idx]) if order is None else order, mat, labels)
     return labels
 
 
@@ -533,9 +521,8 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree, seed: int,
         return sols[0] if sols else None
 
     def outcome(found, s, note):
-        labels = dict(found)
-        for e in g.edges:
-            labels.setdefault(e, 1)
+        labels = dict.fromkeys(g.edges, 1)
+        labels.update(found)
         labeling = EdgeLabeling(g, labels, s)
         report = is_product_irregular(labeling)
         if not report.ok:

@@ -73,10 +73,11 @@ def parse_graph(text: str) -> tuple[Graph, EdgeLabeling | None]:
 
 
 def emit_graph(g: Graph, labeling: EdgeLabeling | None = None) -> str:
+    ids = [str(v + 1) for v in range(g.n_vertices)]
     lines = [f"p {g.n_vertices} {g.n_edges}"]
-    for u, v in g.sorted_edges():
-        if labeling is None:
-            lines.append(f"e {u + 1} {v + 1}")
-        else:
-            lines.append(f"e {u + 1} {v + 1} {labeling.label(u, v)}")
+    if labeling is None:
+        lines += [f"e {ids[u]} {ids[v]}" for u, v in g.sorted_edges()]
+    else:
+        labels = labeling.labels
+        lines += [f"e {ids[u]} {ids[v]} {labels[u, v]}" for u, v in g.sorted_edges()]
     return "\n".join(lines) + "\n"

@@ -112,12 +112,6 @@ class CliqueCover:
     def n_parts(self) -> int:
         return len(self.parts)
 
-    def part_of(self, v: int) -> int:
-        for i, part in enumerate(self.parts):
-            if v in part:
-                return i
-        raise ValueError(f"vertex {v} not covered")
-
 
 def complete_graph(n: int) -> Graph:
     """K_n on vertices 0..n-1."""
@@ -310,7 +304,7 @@ def _cover_from_classes(g: Graph, classes: list[int]) -> CliqueCover:
         for v in part:
             part_index[v] = i
     cross = []
-    for u, v in sorted(g.edges):
+    for u, v in g.edges:
         pu, pv = part_index[u], part_index[v]
         if pu == pv:
             continue

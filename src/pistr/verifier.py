@@ -3,6 +3,11 @@
 Product degrees are kept in factored form (prime -> exponent), so products
 like 3^(n-1) stay exact at any order. For labels drawn from {1, 2, 3} a
 degree collapses to the exponent pair (a, b) with value 2^a * 3^b.
+
+Two entry points reach the same verdict by separate paths:
+is_product_irregular reads an edge labeling in one pass over its edges,
+factorizing each distinct label value once; check_matrix reads the rows of a
+weighted adjacency matrix. Both report the smallest colliding vertex pair.
 """
 
 from __future__ import annotations
@@ -127,12 +132,34 @@ def _report(degrees: list[ProductDegree]) -> IrregularityReport:
 
 
 def is_product_irregular(labeling: EdgeLabeling) -> IrregularityReport:
-    """All vertices must have pairwise distinct product degrees."""
-    g = labeling.graph
-    degrees = []
-    for v in range(g.n_vertices):
-        degrees.append(product_degree(labeling, v))
-    return _report(degrees)
+    """All vertices must have pairwise distinct product degrees.
+
+    One pass over the edges counts, per label value, how many edges with
+    that label meet each vertex; each label value is then factorized once
+    and its counts are added into one exponent list per prime.
+    """
+    n = labeling.graph.n_vertices
+    counts: dict[int, list[int]] = {}
+    for (u, v), w in labeling.labels.items():
+        c = counts.get(w)
+        if c is None:
+            c = counts[w] = [0] * n
+        c[u] += 1
+        c[v] += 1
+    covered = [False] * n
+    exponents: dict[int, list[int]] = {}
+    for w, c in counts.items():
+        covered = [x or k > 0 for x, k in zip(covered, c)]
+        for p, e in factorize(w):
+            acc = exponents.get(p, [0] * n)
+            exponents[p] = [a + e * k for a, k in zip(acc, c)]
+    if not all(covered):
+        v = covered.index(False)
+        raise ValueError(f"vertex {v} is isolated; product degree undefined")
+    primes = sorted(exponents)
+    columns = zip(*(exponents[p] for p in primes)) if primes else [()] * n
+    return _report([ProductDegree(tuple((p, e) for p, e in zip(primes, col) if e))
+                    for col in columns])
 
 
 def check_matrix(m: np.ndarray) -> IrregularityReport:

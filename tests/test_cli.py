@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from pistr import cli
 from pistr.cli import main
 from pistr.fileio import parse_graph
 
@@ -160,6 +161,18 @@ class TestMalformedInput:
         path.write_text("p 3 1\ne 1 9\n")
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 2 and "line 2" in err
+
+    def test_internal_error_exits_two_with_one_line(self, capsys, tmp_path, monkeypatch):
+        def overflow(g, k_max):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "clique_cover", overflow)
+        path = tmp_path / "k4.txt"
+        path.write_text("p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
+        code, out, err = run_cli(capsys, "cover", str(path))
+        assert code == 2 and out == ""
+        assert err == ("pistr: internal error: RecursionError: "
+                       "maximum recursion depth exceeded\n")
 
 
 def test_console_entry_point():

@@ -10,7 +10,8 @@ from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge,
                           matrix_to_labeled_graph)
 from pistr.matrices import fixed_matrix, m_matrix
 
-from conftest import random_graph_no_isolates, random_labeling
+from conftest import (permute_graph, planted_cover_graph, random_graph_no_isolates,
+                      random_labeling)
 
 
 def brute_min_cover(g: Graph) -> int:
@@ -180,6 +181,22 @@ class TestCliqueCover:
         cover = clique_cover(g, 2)
         assert cover.sizes == (3, 4)
         assert cover.cross_edges == ((0, 1, 1, 5),)
+
+    @pytest.mark.parametrize("sizes,extra", [((3, 4), 5), ((5, 9), 12),
+                                             ((4, 5, 6), 8), ((6, 7, 7), 20)])
+    def test_cross_edges_sorted_and_complete(self, rng, sizes, extra):
+        for _ in range(5):
+            g, _ = permute_graph(rng, planted_cover_graph(rng, sizes, extra))
+            cover = clique_cover(g, 3)
+            assert cover.n_parts == len(sizes)
+            # Every edge between two parts, listed pair of parts by pair of
+            # parts and endpoint by endpoint: sorted without a sort.
+            expected = [(i, j, u, v)
+                        for i, j in itertools.combinations(range(cover.n_parts), 2)
+                        for u in sorted(cover.parts[i]) for v in sorted(cover.parts[j])
+                        if g.has_edge(u, v)]
+            assert len(expected) > len(sizes) - 1
+            assert list(cover.cross_edges) == expected
 
     def test_k_max_respected(self):
         c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])

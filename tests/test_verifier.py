@@ -85,6 +85,38 @@ class TestIrregularity:
         report = is_product_irregular(labeling)
         assert report.witness == (0, 3)
 
+    def test_all_ones_collide(self):
+        g = complete_graph(3)
+        report = is_product_irregular(EdgeLabeling.make(g, {e: 1 for e in g.edges}))
+        assert not report.ok and report.witness == (0, 1)
+        assert all(d.factors == () for d in report.degrees)
+
+    @pytest.mark.parametrize("isolated", [0, 2, 5])
+    def test_isolated_vertex_names_it(self, isolated):
+        others = [v for v in range(6) if v != isolated]
+        g = Graph.from_edges(6, zip(others, others[1:]))
+        labeling = EdgeLabeling.make(g, {e: 2 for e in g.edges})
+        with pytest.raises(ValueError, match=f"vertex {isolated} is isolated"):
+            is_product_irregular(labeling)
+
+    def test_agrees_with_check_matrix_beyond_three(self, rng):
+        # Labels 4, 5 and 6 make the two paths factorize differently:
+        # check_matrix row by row, is_product_irregular per label value.
+        verdicts = set()
+        for _ in range(80):
+            g = random_graph_no_isolates(rng, n_min=4, n_max=10)
+            labels = random_labeling(rng, g, s=rng.choice((4, 6)))
+            for e, w in zip(sorted(g.edges), (4, 5, 6)):
+                labels[e] = w
+            labeling = EdgeLabeling.make(g, labels)
+            r1 = is_product_irregular(labeling)
+            r2 = check_matrix(labeled_graph_to_matrix(labeling))
+            assert (r1.ok, r1.witness) == (r2.ok, r2.witness)
+            assert [d.value for d in r1.degrees] == [d.value for d in r2.degrees]
+            assert [d.factors for d in r1.degrees] == [d.factors for d in r2.degrees]
+            verdicts.add(r1.ok)
+        assert verdicts == {True, False}
+
 
 class TestCheckMatrix:
     def test_m7_ok(self):
