@@ -179,7 +179,7 @@ def _cmd_cover(args) -> int:
 def _cmd_construct(args) -> int:
     g, _ = parse_graph(_read_document(args.input))
     try:
-        outcome = construct_labeling(g, seed=args.seed, budget=args.budget)
+        outcome = construct_labeling(g, budget=args.budget)
     except UnsupportedCoverError as exc:
         if args.json:
             _emit_json({"command": "construct", "found": False, "error": str(exc)})
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="strength-3 labeling via clique cover")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_construct)

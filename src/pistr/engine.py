@@ -2,19 +2,17 @@
 number at most 3.
 
 The engine computes a minimum clique cover, picks cross edges forming a
-spanning tree over the parts, and dispatches on the sorted part sizes and
-the in-edge pattern of the middle part to a catalog construction; every
-surplus edge is labeled 1, which leaves all product degrees unchanged.
-Shapes outside the catalog go to a bounded exact/randomized search.
+spanning tree over the parts, and looks up the construction in one table,
+_CATALOG, keyed by the sorted part sizes (and, for the "+2 edges" rows, the
+middle part's size and the in-edge pattern). Each row gives its blocks and
+cross entries; only the selected row's blocks are built, and the vertices
+the cross entries name follow from the tree edges. Every surplus edge is
+labeled 1, which leaves all product degrees unchanged. Shapes outside the
+catalog go to a bounded exact search.
 
-Catalog corrections (each exhaustively verified in the test suite):
-  - sizes (4,4,5), middle clique of size 5 with in-edges at two different
-    vertices: the second injection weight is 2, not 3 (weight 3 makes the
-    first two rows of the size-5 block collide at degree 81).
-  - sizes (4,6,7): B_4 + M666_BLOCK3 + B_7 (the A_4 + B_7 + T6_TILDE
-    assignment collides at degree 72).
-  - sizes (6,6,7): A_6 + M666_BLOCK3 + B_7 (T6 + T6_TILDE + B_7 collides
-    at degree 72).
+Three rows correct the published catalog, each marked where it stands in
+the table and exhaustively verified in the test suite: (4,4,5) with in-edges
+at two vertices of the size-5 middle, (4,6,7) and (6,6,7).
 
 Fallback shapes (no catalog row): two parts with sizes summing to at most 6
 or sizes (3,4); three parts with any size below 4, sizes (4,4,m) for m >= 6,
@@ -24,7 +22,8 @@ or sizes (4,6,6).
 from __future__ import annotations
 
 import itertools
-import random
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
@@ -43,8 +42,7 @@ PATTERN_DIFF = "two_edges_diff_vertices"
 
 _FALLBACK_MAX_FREE_EDGES = 16
 _FALLBACK_COMBO_CAP = 200
-_FALLBACK_RESTARTS = 20
-_FALLBACK_RESTART_BUDGET = 10**7
+_FALLBACK_SEARCH_BUDGET = 10**7
 
 
 class UnsupportedCoverError(ValueError):
@@ -81,44 +79,47 @@ class ConstructionOutcome:
 class _Tree:
     """Chosen cross edges: a spanning tree over the cover parts."""
 
-    edges: tuple[Edge, ...]
+    # (part_i, part_j) with part_i < part_j -> (vertex in part_i, vertex in part_j)
+    links: dict[tuple[int, int], tuple[int, int]]
     pattern: str
     middle: int | None
-    # per tree edge: (other_part, vertex_in_other, vertex_in_middle)
-    branches: tuple[tuple[int, int, int], ...]
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(edge_key(u, v) for u, v in self.links.values())
+
+    def link(self, pa: int, pb: int) -> tuple[int, int]:
+        """The tree edge joining parts pa and pb, its endpoint in pa first."""
+        if pa < pb:
+            return self.links[(pa, pb)]
+        v, u = self.links[(pb, pa)]
+        return u, v
 
 
-def _choose_tree(g: Graph, cover: CliqueCover) -> _Tree:
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    k = cover.n_parts
-    if k == 1:
-        return _Tree((), PATTERN_NONE, None, ())
+def _choose_tree(cover: CliqueCover) -> _Tree:
+    """Spanning tree over the parts: the smallest cross edge of each chosen
+    pair of parts, for three parts through the first part joined to both
+    others. The parts are cliques, so the graph is connected exactly when
+    such a tree exists."""
     by_pair: dict[tuple[int, int], tuple[int, int]] = {}
     for pi, pj, u, v in cover.cross_edges:
         key = (pi, pj)
         if key not in by_pair or edge_key(u, v) < edge_key(*by_pair[key]):
             by_pair[key] = (u, v)
-    if k == 2:
-        u, v = by_pair[(0, 1)]
-        return _Tree((edge_key(u, v),), PATTERN_ONE_EDGE, None, ())
-    for mid in range(3):
-        others = [o for o in range(3) if o != mid]
-        keys = [tuple(sorted((mid, o))) for o in others]
-        if all(key in by_pair for key in keys):
-            branches = []
-            edges = []
-            for o, key in zip(others, keys):
-                u, v = by_pair[key]
-                if u in cover.parts[mid]:
-                    v_mid, v_other = u, v
-                else:
-                    v_mid, v_other = v, u
-                branches.append((o, v_other, v_mid))
-                edges.append(edge_key(u, v))
-            pattern = PATTERN_SAME if branches[0][2] == branches[1][2] else PATTERN_DIFF
-            return _Tree(tuple(edges), pattern, mid, tuple(branches))
-    raise ValueError("no spanning tree over the cover parts (graph disconnected?)")
+    k = cover.n_parts
+    if k == 1:
+        return _Tree({}, PATTERN_NONE, None)
+    if k == 2 and (0, 1) in by_pair:
+        return _Tree(by_pair, PATTERN_ONE_EDGE, None)
+    if k == 3:
+        for mid in range(3):
+            keys = [(min(mid, o), max(mid, o)) for o in range(3) if o != mid]
+            if all(key in by_pair for key in keys):
+                links = {key: by_pair[key] for key in keys}
+                hubs = {links[key][key.index(mid)] for key in keys}
+                pattern = PATTERN_SAME if len(hubs) == 1 else PATTERN_DIFF
+                return _Tree(links, pattern, mid)
+    raise ValueError("graph must be connected")
 
 
 def select_cross_edges(g: Graph, cover: CliqueCover) -> tuple[list[Edge], str]:
@@ -126,31 +127,196 @@ def select_cross_edges(g: Graph, cover: CliqueCover) -> tuple[list[Edge], str]:
     spanning tree for three; everything else is surplus."""
     if cover.n_parts not in (2, 3):
         raise ValueError("select_cross_edges needs a cover with 2 or 3 parts")
-    tree = _choose_tree(g, cover)
+    tree = _choose_tree(cover)
     return list(tree.edges), tree.pattern
 
 
-@dataclass
-class _Plan:
+@dataclass(frozen=True)
+class _Row:
+    """One catalog construction.
+
+    sizes holds the sorted cover sizes the row applies to, each an exact
+    size or a range. Block recipes and cross entries refer to roles: the
+    cover parts in order (by size, then smallest vertex), except on the
+    "+2 edges" rows (middle set), whose roles are (middle, outer, outer),
+    outers in part order. A cross entry (role_a, i, role_b, j, w) puts label
+    w on the tree edge joining the two roles, whose endpoints take the
+    block-local positions i and j (1-based).
+    """
+
     construction_id: str
+    sizes: tuple[int | range, ...]
+    blocks: tuple[Callable[[int], np.ndarray], ...]  # part size -> block
+    cross: tuple[tuple[int, int, int, int, int], ...] = ()
+    middle: int | None = None  # "+2 edges" rows: size of the middle part
+    pattern: str | None = None  # "+2 edges" rows: pattern of the tree edges
+    source: str = "theorem"
+
+
+def _from(n: int) -> range:
+    return range(n, sys.maxsize)
+
+
+def _fixed(name: str, lo: int = 0, hi: int | None = None):
+    return lambda n: fixed_matrix(name)[lo:hi, lo:hi]
+
+
+def _const(mat: np.ndarray):
+    return lambda n: mat
+
+
+_A, _B, _C = ((lambda n, w=w: named_family(n, w)) for w in "ABC")
+_tA, _tB, _tC = ((lambda n, w=w: tilde_matrix(n, w)) for w in "ABC")
+
+# Product-irregular 3-labeling of two cliques of sizes 3 and 4 joined by one
+# edge (block-local position 3 to position 1, weight 2); found by exhausting
+# all 3^10 labelings and frozen here for deterministic dispatch, hence its
+# source "search-fallback".
+_K34_BLOCK3 = np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]], dtype=np.int64)
+_K34_BLOCK4 = np.array([[0, 1, 2, 2], [1, 0, 1, 3], [2, 1, 0, 3], [2, 3, 3, 0]],
+                       dtype=np.int64)
+_K2 = np.array([[0, 1], [1, 0]], dtype=np.int64)
+_K1 = np.zeros((1, 1), dtype=np.int64)
+_M666 = tuple(_fixed(f"M666_BLOCK{i}") for i in (1, 2, 3))
+_SAME, _DIFF = PATTERN_SAME, PATTERN_DIFF
+
+# The first row that fits a cover wins.
+_CATALOG = (
+    _Row("T_single", (3,), (_fixed("T"),)),
+    _Row("A_single", (_from(4),), (_A,)),
+    _Row("K44_edge", (4, 4), (_fixed("K44_EDGE_8x8", 0, 4), _fixed("K44_EDGE_8x8", 4)),
+         ((0, 4, 1, 1, 3),)),
+    _Row("T5+T5_tilde", (5, 5), (_fixed("T5"), _fixed("T5_TILDE"))),
+    _Row("T6+T6_tilde", (6, 6), (_fixed("T6"), _fixed("T6_TILDE"))),
+    _Row("A+B", (_from(4), _from(4)), (_A, _B)),
+    _Row("T+B", (3, _from(5)), (_fixed("T"), _B)),
+    _Row("L", (2, _from(4)), (_const(_K2), _B), ((0, 1, 1, 1, 3),)),
+    _Row("L_k1", (1, _from(4)), (_const(_K1), _B), ((0, 1, 1, 1, 3),)),
+    _Row("K34_edge_cached", (3, 4), (_const(_K34_BLOCK3), _const(_K34_BLOCK4)),
+         ((0, 3, 1, 1, 2),), source="search-fallback"),
+    _Row("M666", (6, 6, 6), _M666),
+    _Row("M666_minus_row1", (5, 6, 6), (_fixed("M666_BLOCK1", 1), *_M666[1:])),
+    # Corrected: T6 + T6_TILDE + B_7 collides at degree 72.
+    _Row("A6+M666_3+B7", (6, 6, 7), (_A, _M666[2], _B)),
+    # Corrected: A_4 + B_7 + T6_TILDE collides at degree 72.
+    _Row("B4+M666_3+B7", (4, 6, 7), (_B, _M666[2], _B)),
+    _Row("A4+T5_tilde_mod+B6", (4, 5, 6), (_A, _fixed("T5_TILDE_MOD_456"), _B)),
+    _Row("T5+T5_tilde+P6", (5, 5, 6), (_fixed("T5"), _fixed("T5_TILDE"), _fixed("P6"))),
+    _Row("A+C+B", (_from(7), _from(7), _from(7)), (_A, _C, _B)),
+    _Row("C_small+A+B", (range(4, 7), _from(7), _from(7)), (_C, _A, _B)),
+    _Row("T6+T6_tilde+B", (6, 6, _from(8)), (_fixed("T6"), _fixed("T6_TILDE"), _B)),
+    _Row("T5+T6_mod+B", (5, 6, _from(7)), (_fixed("T5"), _fixed("T6_MOD_567"), _B)),
+    _Row("T5+T5_tilde+B", (5, 5, _from(7)), (_fixed("T5"), _fixed("T5_TILDE"), _B)),
+    _Row("A4+B6+B", (4, 6, _from(8)), (_A, _B, _B)),
+    _Row("A4+T5_tilde+B", (4, 5, _from(7)), (_A, _fixed("T5_TILDE"), _B)),
+    # "+2 edges": tilde blocks plus both tree edges; roles (middle, outer, outer).
+    _Row("tilde_555/same_vertex", (5, 5, 5), (_tB, _tA, _tC),
+         ((1, 3, 0, 3, 3), (0, 3, 2, 3, 2)), 5, _SAME),
+    _Row("tilde_555/diff_vertices", (5, 5, 5), (_tB, _tA, _tC),
+         ((1, 3, 0, 3, 3), (0, 1, 2, 3, 2)), 5, _DIFF),
+    _Row("tilde_455/same_vertex", (4, 5, 5), (_tB, _tA, _tC),
+         ((1, 2, 0, 3, 3), (0, 3, 2, 3, 2)), 5, _SAME),
+    _Row("tilde_455/diff_vertices", (4, 5, 5), (_tB, _tA, _tC),
+         ((1, 3, 0, 3, 3), (0, 1, 2, 3, 2)), 5, _DIFF),
+    _Row("tilde_455/same_vertex", (4, 5, 5), (_tA, _tB, _tC),
+         ((0, 2, 1, 3, 2), (0, 2, 2, 3, 2)), 4, _SAME),
+    _Row("tilde_455/diff_vertices", (4, 5, 5), (_tA, _tB, _tC),
+         ((0, 2, 1, 3, 2), (0, 4, 2, 3, 2)), 4, _DIFF),
+    _Row("tilde_445/same_vertex", (4, 4, 5), (_tB, _tA, _tC),
+         ((1, 2, 0, 3, 3), (0, 3, 2, 2, 2)), 5, _SAME),
+    # Corrected: the size-5 middle plays the C block and the second weight is
+    # 2; weight 3 makes the first two rows of the size-5 block collide at
+    # degree 81.
+    _Row("tilde_445/diff_vertices", (4, 4, 5), (_tC, _tA, _tB),
+         ((1, 2, 0, 3, 3), (2, 2, 0, 2, 2)), 5, _DIFF),
+    _Row("tilde_445/same_vertex", (4, 4, 5), (_tC, _tA, _tB),
+         ((1, 2, 0, 2, 3), (2, 3, 0, 2, 3)), 4, _SAME),
+    _Row("tilde_445/diff_vertices", (4, 4, 5), (_tC, _tA, _tB),
+         ((1, 2, 0, 2, 3), (2, 3, 0, 1, 3)), 4, _DIFF),
+    _Row("tilde_444/same_vertex", (4, 4, 4), (_tC, _tA, _tB),
+         ((1, 2, 0, 2, 3), (2, 3, 0, 2, 3)), 4, _SAME),
+    _Row("tilde_444/diff_vertices", (4, 4, 4), (_tC, _tA, _tB),
+         ((1, 2, 0, 2, 3), (2, 3, 0, 1, 3)), 4, _DIFF),
+)
+
+
+def _lookup(sizes: tuple[int, ...], middle: int | None = None,
+            pattern: str | None = None) -> _Row | None:
+    """The first catalog row for these sorted sizes; a "+2 edges" row also
+    needs its middle size and pattern, unless middle is None."""
+    for row in _CATALOG:
+        if (len(row.sizes) == len(sizes)
+                and all(s == k if type(k) is int else s in k
+                        for s, k in zip(sizes, row.sizes))
+                and (row.middle is None or middle is None
+                     or (row.middle, row.pattern) == (middle, pattern))):
+            return row
+    return None
+
+
+def _theorem_id(sizes: tuple[int, ...]) -> str | None:
+    row = _lookup(sizes)
+    if row is None or row.source != "theorem":
+        return None
+    return row.construction_id.split("/")[0]
+
+
+def two_clique_theorem_id(sizes: tuple[int, int]) -> str | None:
+    """Catalog row for a 2-part cover, or None for the fallback shapes
+    {(1,1),(1,2),(1,3),(2,2),(2,3),(3,3),(3,4)}."""
+    return _theorem_id(sizes)
+
+
+def three_clique_theorem_id(sizes: tuple[int, int, int]) -> str | None:
+    """Catalog row for sorted 3-part sizes, or None for the fallback shapes
+    (any size < 4, (4,4,m>=6), (4,6,6))."""
+    return _theorem_id(sizes)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A catalog row bound to the parts of one cover."""
+
+    construction_id: str
+    source: str
     blocks: list[tuple[int, np.ndarray]]
     cross: list[tuple[int, int, int, int, int]]  # (part_a, i, part_b, j, w)
-    pins: dict[int, dict[int, int]]
 
 
-def _vertex_maps(cover: CliqueCover, plan: _Plan) -> dict[int, dict[int, int]]:
+def _plan(cover: CliqueCover, tree: _Tree) -> _Plan | None:
+    """Bind the catalog row of this cover and tree to the cover's parts,
+    building only that row's blocks; None for shapes without a row."""
+    mid = tree.middle
+    row = _lookup(cover.sizes, None if mid is None else cover.sizes[mid], tree.pattern)
+    if row is None:
+        return None
+    roles = tuple(range(cover.n_parts))
+    if row.middle is not None:
+        roles = (mid, *(p for p in roles if p != mid))
+    blocks = [(p, make(cover.sizes[p])) for p, make in zip(roles, row.blocks)]
+    cross = [(roles[a], i, roles[b], j, w) for a, i, b, j, w in row.cross]
+    return _Plan(row.construction_id, row.source, blocks, cross)
+
+
+def _vertex_maps(cover: CliqueCover, tree: _Tree, plan: _Plan) -> dict[int, dict[int, int]]:
+    """Align each part to its block: the tree edge endpoints go to the
+    positions the cross entries name, the other vertices fill the free
+    positions in part order."""
+    pins: dict[int, dict[int, int]] = {p: {} for p, _ in plan.blocks}
+    for pa, i, pb, j, _ in plan.cross:
+        u, v = tree.link(pa, pb)
+        pins[pa][u] = i
+        pins[pb][v] = j
     maps = {}
-    for part_idx, mat in plan.blocks:
+    for part_idx, vmap in pins.items():
+        taken = set(vmap.values())
+        if len(taken) != len(vmap):
+            raise ConstructionError(f"conflicting pins for part {part_idx}: {vmap}")
         part = cover.parts[part_idx]
-        pins = plan.pins.get(part_idx, {})
-        if len(set(pins.values())) != len(pins):
-            raise ConstructionError(f"conflicting pins for part {part_idx}: {pins}")
-        taken = set(pins.values())
-        free_locals = [i for i in range(1, len(part) + 1) if i not in taken]
-        vmap = dict(pins)
+        free_locals = (i for i in range(1, len(part) + 1) if i not in taken)
         for v in part:
             if v not in vmap:
-                vmap[v] = free_locals.pop(0)
+                vmap[v] = next(free_locals)
         maps[part_idx] = vmap
     return maps
 
@@ -165,8 +331,9 @@ def _block_labels(verts: list[int], mat: np.ndarray, labels: dict[Edge, int]) ->
                 labels[(u, v) if u < v else (v, u)] = w
 
 
-def _labeling_from_plan(g: Graph, cover: CliqueCover, plan: _Plan) -> tuple[EdgeLabeling, dict]:
-    maps = _vertex_maps(cover, plan)
+def _labeling_from_plan(g: Graph, cover: CliqueCover, tree: _Tree,
+                        plan: _Plan) -> tuple[EdgeLabeling, dict]:
+    maps = _vertex_maps(cover, tree, plan)
     inv = {p: {i: v for v, i in m.items()} for p, m in maps.items()}
     labels: dict[Edge, int] = dict.fromkeys(g.edges, 1)
     for part_idx, mat in plan.blocks:
@@ -180,268 +347,39 @@ def _labeling_from_plan(g: Graph, cover: CliqueCover, plan: _Plan) -> tuple[Edge
     return EdgeLabeling(g, labels, 3), maps
 
 
-def _finish(g: Graph, cover: CliqueCover, tree: _Tree, plan: _Plan,
-            source: str) -> ConstructionOutcome:
-    labeling, maps = _labeling_from_plan(g, cover, plan)
+def _label(g: Graph, cover: CliqueCover, budget: int) -> ConstructionOutcome:
+    """The catalog construction for this cover, verified, or the bounded
+    search for shapes without a row."""
+    tree = _choose_tree(cover)
+    plan = _plan(cover, tree)
+    if plan is None:
+        return _fallback(g, cover, tree, budget)
+    labeling, maps = _labeling_from_plan(g, cover, tree, plan)
     report = is_product_irregular(labeling)
     if not report.ok:
         raise ConstructionError(
             f"construction {plan.construction_id} failed verification "
             f"(colliding vertices {report.witness})")
     case = DispatchCase(cover.sizes, tree.pattern, plan.construction_id, maps)
-    return ConstructionOutcome(labeling, 3, source, case)
+    return ConstructionOutcome(labeling, 3, plan.source, case)
 
 
-def two_clique_theorem_id(sizes: tuple[int, int]) -> str | None:
-    """Catalog row for a 2-part cover, or None for the fallback shapes
-    {(1,1),(1,2),(1,3),(2,2),(2,3),(3,3),(3,4)}."""
-    a, b = sizes
-    if a >= 4:
-        if sizes == (4, 4):
-            return "K44_edge"
-        if sizes == (5, 5):
-            return "T5+T5_tilde"
-        if sizes == (6, 6):
-            return "T6+T6_tilde"
-        return "A+B"
-    if a == 3 and b >= 5:
-        return "T+B"
-    if a == 2 and b >= 4:
-        return "L"
-    if a == 1 and b >= 4:
-        return "L_k1"
-    return None
-
-
-# Product-irregular 3-labeling of two cliques of sizes 3 and 4 joined by one
-# edge (block-local position 3 to position 1, weight 2); found by exhausting
-# all 3^10 labelings and frozen here for deterministic dispatch.
-_K34_BLOCK3 = np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]], dtype=np.int64)
-_K34_BLOCK4 = np.array([[0, 1, 2, 2], [1, 0, 1, 3], [2, 1, 0, 3], [2, 3, 3, 0]],
-                       dtype=np.int64)
-
-
-def _two_clique_plan(cover: CliqueCover, tree: _Tree) -> _Plan | None:
-    a, b = cover.sizes
-    case_id = two_clique_theorem_id((a, b))
-    u, v = tree.edges[0]
-    if v in cover.parts[0]:
-        u, v = v, u  # u in the small part, v in the big one
-    if case_id == "A+B":
-        return _Plan("A+B", [(0, named_family(a, "A")), (1, named_family(b, "B"))], [], {})
-    if case_id == "T5+T5_tilde":
-        return _Plan(case_id, [(0, fixed_matrix("T5")), (1, fixed_matrix("T5_TILDE"))], [], {})
-    if case_id == "T6+T6_tilde":
-        return _Plan(case_id, [(0, fixed_matrix("T6")), (1, fixed_matrix("T6_TILDE"))], [], {})
-    if case_id == "K44_edge":
-        k44 = fixed_matrix("K44_EDGE_8x8")
-        return _Plan(case_id, [(0, k44[:4, :4]), (1, k44[4:, 4:])],
-                     [(0, 4, 1, 1, 3)], {0: {u: 4}, 1: {v: 1}})
-    if case_id == "T+B":
-        return _Plan(case_id, [(0, fixed_matrix("T")), (1, named_family(b, "B"))], [], {})
-    if case_id == "L":
-        two = np.array([[0, 1], [1, 0]], dtype=np.int64)
-        return _Plan(case_id, [(0, two), (1, named_family(b, "B"))],
-                     [(0, 1, 1, 1, 3)], {0: {u: 1}, 1: {v: 1}})
-    if case_id == "L_k1":
-        one = np.zeros((1, 1), dtype=np.int64)
-        return _Plan(case_id, [(0, one), (1, named_family(b, "B"))],
-                     [(0, 1, 1, 1, 3)], {0: {u: 1}, 1: {v: 1}})
-    if (a, b) == (3, 4):
-        return _Plan("K34_edge_cached", [(0, _K34_BLOCK3), (1, _K34_BLOCK4)],
-                     [(0, 3, 1, 1, 2)], {0: {u: 3}, 1: {v: 1}})
-    return None
-
-
-def label_two_cliques(g: Graph, cover: CliqueCover, seed: int = 0,
+def label_two_cliques(g: Graph, cover: CliqueCover,
                       budget: int = DEFAULT_BUDGET) -> ConstructionOutcome:
     """Strength-3 labeling for a connected graph covered by two cliques;
     shapes with total order <= 6 go to the bounded search fallback."""
     if cover.n_parts != 2:
         raise ValueError("label_two_cliques needs a 2-part cover")
-    tree = _choose_tree(g, cover)
-    plan = _two_clique_plan(cover, tree)
-    if plan is None:
-        return _fallback(g, cover, tree, seed, budget)
-    source = "search-fallback" if plan.construction_id == "K34_edge_cached" else "theorem"
-    return _finish(g, cover, tree, plan, source)
+    return _label(g, cover, budget)
 
 
-def three_clique_theorem_id(sizes: tuple[int, int, int]) -> str | None:
-    """Catalog row for sorted 3-part sizes, or None for the fallback shapes
-    (any size < 4, (4,4,m>=6), (4,6,6))."""
-    s1, s2, s3 = sizes
-    if s1 < 4:
-        return None
-    exact = {
-        (6, 6, 6): "M666",
-        (5, 6, 6): "M666_minus_row1",
-        (6, 6, 7): "A6+M666_3+B7",
-        (4, 6, 7): "B4+M666_3+B7",
-        (4, 5, 6): "A4+T5_tilde_mod+B6",
-        (5, 5, 6): "T5+T5_tilde+P6",
-        (5, 5, 5): "tilde_555",
-        (4, 5, 5): "tilde_455",
-        (4, 4, 5): "tilde_445",
-        (4, 4, 4): "tilde_444",
-        (4, 6, 6): None,
-    }
-    if sizes in exact:
-        return exact[sizes]
-    if s1 >= 7:
-        return "A+C+B"
-    if s2 >= 7:
-        return "C_small+A+B"
-    if (s1, s2) == (6, 6):
-        return "T6+T6_tilde+B"
-    if (s1, s2) == (5, 6):
-        return "T5+T6_mod+B"
-    if (s1, s2) == (5, 5):
-        return "T5+T5_tilde+B"
-    if (s1, s2) == (4, 6):
-        return "A4+B6+B"
-    if (s1, s2) == (4, 5):
-        return "A4+T5_tilde+B"
-    return None  # (4, 4, m >= 6)
-
-
-def _three_clique_direct_plan(sizes, case_id) -> _Plan | None:
-    s1, s2, s3 = sizes
-    A, B, C = (lambda n, w=w: named_family(n, w) for w in "ABC")
-    F = fixed_matrix
-    # Rows are thunks, so a call builds only the selected row's matrices.
-    rows = {
-        "A+C+B": lambda: [A(s1), C(s2), B(s3)],
-        "C_small+A+B": lambda: [C(s1), A(s2), B(s3)],
-        "T6+T6_tilde+B": lambda: [F("T6"), F("T6_TILDE"), B(s3)],
-        "A6+M666_3+B7": lambda: [A(6), F("M666_BLOCK3"), B(7)],
-        "T5+T6_mod+B": lambda: [F("T5"), F("T6_MOD_567"), B(s3)],
-        "T5+T5_tilde+B": lambda: [F("T5"), F("T5_TILDE"), B(s3)],
-        "T5+T5_tilde+P6": lambda: [F("T5"), F("T5_TILDE"), F("P6")],
-        "A4+B6+B": lambda: [A(4), B(6), B(s3)],
-        "B4+M666_3+B7": lambda: [B(4), F("M666_BLOCK3"), B(7)],
-        "A4+T5_tilde+B": lambda: [A(4), F("T5_TILDE"), B(s3)],
-        "A4+T5_tilde_mod+B6": lambda: [A(4), F("T5_TILDE_MOD_456"), B(6)],
-        "M666": lambda: [F("M666_BLOCK1"), F("M666_BLOCK2"), F("M666_BLOCK3")],
-        "M666_minus_row1": lambda: [F("M666_BLOCK1")[1:, 1:], F("M666_BLOCK2"),
-                                    F("M666_BLOCK3")],
-    }
-    row = rows.get(case_id)
-    if row is None:
-        return None
-    return _Plan(case_id, list(enumerate(row())), [], {})
-
-
-def _three_clique_injection_plan(cover: CliqueCover, tree: _Tree,
-                                 case_id: str) -> _Plan:
-    """The +2edges constructions: tilde direct sums plus two weighted cross
-    entries, with clique roles permuted so the middle clique plays the block
-    the case requires."""
-    sizes = cover.sizes
-    mid = tree.middle
-    same = tree.pattern == PATTERN_SAME
-    branches = {o: (v_other, v_mid) for o, v_other, v_mid in tree.branches}
-    outers = sorted(branches)
-    mid_size = sizes[mid]
-    tag = "same_vertex" if same else "diff_vertices"
-
-    def plan(blocks, cross, pins):
-        return _Plan(f"{case_id}/{tag}", blocks, cross, pins)
-
-    if case_id == "tilde_555":
-        oa, oc = outers
-        va, vma = branches[oa]
-        vc, vmc = branches[oc]
-        blocks = [(oa, tilde_matrix(5, "A")), (mid, tilde_matrix(5, "B")),
-                  (oc, tilde_matrix(5, "C"))]
-        if same:
-            return plan(blocks, [(oa, 3, mid, 3, 3), (mid, 3, oc, 3, 2)],
-                        {oa: {va: 3}, mid: {vma: 3}, oc: {vc: 3}})
-        return plan(blocks, [(oa, 3, mid, 3, 3), (mid, 1, oc, 3, 2)],
-                    {oa: {va: 3}, mid: {vma: 3, vmc: 1}, oc: {vc: 3}})
-
-    if case_id == "tilde_455":
-        if mid_size == 5:
-            oa = min(o for o in outers if sizes[o] == 4)
-            oc = next(o for o in outers if o != oa)
-            va, vma = branches[oa]
-            vc, vmc = branches[oc]
-            blocks = [(oa, tilde_matrix(4, "A")), (mid, tilde_matrix(5, "B")),
-                      (oc, tilde_matrix(5, "C"))]
-            if same:
-                return plan(blocks, [(oa, 2, mid, 3, 3), (mid, 3, oc, 3, 2)],
-                            {oa: {va: 2}, mid: {vma: 3}, oc: {vc: 3}})
-            return plan(blocks, [(oa, 3, mid, 3, 3), (mid, 1, oc, 3, 2)],
-                        {oa: {va: 3}, mid: {vma: 3, vmc: 1}, oc: {vc: 3}})
-        ob, oc = outers  # middle has size 4, both outers size 5
-        vb, vmb = branches[ob]
-        vc, vmc = branches[oc]
-        blocks = [(mid, tilde_matrix(4, "A")), (ob, tilde_matrix(5, "B")),
-                  (oc, tilde_matrix(5, "C"))]
-        if same:
-            return plan(blocks, [(mid, 2, ob, 3, 2), (mid, 2, oc, 3, 2)],
-                        {mid: {vmb: 2}, ob: {vb: 3}, oc: {vc: 3}})
-        return plan(blocks, [(mid, 2, ob, 3, 2), (mid, 4, oc, 3, 2)],
-                    {mid: {vmb: 2, vmc: 4}, ob: {vb: 3}, oc: {vc: 3}})
-
-    if case_id == "tilde_445":
-        if mid_size == 5:
-            oa, ob = outers  # both size 4
-            va, vma = branches[oa]
-            vb, vmb = branches[ob]
-            if same:
-                blocks = [(oa, tilde_matrix(4, "A")), (mid, tilde_matrix(5, "B")),
-                          (ob, tilde_matrix(4, "C"))]
-                return plan(blocks, [(oa, 2, mid, 3, 3), (mid, 3, ob, 2, 2)],
-                            {oa: {va: 2}, mid: {vma: 3}, ob: {vb: 2}})
-            # Role swap: the size-5 middle plays the C block; the second
-            # injection weight is 2 (weight 3 fails verification).
-            blocks = [(oa, tilde_matrix(4, "A")), (ob, tilde_matrix(4, "B")),
-                      (mid, tilde_matrix(5, "C"))]
-            return plan(blocks, [(oa, 2, mid, 3, 3), (ob, 2, mid, 2, 2)],
-                        {oa: {va: 2}, ob: {vb: 2}, mid: {vma: 3, vmb: 2}})
-        oa = min(o for o in outers if sizes[o] == 4)
-        ob = next(o for o in outers if o != oa)
-        va, vma = branches[oa]
-        vb, vmb = branches[ob]
-        blocks = [(oa, tilde_matrix(4, "A")), (ob, tilde_matrix(5, "B")),
-                  (mid, tilde_matrix(4, "C"))]
-        if same:
-            return plan(blocks, [(oa, 2, mid, 2, 3), (ob, 3, mid, 2, 3)],
-                        {oa: {va: 2}, ob: {vb: 3}, mid: {vma: 2}})
-        return plan(blocks, [(oa, 2, mid, 2, 3), (ob, 3, mid, 1, 3)],
-                    {oa: {va: 2}, ob: {vb: 3}, mid: {vma: 2, vmb: 1}})
-
-    if case_id == "tilde_444":
-        oa, ob = outers
-        va, vma = branches[oa]
-        vb, vmb = branches[ob]
-        blocks = [(oa, tilde_matrix(4, "A")), (ob, tilde_matrix(4, "B")),
-                  (mid, tilde_matrix(4, "C"))]
-        if same:
-            return plan(blocks, [(oa, 2, mid, 2, 3), (ob, 3, mid, 2, 3)],
-                        {oa: {va: 2}, ob: {vb: 3}, mid: {vma: 2}})
-        return plan(blocks, [(oa, 2, mid, 2, 3), (ob, 3, mid, 1, 3)],
-                    {oa: {va: 2}, ob: {vb: 3}, mid: {vma: 2, vmb: 1}})
-
-    raise ConstructionError(f"unknown injection case {case_id}")
-
-
-def label_three_cliques(g: Graph, cover: CliqueCover, seed: int = 0,
+def label_three_cliques(g: Graph, cover: CliqueCover,
                         budget: int = DEFAULT_BUDGET) -> ConstructionOutcome:
     """Strength-3 labeling for a connected graph covered by three cliques;
     residual shapes go to the bounded search fallback."""
     if cover.n_parts != 3:
         raise ValueError("label_three_cliques needs a 3-part cover")
-    tree = _choose_tree(g, cover)
-    case_id = three_clique_theorem_id(cover.sizes)
-    if case_id is None:
-        return _fallback(g, cover, tree, seed, budget)
-    if case_id.startswith("tilde_"):
-        plan = _three_clique_injection_plan(cover, tree, case_id)
-    else:
-        plan = _three_clique_direct_plan(cover.sizes, case_id)
-    return _finish(g, cover, tree, plan, "theorem")
+    return _label(g, cover, budget)
 
 
 def _catalog(size: int) -> list[tuple[str, np.ndarray]]:
@@ -474,22 +412,14 @@ def _spanning_graph(g: Graph, cover: CliqueCover, tree: _Tree) -> Graph:
     return Graph(g.n_vertices, frozenset(edges))
 
 
-def _fixed_labels_for(cover: CliqueCover, part_idx: int, mat: np.ndarray,
-                      order: list[int] | None = None) -> dict[Edge, int]:
-    labels: dict[Edge, int] = {}
-    _block_labels(list(cover.parts[part_idx]) if order is None else order, mat, labels)
-    return labels
-
-
-def _fallback(g: Graph, cover: CliqueCover, tree: _Tree, seed: int,
+def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
               budget: int) -> ConstructionOutcome:
     """Bounded search for shapes without a catalog row.
 
     Cliques too large to search are pinned to catalog blocks (largest first)
     until at most 16 edges remain free; those are exhausted at s = 3, then
-    s = 4, over every block combination. Small shapes skip the pinning and
-    are exhausted at increasing s directly. A randomized stage (label order
-    and block orientation drawn from the seed) is the last resort.
+    s = 4, over the first 200 block combinations. Small shapes skip the
+    pinning and are exhausted at increasing s directly.
     """
     spanning = _spanning_graph(g, cover, tree)
     by_size_desc = sorted(range(cover.n_parts), key=lambda p: -cover.sizes[p])
@@ -504,13 +434,12 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree, seed: int,
         free_edges -= comb(cover.sizes[p], 2)
     used = 0
 
-    def try_search(s, fixed, label_orders=None):
+    def try_search(s, fixed):
         nonlocal used
         try:
             sols, nodes = search_labelings(spanning, s, fixed=fixed,
                                            budget=min(budget - used,
-                                                      _FALLBACK_RESTART_BUDGET),
-                                           label_orders=label_orders)
+                                                      _FALLBACK_SEARCH_BUDGET))
         except BudgetExhausted as exc:
             used += exc.args[0] if exc.args else 0
             if used >= budget:
@@ -543,33 +472,17 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree, seed: int,
     combo_list = list(combos)
     for s in (3, 4):
         for combo in combo_list:
-            fixed = {}
+            fixed: dict[Edge, int] = {}
             for p, (name, mat) in zip(to_fix, combo):
-                fixed.update(_fixed_labels_for(cover, p, mat))
+                _block_labels(list(cover.parts[p]), mat, fixed)
             found = try_search(s, fixed)
             if found is not None:
                 note = f"fixed({','.join(name for name, _ in combo)}),s={s}"
                 return outcome(found, s, note)
-    rng = random.Random(seed)
-    for _ in range(_FALLBACK_RESTARTS):
-        combo = [rng.choice(_catalog(cover.sizes[p])) for p in to_fix]
-        fixed = {}
-        for p, (name, mat) in zip(to_fix, combo):
-            order = list(cover.parts[p])
-            rng.shuffle(order)
-            fixed.update(_fixed_labels_for(cover, p, mat, order))
-        n_free = spanning.n_edges - len(fixed)
-        s = rng.choice((3, 4))
-        orders = [rng.sample(range(1, s + 1), s) for _ in range(n_free)]
-        found = try_search(s, fixed, label_orders=orders)
-        if found is not None:
-            note = f"randomized({','.join(name for name, _ in combo)}),s={s}"
-            return outcome(found, s, note)
     raise FallbackBudgetError("fallback search stages exhausted without a labeling")
 
 
-def construct_labeling(g: Graph, seed: int = 0,
-                       budget: int = DEFAULT_BUDGET) -> ConstructionOutcome:
+def construct_labeling(g: Graph, budget: int = DEFAULT_BUDGET) -> ConstructionOutcome:
     """Verified product-irregular labeling of a connected graph with clique
     cover number at most 3; strength 3 on every catalog shape."""
     if has_isolated_vertex_or_edge(g):
@@ -579,16 +492,4 @@ def construct_labeling(g: Graph, seed: int = 0,
     cover = clique_cover(g, 3)
     if cover is None:
         raise UnsupportedCoverError("clique cover number exceeds 3")
-    if cover.n_parts == 1:
-        n = g.n_vertices
-        tree = _Tree((), PATTERN_NONE, None, ())
-        if n >= 4:
-            plan = _Plan("A_single", [(0, named_family(n, "A"))], [], {})
-        elif n == 3:
-            plan = _Plan("T_single", [(0, fixed_matrix("T"))], [], {})
-        else:
-            raise ValueError("graph too small")  # excluded by the checks above
-        return _finish(g, cover, tree, plan, "theorem")
-    if cover.n_parts == 2:
-        return label_two_cliques(g, cover, seed=seed, budget=budget)
-    return label_three_cliques(g, cover, seed=seed, budget=budget)
+    return _label(g, cover, budget)

@@ -82,7 +82,7 @@ def edge_search_order(g: Graph, free_edges=None) -> list[Edge]:
 
 def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | None = None,
                      budget: int = DEFAULT_BUDGET, prune: bool = True,
-                     collect_all: bool = False, label_orders=None):
+                     collect_all: bool = False):
     """Core DFS over labelings of the free edges with labels 1..s.
 
     Returns (solutions, nodes): with collect_all=False, solutions is a list
@@ -111,8 +111,7 @@ def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | None = None,
                     return ({} if collect_all else []), 0
                 seen.add(prod[v])
 
-    if label_orders is None:
-        label_orders = [range(1, s + 1)] * len(free)
+    weights = range(1, s + 1)
     assignment = [0] * len(free)
     nodes = 0
     found: list[dict[Edge, int]] = []
@@ -138,7 +137,7 @@ def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | None = None,
         rem[u] -= 1
         rem[v] -= 1
         u_done, v_done = rem[u] == 0, rem[v] == 0
-        for w in label_orders[depth]:
+        for w in weights:
             nodes += 1
             if nodes > budget:
                 raise BudgetExhausted
@@ -212,13 +211,16 @@ def component_signatures(g_component: Graph, s: int,
     comps = connected_components(g_component)
     if len(comps) != 1:
         raise ValueError("component_signatures needs a connected graph")
-    sigs, _ = search_labelings(g_component, s, budget=budget, collect_all=True)
-    out = []
-    for values in sorted(sigs):
-        labeling = EdgeLabeling(g_component, sigs[values], s)
-        degrees = tuple(ProductDegree.from_value(v) for v in values)
-        out.append(ComponentSignature(degrees, labeling))
-    return out
+    return _signatures(g_component, s, budget)[0]
+
+
+def _signatures(g: Graph, s: int, budget: int) -> tuple[list[ComponentSignature], int]:
+    """Every realizable degree multiset of g with labels <= s, in sorted
+    order, each with its first labeling; and the search's node count."""
+    sigs, nodes = search_labelings(g, s, budget=budget, collect_all=True)
+    return [ComponentSignature(tuple(ProductDegree.from_value(v) for v in values),
+                               EdgeLabeling(g, sigs[values], s))
+            for values in sorted(sigs)], nodes
 
 
 def _combine_signatures(per_component: list[list[tuple[int, int]]],
@@ -275,15 +277,8 @@ def ps_exact_disconnected(g: Graph, s_max: int,
             for sub, _ in subs:
                 key = (s, sub.n_vertices, sub.edges)
                 if key not in cache:
-                    sigs, nodes = search_labelings(sub, s, budget=budget - total,
-                                                   collect_all=True)
+                    cache[key], nodes = _signatures(sub, s, budget - total)
                     total += nodes
-                    out = []
-                    for values in sorted(sigs):
-                        out.append(ComponentSignature(
-                            tuple(ProductDegree.from_value(v) for v in values),
-                            EdgeLabeling(sub, sigs[values], s)))
-                    cache[key] = out
                 sig_sets.append(cache[key])
                 if not cache[key]:
                     feasible = False

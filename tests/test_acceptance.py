@@ -155,6 +155,29 @@ def test_criterion_1_construction_catalog():
     assert elapsed < 60
 
 
+def test_engine_table_matches_injection_cases():
+    """Each literal +2 edges entry, as a graph: three cliques in block order
+    joined by the two edges its specs name. The engine's labeling of that
+    graph has the literal matrix's product degrees."""
+    for label, blocks, specs in INJECTION_CASES:
+        orders = [n for _, n in blocks]
+        offsets = [sum(orders[:k]) for k in range(3)]
+        g = disjoint_union(disjoint_union(complete_graph(orders[0]),
+                                          complete_graph(orders[1])),
+                           complete_graph(orders[2]))
+        for spec in specs:
+            bi, bj = spec.pair
+            g = add_cross_edge(g, offsets[bi - 1] + spec.i - 1,
+                               offsets[bj - 1] + spec.j - 1)
+        out = construct_labeling(g)
+        assert out.source == "theorem", label
+        literal = apply_injections(
+            direct_sum([tilde_matrix(n, w) for w, n in blocks]), orders, specs)
+        got = sorted(d.value for d in is_product_irregular(out.labeling).degrees)
+        want = sorted(d.value for d in check_matrix(literal).degrees)
+        assert got == want, label
+
+
 def test_criterion_2_exception_map():
     expected_failures = [
         ("A4+B4", direct_sum([named_family(4, "A"), named_family(4, "B")])),

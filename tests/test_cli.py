@@ -143,8 +143,8 @@ class TestCoverAndConstruct:
         _, doc, _ = run_cli(capsys, "gen", "K3+K3", "--edge", "1,4")
         path = tmp_path / "g.txt"
         path.write_text(doc)
-        _, out1, _ = run_cli(capsys, "construct", str(path), "--seed", "5")
-        _, out2, _ = run_cli(capsys, "construct", str(path), "--seed", "5")
+        _, out1, _ = run_cli(capsys, "construct", str(path))
+        _, out2, _ = run_cli(capsys, "construct", str(path))
         assert out1 == out2
 
     def test_cover_number_four_reports_unsupported(self, capsys, tmp_path):

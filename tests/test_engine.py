@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -8,8 +9,8 @@ from pistr.engine import (PATTERN_DIFF, PATTERN_SAME, UnsupportedCoverError,
                           label_two_cliques, select_cross_edges,
                           three_clique_theorem_id, two_clique_theorem_id)
 from pistr.fileio import emit_graph
-from pistr.graphs import (Graph, add_cross_edge, clique_cover, complete_graph,
-                          disjoint_union, edge_key)
+from pistr.graphs import (CliqueCover, Graph, add_cross_edge, clique_cover,
+                          complete_graph, disjoint_union, edge_key)
 from pistr.verifier import is_product_irregular
 
 from conftest import permute_graph, planted_cover_graph
@@ -63,8 +64,14 @@ class TestCrossEdgeSelection:
     def test_disconnected_rejected(self):
         g = disjoint_union(complete_graph(4), complete_graph(4))
         cover = clique_cover(g, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="connected"):
             select_cross_edges(g, cover)
+        g = cliques_with_edges((4, 4, 4), [(0, 4)])
+        cover = clique_cover(g, 3)
+        with pytest.raises(ValueError, match="connected"):
+            select_cross_edges(g, cover)
+        with pytest.raises(ValueError, match="connected"):
+            label_three_cliques(g, cover)
 
 
 class TestDispatchTotality:
@@ -263,3 +270,70 @@ class TestConstructLabeling:
             out2 = construct_labeling(g)
             assert emit_graph(g, out1.labeling) == emit_graph(g, out2.labeling)
             assert out1.case_trace == out2.case_trace
+
+
+def _digest_inputs():
+    """Seeded (graph, cover) pairs reaching every catalog row (every middle
+    part and both tree-edge patterns for the +2 edges rows) and a few
+    fallback shapes. cover None means construct_labeling finds its own.
+    clique_cover mostly puts a lone vertex in one part with its neighbour,
+    so the L_k1 row is reached through given covers."""
+    rng = random.Random(4096)
+    inputs = [(complete_graph(n), None) for n in (3, 4, 9)]
+    for n in (4, 7):
+        x, y = rng.sample(range(n + 1), 2)  # x alone, joined to y in K_n
+        rest = tuple(sorted(v for v in range(n + 1) if v != x))
+        g = Graph.from_edges(n + 1, [(x, y)] + list(itertools.combinations(rest, 2)))
+        cross = ((0, 1, x, y),)
+        inputs.append((g, CliqueCover(((x,), rest), (1, n), cross)))
+    two = [(1, 4), (1, 7), (2, 4), (2, 6), (3, 5), (3, 7), (4, 4), (4, 9),
+           (5, 5), (5, 8), (6, 6), (6, 7), (3, 4), (1, 3), (2, 2), (2, 3), (3, 3)]
+    three = [(7, 8, 9), (7, 7, 7), (4, 8, 9), (5, 7, 7), (6, 6, 9), (6, 6, 7),
+             (5, 6, 9), (5, 5, 9), (5, 5, 6), (4, 5, 9), (4, 6, 9), (4, 6, 7),
+             (4, 5, 6), (6, 6, 6), (5, 6, 6), (4, 4, 6), (4, 6, 6), (3, 5, 8),
+             (2, 4, 5), (3, 3, 3)]
+    for sizes in two + three:
+        for extra in (0, 3):
+            g = planted_cover_graph(rng, sizes, extra)
+            inputs.append((permute_graph(rng, g)[0], None))
+    for sizes in [(5, 5, 5), (4, 5, 5), (4, 4, 5), (4, 4, 4)]:
+        offs = [sum(sizes[:i]) for i in range(3)]
+        for mid in range(3):
+            a, b = (offs[o] + rng.randrange(sizes[o]) for o in range(3) if o != mid)
+            for step in (0, 1):
+                m1 = offs[mid] + rng.randrange(sizes[mid] - 1)
+                g = cliques_with_edges(sizes, [(m1, a), (m1 + step, b)])
+                inputs.append((permute_graph(rng, g)[0], None))
+        for _ in range(3):
+            g = planted_cover_graph(rng, sizes, 4)
+            inputs.append((permute_graph(rng, g)[0], None))
+    return inputs
+
+
+# sha256 of the engine's output on _digest_inputs(), taken before the
+# catalog moved into one table; any change to a label, construction id,
+# source, strength or vertex map changes it.
+OUTPUT_DIGEST = "e4783f032eb2b2be515f5296feae0ee662b030f26d40a7263bcc5459ad5fa92d"
+
+
+def test_output_digest_pinned():
+    h = hashlib.sha256()
+    ids = set()
+    for g, cover in _digest_inputs():
+        out = construct_labeling(g) if cover is None else label_two_cliques(g, cover)
+        case = out.case_trace
+        ids.add(case.construction_id)
+        maps = sorted((p, sorted(m.items())) for p, m in case.vertex_maps.items())
+        h.update(emit_graph(g, out.labeling).encode())
+        h.update(repr((out.strength, out.source, case.cover_sizes, case.pattern,
+                       case.construction_id, maps)).encode())
+    rows = {"A_single", "T_single", "A+B", "T5+T5_tilde", "T6+T6_tilde",
+            "K44_edge", "T+B", "L", "L_k1", "K34_edge_cached", "A+C+B",
+            "C_small+A+B", "T6+T6_tilde+B", "A6+M666_3+B7", "T5+T6_mod+B",
+            "T5+T5_tilde+B", "T5+T5_tilde+P6", "A4+B6+B", "B4+M666_3+B7",
+            "A4+T5_tilde+B", "A4+T5_tilde_mod+B6", "M666", "M666_minus_row1"}
+    rows |= {f"tilde_{s}/{t}" for s in ("555", "455", "445", "444")
+             for t in ("same_vertex", "diff_vertices")}
+    assert rows <= ids, sorted(rows - ids)
+    assert sum(i.startswith("fallback:") for i in ids) >= 3
+    assert h.hexdigest() == OUTPUT_DIGEST
