@@ -10,6 +10,7 @@ Exit codes: 0 success / verdict true; 1 verdict false or nothing found;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -206,7 +207,15 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves the parser unchanged, so every main() call in one process
+    shares it; that spares in-process callers (tests, benchmarks, library
+    use) about a millisecond per call. A one-shot pistr process builds it
+    once either way.
+    """
     parser = argparse.ArgumentParser(
         prog="pistr",
         description="Product irregularity strength: constructions, "

@@ -405,10 +405,7 @@ def _catalog(size: int) -> list[tuple[str, np.ndarray]]:
 def _spanning_graph(g: Graph, cover: CliqueCover, tree: _Tree) -> Graph:
     edges = set(tree.edges)
     for part in cover.parts:
-        verts = sorted(part)
-        for i, u in enumerate(verts):
-            for v in verts[i + 1:]:
-                edges.add(edge_key(u, v))
+        edges.update(itertools.combinations(sorted(part), 2))
     return Graph(g.n_vertices, frozenset(edges))
 
 

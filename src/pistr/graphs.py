@@ -49,6 +49,26 @@ class Graph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components as sorted vertex tuples, ordered by smallest
+        vertex; one walk over adjacency, shared by every caller."""
+        adj = self.adjacency
+        seen: set[int] = set()
+        comps = []
+        for start in range(self.n_vertices):
+            if start in seen:
+                continue
+            comp = {start}
+            stack = [start]
+            while stack:
+                fresh = set(adj[stack.pop()]).difference(comp)
+                comp |= fresh
+                stack.extend(fresh)
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
@@ -180,44 +200,17 @@ def labeled_graph_to_matrix(labeling: EdgeLabeling) -> np.ndarray:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n_vertices <= 1:
-        return True
-    return len(_component_of(g, 0)) == g.n_vertices
+    return len(g.components) <= 1
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest vertex."""
-    seen: set[int] = set()
-    comps = []
-    for start in range(g.n_vertices):
-        if start in seen:
-            continue
-        comp = _component_of(g, start)
-        seen.update(comp)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _component_of(g: Graph, start: int) -> set[int]:
-    comp = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if u not in comp:
-                comp.add(u)
-                stack.append(u)
-    return comp
+    return [list(comp) for comp in g.components]
 
 
 def has_isolated_vertex_or_edge(g: Graph) -> bool:
     """True if some component is a single vertex or a single edge."""
-    for comp in connected_components(g):
-        if len(comp) == 1:
-            return True
-        if len(comp) == 2:  # two vertices in one component = one edge
-            return True
-    return False
+    return any(len(comp) <= 2 for comp in g.components)  # 2 vertices = 1 edge
 
 
 def induced_subgraph(g: Graph, vertices: list[int]) -> tuple[Graph, list[int]]:
@@ -250,45 +243,52 @@ def clique_cover(g: Graph, k_max: int) -> CliqueCover | None:
 def _complement_masks(g: Graph) -> list[int]:
     n = g.n_vertices
     full = (1 << n) - 1
+    bits = [1 << u for u in range(n)]
     masks = []
-    for v in range(n):
-        m = full & ~(1 << v)
-        for u in g.neighbors(v):
-            m &= ~(1 << u)
-        masks.append(m)
+    for v, nbrs in enumerate(g.adjacency):
+        m = bits[v]
+        for u in nbrs:
+            m |= bits[u]
+        masks.append(full ^ m)
     return masks
 
 
 def _color_graph(adj_masks: list[int], k: int) -> list[int] | None:
-    """Proper k-coloring as color-class bitmasks, or None. Exact backtracking."""
+    """Proper k-coloring as color-class bitmasks, or None. Exact backtracking
+    without recursion, trying colors in the same order as a recursive search:
+    the vertex at each depth takes the first fitting color from ``first`` on;
+    when none fits, the search backs up one depth and resumes after the color
+    chosen there."""
     n = len(adj_masks)
     order = sorted(range(n), key=lambda v: (-bin(adj_masks[v]).count("1"), v))
     classes = [0] * k
+    color = [0] * n  # color[i] is the color of order[i] while depth > i
+    bumped = [False] * n  # whether that color opened a new class
     used = 0
-
-    def assign(idx: int) -> bool:
-        nonlocal used
-        if idx == n:
-            return True
-        v = order[idx]
-        bit = 1 << v
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if classes[c] & adj_masks[v]:
-                continue
-            classes[c] |= bit
-            bump = c == used
-            if bump:
-                used += 1
-            if assign(idx + 1):
-                return True
-            classes[c] &= ~bit
-            if bump:
+    depth = 0
+    first = 0  # the first color to try at this depth
+    while depth < n:
+        v = order[depth]
+        mask = adj_masks[v]
+        for c in range(first, min(used + 1, k)):
+            if not classes[c] & mask:
+                classes[c] |= 1 << v
+                color[depth] = c
+                bumped[depth] = c == used
+                if c == used:
+                    used += 1
+                depth += 1
+                first = 0
+                break
+        else:
+            if depth == 0:
+                return None
+            depth -= 1
+            c = color[depth]
+            classes[c] &= ~(1 << order[depth])
+            if bumped[depth]:
                 used -= 1
-        return False
-
-    if not assign(0):
-        return None
+            first = c + 1
     return classes
 
 
@@ -299,18 +299,16 @@ def _cover_from_classes(g: Graph, classes: list[int]) -> CliqueCover:
         if verts:
             parts.append(verts)
     parts.sort(key=lambda p: (len(p), p[0]))
-    part_index = {}
+    part_of = [0] * g.n_vertices
     for i, part in enumerate(parts):
         for v in part:
-            part_index[v] = i
+            part_of[v] = i
     cross = []
-    for u, v in g.edges:
-        pu, pv = part_index[u], part_index[v]
-        if pu == pv:
-            continue
-        if pu < pv:
-            cross.append((pu, pv, u, v))
-        else:
-            cross.append((pv, pu, v, u))
+    for u, nbrs in enumerate(g.adjacency):
+        pu = part_of[u]
+        for v in nbrs:
+            pv = part_of[v]
+            if pv != pu and u < v:
+                cross.append((pu, pv, u, v) if pu < pv else (pv, pu, v, u))
     cross.sort()
     return CliqueCover(tuple(parts), tuple(len(p) for p in parts), tuple(cross))

@@ -93,20 +93,22 @@ def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | None = None,
     """
     fixed = fixed or {}
     n = g.n_vertices
-    free = edge_search_order(g, [e for e in g.edges if e not in fixed])
+    free = edge_search_order(g, g.edges.difference(fixed))
     prod = [1] * n
     rem = [0] * n
     for u, v in free:
         rem[u] += 1
         rem[v] += 1
+    pinned = [False] * n  # v has a fixed edge
     for (u, v), w in fixed.items():
         prod[u] *= w
         prod[v] *= w
+        pinned[u] = pinned[v] = True
 
     seen: set[int] = set()
     if prune:
         for v in range(n):
-            if rem[v] == 0 and g.degree(v) > 0:
+            if rem[v] == 0 and pinned[v]:  # every edge of v is fixed
                 if prod[v] in seen:
                     return ({} if collect_all else []), 0
                 seen.add(prod[v])

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from pistr import cli
 from pistr.cli import main
@@ -154,6 +156,15 @@ class TestCoverAndConstruct:
         code, out, _ = run_cli(capsys, "construct", str(path))
         assert code == 1 and "unsupported" in out
 
+    def test_cover_of_a_large_clique(self, capsys, tmp_path):
+        n = 1200
+        path = tmp_path / "k1200.txt"
+        path.write_text(f"p {n} {n * (n - 1) // 2}\n" + "".join(
+            f"e {u} {v}\n" for u in range(1, n + 1) for v in range(u + 1, n + 1)))
+        code, out, err = run_cli(capsys, "cover", str(path), "--json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["sizes"] == [n]
+
 
 class TestMalformedInput:
     def test_exit_code_two(self, capsys, tmp_path):
@@ -180,3 +191,35 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("p 3 3")
+
+
+def test_one_parser_per_process(capsys, tmp_path):
+    """Commands run one after another in one process, a usage error among
+    them, print what each prints in a fresh process."""
+    path = tmp_path / "g.txt"
+    path.write_text("p 7 13\n" + "".join(
+        f"e {u} {v}\n" for u, v in [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (4, 7),
+                                    (5, 6), (5, 7), (6, 7), (3, 4), (1, 5), (2, 6),
+                                    (3, 7)]))
+    calls = [["construct", str(path), "--json"], ["cover", str(path)],
+             ["cover", str(path), "--no-such-option"], ["construct", str(path), "--json"]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = {}
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        key = tuple(argv)
+        if key not in fresh:
+            proc = subprocess.run([sys.executable, "-m", "pistr.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            fresh[key] = (proc.returncode, proc.stdout, proc.stderr)
+        assert (code, captured.out, captured.err) == fresh[key]
+        codes.append(code)
+    assert codes == [0, 0, 2, 0]
+    assert cli.build_parser() is cli.build_parser()

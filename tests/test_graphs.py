@@ -8,6 +8,7 @@ from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge,
                           disjoint_union, has_isolated_vertex_or_edge,
                           is_connected, labeled_graph_to_matrix,
                           matrix_to_labeled_graph)
+from pistr.graphs import _color_graph, _complement_masks
 from pistr.matrices import fixed_matrix, m_matrix
 
 from conftest import (permute_graph, planted_cover_graph, random_graph_no_isolates,
@@ -38,6 +39,33 @@ def brute_min_cover(g: Graph) -> int:
 
     assign(0, [])
     return best[0]
+
+
+def recursive_color_graph(adj_masks, k):
+    """Reference k-coloring search: the recursive form of _color_graph."""
+    n = len(adj_masks)
+    order = sorted(range(n), key=lambda v: (-bin(adj_masks[v]).count("1"), v))
+    classes = [0] * k
+    used = 0
+
+    def assign(idx):
+        nonlocal used
+        if idx == n:
+            return True
+        v = order[idx]
+        for c in range(min(used + 1, k)):
+            if classes[c] & adj_masks[v]:
+                continue
+            classes[c] |= 1 << v
+            bump = c == used
+            used += bump
+            if assign(idx + 1):
+                return True
+            classes[c] &= ~(1 << v)
+            used -= bump
+        return False
+
+    return classes if assign(0) else None
 
 
 class TestBuilders:
@@ -132,6 +160,36 @@ class TestConnectivity:
         g = disjoint_union(complete_graph(3), complete_graph(2))
         assert connected_components(g) == [[0, 1, 2], [3, 4]]
 
+    def test_components_cached_and_not_shared(self):
+        g = Graph.from_edges(6, [(4, 1), (1, 3), (2, 5)])
+        first = connected_components(g)
+        assert first == [[0], [1, 3, 4], [2, 5]]
+        first[1].append(0)
+        first.pop()
+        assert connected_components(g) == [[0], [1, 3, 4], [2, 5]]
+        assert g.components == ((0,), (1, 3, 4), (2, 5))
+        assert g.components is g.components
+        assert has_isolated_vertex_or_edge(g) and not is_connected(g)
+
+    def test_components_agree_with_a_search(self, rng):
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            pairs = list(itertools.combinations(range(n), 2))
+            g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, min(n, len(pairs)))))
+            comps = connected_components(g)
+            assert sorted(v for c in comps for v in c) == list(range(n))
+            assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+            for comp in comps:
+                reached, stack = {comp[0]}, [comp[0]]
+                while stack:
+                    for u in g.neighbors(stack.pop()):
+                        if u not in reached:
+                            reached.add(u)
+                            stack.append(u)
+                assert sorted(reached) == comp
+            assert is_connected(g) == (len(comps) == 1)
+            assert has_isolated_vertex_or_edge(g) == any(len(c) <= 2 for c in comps)
+
 
 class TestCliqueCover:
     def test_complete_graph_one_part(self):
@@ -197,6 +255,19 @@ class TestCliqueCover:
                         if g.has_edge(u, v)]
             assert len(expected) > len(sizes) - 1
             assert list(cover.cross_edges) == expected
+
+    def test_large_complete_graph_needs_no_recursion(self):
+        cover = clique_cover(complete_graph(1200), 3)
+        assert cover.sizes == (1200,) and cover.cross_edges == ()
+
+    def test_coloring_matches_recursive_search(self, rng):
+        # The explicit-stack search must visit colours in the order of the
+        # recursive one, so every cover (and every output byte) stays put.
+        for _ in range(60):
+            g = random_graph_no_isolates(rng, n_min=4, n_max=11)
+            masks = _complement_masks(g)
+            for k in range(1, 5):
+                assert _color_graph(masks, k) == recursive_color_graph(masks, k)
 
     def test_k_max_respected(self):
         c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])

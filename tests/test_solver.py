@@ -161,6 +161,21 @@ class TestSearchCore:
         sols, nodes = search_labelings(g, 3, fixed=fixed)
         assert sols == [] and nodes == 0
 
+    def test_pinned_vertices_colliding_before_the_search(self):
+        # Vertices 0 and 3 have every edge fixed, both with product 2; the
+        # edge 1-2 stays free, so the collision is found before any node.
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        fixed = {(0, 1): 2, (2, 3): 2}
+        assert search_labelings(g, 3, fixed=fixed) == ([], 0)
+        assert search_labelings(g, 3, fixed=fixed, collect_all=True) == ({}, 0)
+
+    def test_isolated_vertices_are_not_pinned(self):
+        # Vertices 4 and 5 have no edges (product 1, like nothing else at
+        # depth zero); only vertices with a fixed edge enter the prune.
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3)])
+        sols, nodes = search_labelings(g, 3, fixed={(0, 1): 2, (2, 3): 3})
+        assert nodes > 0 and sols == [{(0, 1): 2, (2, 3): 3, (1, 2): 2}]
+
     def test_budget_raises(self):
         g = complete_graph(5)
         with pytest.raises(BudgetExhausted):
