@@ -21,6 +21,7 @@ or sizes (4,6,6).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from collections.abc import Callable
@@ -32,7 +33,7 @@ import numpy as np
 from .graphs import (CliqueCover, Edge, EdgeLabeling, Graph, clique_cover,
                      edge_key, has_isolated_vertex_or_edge, is_connected)
 from .matrices import fixed_matrix, named_family, tilde_matrix
-from .solver import DEFAULT_BUDGET, BudgetExhausted, search_labelings
+from .solver import DEFAULT_BUDGET, BudgetExhausted, Pinned, search_labelings
 from .verifier import is_product_irregular
 
 PATTERN_NONE = "none"
@@ -240,10 +241,12 @@ _CATALOG = (
 )
 
 
+@functools.cache
 def _lookup(sizes: tuple[int, ...], middle: int | None = None,
             pattern: str | None = None) -> _Row | None:
     """The first catalog row for these sorted sizes; a "+2 edges" row also
-    needs its middle size and pattern, unless middle is None."""
+    needs its middle size and pattern, unless middle is None. Cached: the
+    catalog is fixed."""
     for row in _CATALOG:
         if (len(row.sizes) == len(sizes)
                 and all(s == k if type(k) is int else s in k
@@ -321,30 +324,42 @@ def _vertex_maps(cover: CliqueCover, tree: _Tree, plan: _Plan) -> dict[int, dict
     return maps
 
 
-def _block_labels(verts: list[int], mat: np.ndarray, labels: dict[Edge, int]) -> None:
-    """Write the nonzero upper-triangle entries of mat into labels; row and
-    column i of mat stand for vertex verts[i]."""
-    rows = mat.tolist()
-    for i, u in enumerate(verts):
-        for v, w in zip(verts[i + 1:], rows[i][i + 1:]):
-            if w:
-                labels[(u, v) if u < v else (v, u)] = w
+def _block_values(g: Graph, blocks) -> np.ndarray:
+    """Labels aligned with g.ends from (vertices, matrix) blocks: an edge
+    inside a block's vertices takes its entry, row and column i of the
+    matrix standing for the i-th vertex; every other edge, and an edge on a
+    zero entry, takes 1."""
+    n = g.n_vertices
+    owner = list(range(-1, -n - 1, -1))  # outside every block: its own
+    row, col = [0] * n, [0] * n  # entry (x, y) is flat[row[x] + col[y]]
+    flat = [np.zeros(1, dtype=np.int64)]  # flat[0]: the entry of no block
+    start = 1
+    for k, (verts, mat) in enumerate(blocks):
+        size = len(verts)
+        for i, x in enumerate(verts):
+            owner[x], row[x], col[x] = k, start + i * size, i
+        flat.append(mat.ravel())
+        start += size * size
+    u, v = g.ends
+    owner, row, col = np.array((owner, row, col))
+    at = (row[u] + col[v]) * (owner[u] == owner[v])
+    return np.maximum(np.concatenate(flat)[at], 1)
 
 
 def _labeling_from_plan(g: Graph, cover: CliqueCover, tree: _Tree,
                         plan: _Plan) -> tuple[EdgeLabeling, dict]:
     maps = _vertex_maps(cover, tree, plan)
     inv = {p: {i: v for v, i in m.items()} for p, m in maps.items()}
-    labels: dict[Edge, int] = dict.fromkeys(g.edges, 1)
-    for part_idx, mat in plan.blocks:
-        local = inv[part_idx]
-        _block_labels([local[i] for i in range(1, mat.shape[0] + 1)], mat, labels)
-    for pa, i, pb, j, w in plan.cross:
-        e = edge_key(inv[pa][i], inv[pb][j])
-        if e not in g.edges:
-            raise ConstructionError(f"cross entry {e} is not an edge of the graph")
-        labels[e] = w
-    return EdgeLabeling(g, labels, 3), maps
+    values = _block_values(g, [([inv[p][i] for i in range(1, mat.shape[0] + 1)], mat)
+                               for p, mat in plan.blocks])
+    if plan.cross:
+        pairs = [(inv[pa][i], inv[pb][j]) for pa, i, pb, j, _ in plan.cross]
+        try:
+            values[g.edge_index(pairs)] = [w for *_, w in plan.cross]
+        except KeyError as exc:
+            raise ConstructionError(
+                f"cross entry {exc.args[0]} is not an edge of the graph") from None
+    return EdgeLabeling._from_values(g, values, 3), maps
 
 
 def _label(g: Graph, cover: CliqueCover, budget: int) -> ConstructionOutcome:
@@ -402,26 +417,31 @@ def _catalog(size: int) -> list[tuple[str, np.ndarray]]:
     raise ValueError(f"no catalog for size {size}")
 
 
-def _spanning_graph(g: Graph, cover: CliqueCover, tree: _Tree) -> Graph:
-    edges = set(tree.edges)
-    for part in cover.parts:
-        edges.update(itertools.combinations(sorted(part), 2))
-    return Graph(g.n_vertices, frozenset(edges))
+def _row_products(mat: np.ndarray) -> list[int]:
+    """The exact product of the nonzero entries of each row of mat."""
+    products = [1] * len(mat)
+    for w in np.unique(mat).tolist():
+        if w > 1:
+            counts = np.count_nonzero(mat == w, axis=1).tolist()
+            products = [x * w**c for x, c in zip(products, counts)]
+    return products
 
 
 def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
               budget: int) -> ConstructionOutcome:
     """Bounded search for shapes without a catalog row.
 
+    The search runs on the spanning graph: the parts plus the tree edges.
     Cliques too large to search are pinned to catalog blocks (largest first)
-    until at most 16 edges remain free; those are exhausted at s = 3, then
-    s = 4, over the first 200 block combinations. Small shapes skip the
-    pinning and are exhausted at increasing s directly.
+    until at most 16 of its edges remain free; those are exhausted at s = 3,
+    then s = 4, over the first 200 block combinations. The search sees only
+    the free edges and each vertex's product of pinned labels, worked out
+    once per combination. Small shapes skip the pinning and are exhausted
+    at increasing s directly.
     """
-    spanning = _spanning_graph(g, cover, tree)
     by_size_desc = sorted(range(cover.n_parts), key=lambda p: -cover.sizes[p])
     to_fix: list[int] = []
-    free_edges = spanning.n_edges
+    free_edges = len(tree.links) + sum(comb(size, 2) for size in cover.sizes)
     for p in by_size_desc:
         if free_edges <= _FALLBACK_MAX_FREE_EDGES:
             break
@@ -429,12 +449,17 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
             break
         to_fix.append(p)
         free_edges -= comb(cover.sizes[p], 2)
+    edges = set(tree.edges)
+    for p, part in enumerate(cover.parts):
+        if p not in to_fix:
+            edges.update(itertools.combinations(sorted(part), 2))
+    free = Graph(g.n_vertices, frozenset(edges))
     used = 0
 
     def try_search(s, fixed):
         nonlocal used
         try:
-            sols, nodes = search_labelings(spanning, s, fixed=fixed,
+            sols, nodes = search_labelings(free, s, fixed=fixed,
                                            budget=min(budget - used,
                                                       _FALLBACK_SEARCH_BUDGET))
         except BudgetExhausted as exc:
@@ -446,10 +471,10 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
         used += nodes
         return sols[0] if sols else None
 
-    def outcome(found, s, note):
-        labels = dict.fromkeys(g.edges, 1)
-        labels.update(found)
-        labeling = EdgeLabeling(g, labels, s)
+    def outcome(found, s, note, blocks=()):
+        values = _block_values(g, blocks)
+        values[g.edge_index(list(found))] = list(found.values())
+        labeling = EdgeLabeling._from_values(g, values, s)
         report = is_product_irregular(labeling)
         if not report.ok:
             raise ConstructionError(f"fallback produced an invalid labeling: {note}")
@@ -463,19 +488,26 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
                 return outcome(found, s, f"exhaustive(s={s})")
         raise FallbackBudgetError("no labeling found up to the strength cap")
 
-    combos = itertools.islice(
+    combos = list(itertools.islice(
         itertools.product(*[_catalog(cover.sizes[p]) for p in to_fix]),
-        _FALLBACK_COMBO_CAP)
-    combo_list = list(combos)
+        _FALLBACK_COMBO_CAP))
+    pins: list[Pinned | None] = [None] * len(combos)
+    rows: dict[tuple[int, str], list[int]] = {}  # (part, block) -> row products
     for s in (3, 4):
-        for combo in combo_list:
-            fixed: dict[Edge, int] = {}
-            for p, (name, mat) in zip(to_fix, combo):
-                _block_labels(list(cover.parts[p]), mat, fixed)
-            found = try_search(s, fixed)
+        for k, combo in enumerate(combos):
+            if pins[k] is None:
+                products, pinned = [1] * g.n_vertices, [False] * g.n_vertices
+                for p, (name, mat) in zip(to_fix, combo):
+                    if (p, name) not in rows:
+                        rows[p, name] = _row_products(mat)
+                    for v, product in zip(cover.parts[p], rows[p, name]):
+                        products[v], pinned[v] = product, True
+                pins[k] = Pinned(tuple(products), tuple(pinned))
+            found = try_search(s, pins[k])
             if found is not None:
                 note = f"fixed({','.join(name for name, _ in combo)}),s={s}"
-                return outcome(found, s, note)
+                blocks = [(cover.parts[p], mat) for p, (_, mat) in zip(to_fix, combo)]
+                return outcome(found, s, note, blocks)
     raise FallbackBudgetError("fallback search stages exhausted without a labeling")
 
 

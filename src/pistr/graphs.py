@@ -15,54 +15,137 @@ import numpy as np
 
 Edge = tuple[int, int]
 
+_MASK_BLOCK = 1 << 22  # booleans per block of rows in _complement_masks
+
 
 def edge_key(u: int, v: int) -> Edge:
     """Normalize an unordered vertex pair to (min, max)."""
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple graph: no loops, no multi-edges, vertices 0..n_vertices-1."""
+    """Simple graph: no loops, no multi-edges, vertices 0..n_vertices-1.
 
-    n_vertices: int
-    edges: frozenset[Edge]
+    The public constructor takes the edges as a frozenset of pairs (u, v)
+    with u < v and checks them. Graphs the package builds itself (the
+    parser, the matrix conversion) hold them as two int arrays instead,
+    ``ends``, with u < v in sorted edge order. Each form is derived from the
+    other only when it is first read, so neither side pays for the other.
+    Graphs are immutable; equality and hashing go by vertex count and edge
+    set.
+    """
 
-    def __post_init__(self):
-        if self.n_vertices < 0:
+    def __init__(self, n_vertices: int, edges: frozenset[Edge]):
+        if n_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n_vertices):
+            if not (0 <= u < v < n_vertices):
                 raise ValueError(f"edge ({u},{v}) out of range or not normalized")
+        self.__dict__.update(n_vertices=n_vertices, edges=edges)
+
+    @classmethod
+    def _from_ends(cls, n_vertices: int, u: np.ndarray, v: np.ndarray,
+                   keys: np.ndarray | None = None) -> "Graph":
+        """Unchecked: the caller guarantees 0 <= u < v < n_vertices and
+        distinct pairs in sorted order, and keys == u * n_vertices + v if
+        given."""
+        g = cls.__new__(cls)
+        g.__dict__.update(n_vertices=n_vertices, ends=(u, v))
+        if keys is not None:
+            g.__dict__["_keys"] = keys
+        return g
 
     @classmethod
     def from_edges(cls, n_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         return cls(n_vertices, frozenset(edge_key(u, v) for u, v in edges))
 
+    def __setattr__(self, name, value):
+        raise AttributeError("Graph is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        if self.n_vertices != other.n_vertices:
+            return False
+        if "ends" in self.__dict__ and "ends" in other.__dict__:
+            return all(map(np.array_equal, self.ends, other.ends))
+        return self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n_vertices, self.edges))
+
+    def __repr__(self):
+        return f"Graph(n_vertices={self.n_vertices}, edges={self.edges!r})"
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        u, v = self.ends
+        return frozenset(zip(u.tolist(), v.tolist()))
+
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges as two int64 arrays, u < v, in sorted edge order."""
+        pairs = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0].copy(), pairs[:, 1].copy()
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """u * n + v for each edge: ascending, one per edge."""
+        u, v = self.ends
+        return u * self.n_vertices + v
+
+    def edge_index(self, pairs) -> np.ndarray:
+        """Positions in ``ends`` of the given vertex pairs, each in either
+        order; KeyError for a pair that is not an edge."""
+        n, keys = self.n_vertices, self._keys
+        want = np.array([a * n + b if a < b else b * n + a for a, b in pairs],
+                        dtype=np.int64)
+        pos = keys.searchsorted(want)
+        hit = keys.take(pos, mode="clip") == want if len(keys) else pos < 0
+        if not hit.all():
+            raise KeyError(edge_key(*pairs[int(hit.argmin())]))
+        return pos
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Compressed rows (indptr, cells, indices): the neighbours of v are
+        indices[indptr[v]:indptr[v + 1]], in ascending order, and cells[k]
+        is entry k's position in a flat n x n adjacency matrix."""
+        n = self.n_vertices
+        u, v = self.ends
+        cells = np.concatenate((self._keys, v * n + u))
+        cells.sort()
+        step = max(n, 1)
+        return (cells.searchsorted(np.arange(n + 1, dtype=np.int64) * step),
+                cells, cells % step)
+
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        indptr, _, indices = self.csr
+        flat, bounds = indices.tolist(), indptr.tolist()
+        return tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by smallest
-        vertex; one walk over adjacency, shared by every caller."""
-        adj = self.adjacency
+        vertex; one walk over the compressed rows, shared by every caller.
+        A walk stops once it holds every vertex not yet placed, so a
+        connected graph reads only the rows it needs to reach them all."""
+        indptr, _, indices = self.csr
+        bounds = indptr.tolist()
         seen: set[int] = set()
         comps = []
         for start in range(self.n_vertices):
             if start in seen:
                 continue
+            rest = self.n_vertices - len(seen)
             comp = {start}
             stack = [start]
-            while stack:
-                fresh = set(adj[stack.pop()]).difference(comp)
+            while stack and len(comp) < rest:
+                x = stack.pop()
+                fresh = set(indices[bounds[x]:bounds[x + 1]].tolist()).difference(comp)
                 comp |= fresh
                 stack.extend(fresh)
             seen |= comp
@@ -72,36 +155,44 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        ends = self.__dict__.get("ends")
+        return len(self.edges) if ends is None else len(ends[0])
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
 
-@dataclass(frozen=True)
 class EdgeLabeling:
-    """Total map from the edges of a graph to labels in {1, ..., strength}."""
+    """Total map from the edges of a graph to labels in {1, ..., strength}.
 
-    graph: Graph
-    labels: Mapping[Edge, int]
-    strength: int
+    The public constructor takes a mapping edge -> label and checks it.
+    Labelings the package builds hold an array instead, ``values``, aligned
+    with ``graph.ends``; int64, or object when a label does not fit. Each
+    form is derived from the other when it is first read.
+    """
 
-    def __post_init__(self):
-        if self.strength < 1:
+    def __init__(self, graph: Graph, labels: Mapping[Edge, int], strength: int):
+        if strength < 1:
             raise ValueError("strength must be >= 1")
-        if set(self.labels) != self.graph.edges:
+        if set(labels) != graph.edges:
             raise ValueError("labels must cover exactly the edges of the graph")
-        for e, w in self.labels.items():
-            if not (1 <= w <= self.strength):
-                raise ValueError(f"label {w} on edge {e} outside 1..{self.strength}")
+        for e, w in labels.items():
+            if not (1 <= w <= strength):
+                raise ValueError(f"label {w} on edge {e} outside 1..{strength}")
+        self.__dict__.update(graph=graph, labels=labels, strength=strength)
+
+    @classmethod
+    def _from_values(cls, graph: Graph, values: np.ndarray, strength: int) -> "EdgeLabeling":
+        """Unchecked: values[i] labels edge i of graph.ends, within
+        1..strength."""
+        labeling = cls.__new__(cls)
+        labeling.__dict__.update(graph=graph, values=values, strength=strength)
+        return labeling
 
     @classmethod
     def make(cls, graph: Graph, labels: Mapping[tuple[int, int], int],
@@ -111,8 +202,42 @@ class EdgeLabeling:
             strength = max(norm.values(), default=1)
         return cls(graph, norm, strength)
 
+    def __setattr__(self, name, value):
+        raise AttributeError("EdgeLabeling is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, EdgeLabeling):
+            return NotImplemented
+        return ((self.graph, self.labels, self.strength)
+                == (other.graph, other.labels, other.strength))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"EdgeLabeling(graph={self.graph!r}, labels={self.labels!r}, "
+                f"strength={self.strength})")
+
+    @cached_property
+    def labels(self) -> dict[Edge, int]:
+        u, v = self.graph.ends
+        return dict(zip(zip(u.tolist(), v.tolist()), self.values.tolist()))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The labels as an array aligned with graph.ends."""
+        u, v = self.graph.ends
+        return label_array([self.labels[e] for e in zip(u.tolist(), v.tolist())])
+
     def label(self, u: int, v: int) -> int:
         return self.labels[edge_key(u, v)]
+
+
+def label_array(labels) -> np.ndarray:
+    """Labels as an int64 array, or an object array when one is too large."""
+    try:
+        return np.array(labels, dtype=np.int64)
+    except OverflowError:
+        return np.array(labels, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -181,21 +306,20 @@ def matrix_to_labeled_graph(m: np.ndarray) -> tuple[Graph, EdgeLabeling]:
     """Positive entries become labeled edges; inverse of labeled_graph_to_matrix."""
     m = validate_weighted_adjacency(m)
     n = m.shape[0]
-    labels = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if m[u, v] > 0:
-                labels[(u, v)] = int(m[u, v])
-    g = Graph(n, frozenset(labels))
-    return g, EdgeLabeling.make(g, labels)
+    u, v = np.triu_indices(n, 1)
+    w = m[u, v]
+    keep = w > 0
+    g = Graph._from_ends(n, u[keep].astype(np.int64), v[keep].astype(np.int64))
+    labels = w[keep].astype(np.int64)
+    return g, EdgeLabeling._from_values(g, labels, int(labels.max(initial=1)))
 
 
 def labeled_graph_to_matrix(labeling: EdgeLabeling) -> np.ndarray:
     """Weighted adjacency matrix of a labeled graph."""
     n = labeling.graph.n_vertices
     m = np.zeros((n, n), dtype=np.int64)
-    for (u, v), w in labeling.labels.items():
-        m[u, v] = m[v, u] = w
+    u, v = labeling.graph.ends
+    m[u, v] = m[v, u] = labeling.values
     return m
 
 
@@ -236,20 +360,27 @@ def clique_cover(g: Graph, k_max: int) -> CliqueCover | None:
     for k in range(1, k_max + 1):
         classes = _color_graph(comp_adj, k)
         if classes is not None:
-            return _cover_from_classes(g, classes)
+            return _cover_from_classes(classes, comp_adj)
     return None
 
 
 def _complement_masks(g: Graph) -> list[int]:
+    """Bitmask of each vertex's non-neighbours (itself excluded), read off
+    the compressed rows a block of rows at a time."""
     n = g.n_vertices
-    full = (1 << n) - 1
-    bits = [1 << u for u in range(n)]
-    masks = []
-    for v, nbrs in enumerate(g.adjacency):
-        m = bits[v]
-        for u in nbrs:
-            m |= bits[u]
-        masks.append(full ^ m)
+    indptr, cells, _ = g.csr
+    masks: list[int] = []
+    step = max(1, _MASK_BLOCK // n)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        block = np.ones((hi - lo, n), dtype=bool)
+        flat = block.reshape(-1)
+        flat[cells[indptr[lo]:indptr[hi]] - lo * n] = False
+        flat[lo::n + 1] = False  # (r, lo + r): the vertex itself
+        data = np.packbits(block, axis=1, bitorder="little").tobytes()
+        width = (n + 7) // 8
+        masks += [int.from_bytes(data[i:i + width], "little")
+                  for i in range(0, len(data), width)]
     return masks
 
 
@@ -260,7 +391,7 @@ def _color_graph(adj_masks: list[int], k: int) -> list[int] | None:
     when none fits, the search backs up one depth and resumes after the color
     chosen there."""
     n = len(adj_masks)
-    order = sorted(range(n), key=lambda v: (-bin(adj_masks[v]).count("1"), v))
+    order = sorted(range(n), key=lambda v: (-adj_masks[v].bit_count(), v))
     classes = [0] * k
     color = [0] * n  # color[i] is the color of order[i] while depth > i
     bumped = [False] * n  # whether that color opened a new class
@@ -292,23 +423,31 @@ def _color_graph(adj_masks: list[int], k: int) -> list[int] | None:
     return classes
 
 
-def _cover_from_classes(g: Graph, classes: list[int]) -> CliqueCover:
-    parts = []
-    for mask in classes:
-        verts = tuple(v for v in range(g.n_vertices) if mask >> v & 1)
-        if verts:
-            parts.append(verts)
-    parts.sort(key=lambda p: (len(p), p[0]))
-    part_of = [0] * g.n_vertices
+def _bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _cover_from_classes(classes: list[int], comp_adj: list[int]) -> CliqueCover:
+    """The cover whose parts are the colour classes; the cross edges are
+    read off the complement masks, a vertex and a part at a time."""
+    parts = sorted((tuple(_bits(mask)) for mask in classes if mask),
+                   key=lambda p: (len(p), p[0]))
+    part_of = [0] * len(comp_adj)
     for i, part in enumerate(parts):
         for v in part:
             part_of[v] = i
+    full = (1 << len(comp_adj)) - 1
     cross = []
-    for u, nbrs in enumerate(g.adjacency):
-        pu = part_of[u]
-        for v in nbrs:
-            pv = part_of[v]
-            if pv != pu and u < v:
-                cross.append((pu, pv, u, v) if pu < pv else (pv, pu, v, u))
+    for i, part in enumerate(parts):
+        outside = full ^ sum(1 << v for v in part)
+        for x in part:
+            # neighbours y > x in other parts
+            for y in _bits(outside & ~comp_adj[x] & -(2 << x)):
+                j = part_of[y]
+                cross.append((i, j, x, y) if i < j else (j, i, y, x))
     cross.sort()
     return CliqueCover(tuple(parts), tuple(len(p) for p in parts), tuple(cross))

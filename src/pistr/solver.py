@@ -80,30 +80,47 @@ def edge_search_order(g: Graph, free_edges=None) -> list[Edge]:
     return order
 
 
-def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | None = None,
+@dataclass(frozen=True)
+class Pinned:
+    """Labels fixed outside a search, given by what the search needs of
+    them: each vertex's product of fixed labels, and whether it has a fixed
+    edge at all. The fixed edges themselves stay out of the search's graph."""
+
+    products: tuple[int, ...]
+    pinned: tuple[bool, ...]
+
+
+def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | Pinned | None = None,
                      budget: int = DEFAULT_BUDGET, prune: bool = True,
                      collect_all: bool = False):
     """Core DFS over labelings of the free edges with labels 1..s.
 
-    Returns (solutions, nodes): with collect_all=False, solutions is a list
-    holding at most one complete label map (first found); with
-    collect_all=True it maps each realizable degree multiset (sorted value
-    tuple over all vertices) to the first label map realizing it.
-    Raises BudgetExhausted when the node budget runs out.
+    ``fixed`` maps edges of g to fixed labels, every other edge being free;
+    or it is a Pinned, and every edge of g is free. Returns (solutions,
+    nodes): with collect_all=False, solutions is a list holding at most one
+    label map (first found); with collect_all=True it maps each realizable
+    degree multiset (sorted value tuple over all vertices) to the first
+    label map realizing it. A label map holds the free edges and the edges
+    of a fixed dict. Raises BudgetExhausted when the node budget runs out.
     """
-    fixed = fixed or {}
     n = g.n_vertices
-    free = edge_search_order(g, g.edges.difference(fixed))
-    prod = [1] * n
+    if isinstance(fixed, Pinned):
+        free = edge_search_order(g)
+        prod, pinned = list(fixed.products), fixed.pinned
+        fixed = {}
+    else:
+        fixed = fixed or {}
+        free = edge_search_order(g, g.edges.difference(fixed))
+        prod = [1] * n
+        pinned = [False] * n  # v has a fixed edge
+        for (u, v), w in fixed.items():
+            prod[u] *= w
+            prod[v] *= w
+            pinned[u] = pinned[v] = True
     rem = [0] * n
     for u, v in free:
         rem[u] += 1
         rem[v] += 1
-    pinned = [False] * n  # v has a fixed edge
-    for (u, v), w in fixed.items():
-        prod[u] *= w
-        prod[v] *= w
-        pinned[u] = pinned[v] = True
 
     seen: set[int] = set()
     if prune:

@@ -5,8 +5,8 @@ like 3^(n-1) stay exact at any order. For labels drawn from {1, 2, 3} a
 degree collapses to the exponent pair (a, b) with value 2^a * 3^b.
 
 Two entry points reach the same verdict by separate paths:
-is_product_irregular reads an edge labeling in one pass over its edges,
-factorizing each distinct label value once; check_matrix reads the rows of a
+is_product_irregular reads the label array of an edge labeling with one
+bincount, factorizing each distinct label value once; check_matrix reads the rows of a
 weighted adjacency matrix. Both report the smallest colliding vertex pair.
 """
 
@@ -50,10 +50,6 @@ class ProductDegree:
     """Factored product of incident edge labels; label 1 contributes nothing."""
 
     factors: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def one(cls) -> "ProductDegree":
-        return cls(())
 
     @classmethod
     def from_value(cls, v: int) -> "ProductDegree":
@@ -134,32 +130,29 @@ def _report(degrees: list[ProductDegree]) -> IrregularityReport:
 def is_product_irregular(labeling: EdgeLabeling) -> IrregularityReport:
     """All vertices must have pairwise distinct product degrees.
 
-    One pass over the edges counts, per label value, how many edges with
-    that label meet each vertex; each label value is then factorized once
-    and its counts are added into one exponent list per prime.
+    One bincount over the edge ends counts, per label value, how many edges
+    with that label meet each vertex; each label value is factorized once,
+    and one product of the counts with the values' exponents gives every
+    vertex's exponent per prime.
     """
-    n = labeling.graph.n_vertices
-    counts: dict[int, list[int]] = {}
-    for (u, v), w in labeling.labels.items():
-        c = counts.get(w)
-        if c is None:
-            c = counts[w] = [0] * n
-        c[u] += 1
-        c[v] += 1
-    covered = [False] * n
-    exponents: dict[int, list[int]] = {}
-    for w, c in counts.items():
-        covered = [x or k > 0 for x, k in zip(covered, c)]
-        for p, e in factorize(w):
-            acc = exponents.get(p, [0] * n)
-            exponents[p] = [a + e * k for a, k in zip(acc, c)]
-    if not all(covered):
-        v = covered.index(False)
-        raise ValueError(f"vertex {v} is isolated; product degree undefined")
-    primes = sorted(exponents)
-    columns = zip(*(exponents[p] for p in primes)) if primes else [()] * n
-    return _report([ProductDegree(tuple((p, e) for p, e in zip(primes, col) if e))
-                    for col in columns])
+    g = labeling.graph
+    n = g.n_vertices
+    u, v = g.ends
+    values = np.array(sorted(set(labeling.values.tolist())), dtype=labeling.values.dtype)
+    at = values.searchsorted(labeling.values) * n
+    counts = np.bincount(np.concatenate((at + u, at + v)),
+                         minlength=len(values) * n).reshape(len(values), n)
+    factors = [dict(factorize(w)) for w in values.tolist()]
+    primes = sorted(set().union(*factors))
+    # one column per prime, then a column of ones that counts the edges
+    exponents = np.array([[f.get(p, 0) for p in primes] + [1] for f in factors],
+                         dtype=np.int64).reshape(len(values), len(primes) + 1)
+    rows = (counts.T @ exponents).tolist()
+    for x, row in enumerate(rows):
+        if not row[-1]:
+            raise ValueError(f"vertex {x} is isolated; product degree undefined")
+    return _report([ProductDegree(tuple((p, e) for p, e in zip(primes, row) if e))
+                    for row in rows])
 
 
 def check_matrix(m: np.ndarray) -> IrregularityReport:

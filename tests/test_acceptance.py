@@ -198,21 +198,24 @@ def test_criterion_2_exception_map():
             verdict = check_matrix(direct_sum([named_family(n, "B"),
                                                named_family(m, "C")])).ok
             table[f"{n},{m}"] = verdict
-    ARTIFACTS.mkdir(exist_ok=True)
+    # The archived table must be exactly the computed one; the test reads
+    # the committed file and never rewrites it.
     out = ARTIFACTS / "bn_cm_product_irregularity.json"
     irregular_region = sorted(k for k, v in table.items() if v)
-    out.write_text(json.dumps({
+    expected = json.dumps({
         "description": "B_n (+) C_m product-irregularity, 4 <= n,m <= 20",
         "n_range": [4, 20],
         "m_range": [4, 20],
         "product_irregular": table,
         "irregular_count": len(irregular_region),
-    }, indent=2) + "\n")
+    }, indent=2) + "\n"
+    archived = out.read_text()
 
-    ok = not bad
-    line(ok, f"criterion 2: exception map holds; B+C truth table archived "
-             f"({len(irregular_region)}/{len(table)} irregular) -> {out.name}")
+    ok = not bad and archived == expected
+    line(ok, f"criterion 2: exception map holds; B+C truth table matches the "
+             f"archive ({len(irregular_region)}/{len(table)} irregular) -> {out.name}")
     assert not bad, bad
+    assert archived == expected, f"{out.name} differs from the computed table"
 
 
 def certified(r, g, strength: int) -> bool:

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from pistr import fileio
 from pistr.fileio import DocumentError, emit_graph, parse_graph
 from pistr.graphs import EdgeLabeling, Graph, complete_graph, disjoint_union
+from pistr.verifier import ProductDegree, is_product_irregular
 
 from conftest import random_graph_no_isolates, random_labeling
 
@@ -131,3 +135,187 @@ class TestRoundtrip:
     def test_whitespace_tolerance(self):
         g, labeling = parse_graph("  p 3 1  \n   e   1   2   3  \n")
         assert labeling.label(0, 1) == 3
+
+
+def reference_parse(text: str):
+    """The line-by-line reading of a document, building the graph and the
+    labeling through their public constructors; the array parser must
+    agree with it on every document."""
+    n = None
+    declared_edges = None
+    labels: dict = {}
+    n_labeled = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        head = fields[0]
+        if head == "e":
+            if n is None:
+                raise DocumentError(f"line {lineno}: edge before header")
+            if len(fields) not in (3, 4):
+                raise DocumentError(f"line {lineno}: edge must be 'e <u> <v> [label]'")
+            try:
+                u, v = int(fields[1]), int(fields[2])
+                w = int(fields[3]) if len(fields) == 4 else None
+            except ValueError:
+                raise DocumentError(f"line {lineno}: non-integer edge fields") from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise DocumentError(f"line {lineno}: vertex id outside 1..{n}")
+            if u == v:
+                raise DocumentError(f"line {lineno}: loop at vertex {u}")
+            e = (min(u, v) - 1, max(u, v) - 1)
+            if e in labels:
+                raise DocumentError(f"line {lineno}: duplicate edge {u} {v}")
+            if w is not None:
+                if w < 1:
+                    raise DocumentError(f"line {lineno}: label must be >= 1")
+                n_labeled += 1
+            labels[e] = w
+        elif head == "p":
+            if n is not None:
+                raise DocumentError(f"line {lineno}: duplicate header")
+            if len(fields) != 3:
+                raise DocumentError(f"line {lineno}: header must be 'p <n> <m>'")
+            try:
+                n, declared_edges = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise DocumentError(f"line {lineno}: non-integer header fields") from None
+            if n < 1 or declared_edges < 0:
+                raise DocumentError(f"line {lineno}: header out of range")
+        elif head[0] != "c":
+            raise DocumentError(f"line {lineno}: unknown record {head!r}")
+    if n is None:
+        raise DocumentError("missing 'p' header line")
+    if len(labels) != declared_edges:
+        raise DocumentError(f"header declares {declared_edges} edges, found {len(labels)}")
+    if 0 < n_labeled < len(labels):
+        raise DocumentError("mixed labeled and unlabeled edges")
+    g = Graph(n, frozenset(labels))
+    return g, (EdgeLabeling.make(g, labels) if n_labeled else None)
+
+
+def random_document(rng, labeled: bool, plain: bool) -> str:
+    """A valid document with shuffled edge lines and random orientation;
+    unless plain, also comments, blank lines, tabs, indentation and CRLF."""
+    n = rng.randint(1, 14)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+    lines = [["e", *map(str, (e if rng.random() < 0.5 else e[::-1]))] for e in edges]
+    if labeled:
+        for line in lines:
+            line.append(str(rng.choice([1, 2, 3, rng.randint(1, 10**6)])))
+    lines.insert(0, ["p", str(n), str(len(edges))])
+    if not plain:
+        for _ in range(rng.randint(1, 4)):
+            lines.insert(rng.randint(0, len(lines)),
+                         rng.choice([["c", "e", "1", "2"], ["cx"], ["c"], [], ["\t"]]))
+    text = []
+    for fields in lines:
+        sep = " " if plain else rng.choice([" ", "\t", "  ", " \t "])
+        lead = "" if plain else rng.choice(["", "", " ", "\t"])
+        text.append(lead + sep.join(fields))
+    eol = "\n" if plain else rng.choice(["\n", "\r\n"])
+    return eol.join(text) + (eol if rng.random() < 0.8 else "")
+
+
+def corrupt(rng, text: str) -> str:
+    """One random fault in a document, or a field spelling int() takes."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    fields = lines[i].split()
+    kind = rng.randrange(13)
+    if kind == 11 and i + 1 < len(lines):
+        # two records on one line, a token between them
+        lines[i:i + 2] = [f"{lines[i]} {rng.choice(['x', 'c', '7'])} {lines[i + 1]}"]
+    elif kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(rng.randint(0, len(lines)), lines[i])
+    elif kind == 2 and len(fields) >= 3:
+        fields[rng.choice([1, 2])] = rng.choice(["0", "-1", "99", "x", "1.5", "+2",
+                                                 "١", "1_0", str(10**30)])
+    elif kind == 3 and len(fields) >= 3:
+        fields[2] = fields[1]
+    elif kind == 4 and len(fields) == 4:
+        fields[3] = rng.choice(["0", "-3", "y", str(2**70), "+1"])
+    elif kind == 5 and fields:
+        fields.pop()
+    elif kind == 6 and fields:
+        fields.append("7")
+    elif kind == 7:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["q 1 2", "p 3 0", "e 1 2"]))
+    elif kind == 8 and fields:
+        fields[0] = rng.choice(["E", "x", "cc", "p"])
+    elif kind == 9:
+        lines.append("\x00")
+    elif kind == 10 and len(fields) >= 3:
+        fields[1], fields[2] = fields[2], fields[1]
+    elif kind == 12:
+        lines.insert(0, "e 1 2")
+    if 2 <= kind <= 6 or kind in (8, 10):
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except DocumentError as exc:
+        return str(exc)
+
+
+class TestArrayParser:
+    """parse_graph reads a document through int arrays; every document must
+    read as the line-by-line reference reads it."""
+
+    def test_agrees_with_the_reference(self):
+        rng = random.Random(6061)
+        agreed = failed = 0
+        for k in range(240):
+            text = random_document(rng, labeled=k % 2 == 1, plain=k % 3 == 0)
+            # plain documents take the one-split reading
+            assert (fileio._split_document(text) is not None) == (k % 3 == 0)
+            for doc in (text, corrupt(rng, text), corrupt(rng, text)):
+                got, want = outcome(parse_graph, doc), outcome(reference_parse, doc)
+                if isinstance(want, str):
+                    assert got == want, doc
+                    failed += 1
+                    continue
+                g, labeling = got
+                assert g == want[0] and g.n_edges == want[0].n_edges, doc
+                if g.n_vertices <= 100:  # not a header made 10**30 vertices
+                    assert g.adjacency == want[0].adjacency, doc
+                if want[1] is None:
+                    assert labeling is None, doc
+                else:
+                    assert labeling.labels == want[1].labels, doc
+                    assert labeling.strength == want[1].strength, doc
+                agreed += 1
+        assert agreed >= 240 and failed >= 300
+
+    def test_label_beyond_int64(self):
+        doc = f"p 3 3\ne 1 2 {2**70}\ne 2 3 3\ne 1 3 1\n"
+        g, labeling = parse_graph(doc)
+        _, want = reference_parse(doc)
+        assert labeling.labels == want.labels and labeling.strength == 2**70
+        report = is_product_irregular(labeling)
+        assert report.degrees == (ProductDegree.from_labels([2**70, 1]),
+                                  ProductDegree.from_labels([2**70, 3]),
+                                  ProductDegree.from_labels([3, 1]))
+        assert report.ok == is_product_irregular(want).ok
+        assert report.degrees == is_product_irregular(want).degrees
+        assert emit_graph(g, labeling) == "p 3 3\ne 1 2 1180591620717411303424\ne 1 3 1\ne 2 3 3\n"
+        assert parse_graph(emit_graph(g, labeling))[1].labels == labeling.labels
+
+    def test_vertex_id_beyond_int64(self):
+        doc = f"p 3 1\ne 1 {10**30}\n"
+        with pytest.raises(DocumentError) as err:
+            parse_graph(doc)
+        assert str(err.value) == "line 2: vertex id outside 1..3" == reference_parse_error(doc)
+
+
+def reference_parse_error(text: str) -> str:
+    with pytest.raises(DocumentError) as err:
+        reference_parse(text)
+    return str(err.value)

@@ -110,6 +110,56 @@ class TestBuilders:
         with pytest.raises(ValueError):
             Graph(3, frozenset({(1, 1)}))
 
+    @pytest.mark.parametrize("edges,message", [
+        ({(1, 1)}, "loop at vertex 1"),
+        ({(0, 3)}, "edge (0,3) out of range or not normalized"),
+        ({(-1, 2)}, "edge (-1,2) out of range or not normalized"),
+        ({(2, 0)}, "edge (2,0) out of range or not normalized"),
+    ])
+    def test_public_graph_rejects(self, edges, message):
+        with pytest.raises(ValueError) as err:
+            Graph(3, frozenset(edges))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("labels,strength,message", [
+        ({(0, 1): 1}, 3, "labels must cover exactly the edges of the graph"),
+        ({(0, 1): 1, (1, 2): 2, (0, 2): 3}, 3,
+         "labels must cover exactly the edges of the graph"),
+        ({(0, 1): 1, (1, 2): 4}, 3, "label 4 on edge (1, 2) outside 1..3"),
+        ({(0, 1): 0, (1, 2): 1}, 3, "label 0 on edge (0, 1) outside 1..3"),
+        ({(0, 1): 1, (1, 2): 1}, 0, "strength must be >= 1"),
+    ])
+    def test_public_labeling_rejects(self, labels, strength, message):
+        path = Graph(3, frozenset({(0, 1), (1, 2)}))
+        with pytest.raises(ValueError) as err:
+            EdgeLabeling(path, labels, strength)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            EdgeLabeling.make(path, {(v, u): w for (u, v), w in labels.items()}, strength)
+        assert str(err.value) == message
+
+    def test_make_takes_the_strength_from_the_labels(self):
+        path = Graph(3, frozenset({(0, 1), (1, 2)}))
+        assert EdgeLabeling.make(path, {(1, 0): 2, (2, 1): 5}).strength == 5
+        with pytest.raises(ValueError):
+            EdgeLabeling.make(path, {(1, 0): 2, (2, 1): 0})
+
+    def test_array_backed_graph_matches_the_public_one(self, rng):
+        for _ in range(20):
+            g = random_graph_no_isolates(rng)
+            labeling = EdgeLabeling.make(g, random_labeling(rng, g, s=5))
+            h, packed = matrix_to_labeled_graph(labeled_graph_to_matrix(labeling))
+            assert "edges" not in h.__dict__  # built from arrays, read lazily
+            assert h == g and hash(h) == hash(g) and h.n_edges == g.n_edges
+            assert h.adjacency == g.adjacency and h.components == g.components
+            assert h.edges == g.edges and packed.labels == labeling.labels
+            assert packed == labeling
+            assert [e.tolist() for e in h.ends] == [e.tolist() for e in g.ends]
+            with pytest.raises(AttributeError):
+                h.n_vertices = 1
+            with pytest.raises(AttributeError):
+                packed.strength = 1
+
 
 class TestMatrixConversion:
     def test_t_matrix_to_triangle(self):

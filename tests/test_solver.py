@@ -2,7 +2,7 @@ import pytest
 
 from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge, complete_graph,
                           disjoint_union, edge_key)
-from pistr.solver import (BudgetExhausted, component_signatures, ps_exact,
+from pistr.solver import (BudgetExhausted, Pinned, component_signatures, ps_exact,
                           ps_exact_disconnected, search_labelings,
                           verify_k4_characterization)
 from pistr.verifier import extend_with_ones, is_product_irregular
@@ -175,6 +175,34 @@ class TestSearchCore:
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3)])
         sols, nodes = search_labelings(g, 3, fixed={(0, 1): 2, (2, 3): 3})
         assert nodes > 0 and sols == [{(0, 1): 2, (2, 3): 3, (1, 2): 2}]
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_pinned_products_search_like_fixed_labels(self, rng, s):
+        # Fixing labels as a dict or handing over only their products and
+        # pinned vertices explores the same nodes and labels the free edges
+        # alike; the Pinned search returns the free edges alone.
+        for _ in range(20):
+            g = random_graph_no_isolates(rng, n_min=5, n_max=7, max_edges=12)
+            edges = sorted(g.edges)
+            fixed = {e: rng.randint(1, 3) for e in rng.sample(edges, len(edges) // 2)}
+            products, pinned = [1] * g.n_vertices, [False] * g.n_vertices
+            for (u, v), w in fixed.items():
+                products[u] *= w
+                products[v] *= w
+                pinned[u] = pinned[v] = True
+            free = Graph(g.n_vertices, g.edges.difference(fixed))
+            for collect_all in (False, True):
+                want, want_nodes = search_labelings(g, s, fixed=fixed,
+                                                    collect_all=collect_all)
+                got, nodes = search_labelings(free, s, collect_all=collect_all,
+                                              fixed=Pinned(tuple(products), tuple(pinned)))
+                assert nodes == want_nodes
+                if collect_all:
+                    assert got == {k: {e: w for e, w in sol.items() if e not in fixed}
+                                   for k, sol in want.items()}
+                else:
+                    assert got == [{e: w for e, w in sol.items() if e not in fixed}
+                                   for sol in want]
 
     def test_budget_raises(self):
         g = complete_graph(5)
