@@ -6,8 +6,7 @@ A_n + B_m covers almost every size pair; the diagonal pairs (4,4), (5,5),
 edge carrying a real label. Run this to see each case and its degrees.
 """
 
-from pistr import (check_matrix, direct_sum, fixed_matrix, l_matrix,
-                   l_matrix_k1, named_family)
+from pistr import catalog_matrix, check_matrix, direct_sum, fixed_matrix, named_family
 
 
 def show(label, matrix):
@@ -34,7 +33,7 @@ print("(4,4) needs a cross edge; the 8x8 matrix carries it at entry (4,5):")
 show("K44 + edge", fixed_matrix("K44_EDGE_8x8"))
 
 print("\nSmall parts lean on the cross edge too:")
-print(l_matrix(4))
-show("L(4)  [K_2 and K_4]", l_matrix(4))
-show("L'(4) [K_1 and K_4]", l_matrix_k1(4))
+print(catalog_matrix((2, 4)))
+show("L(4)  [K_2 and K_4]", catalog_matrix((2, 4)))
+show("L'(4) [K_1 and K_4]", catalog_matrix((1, 4)))
 show("T + B_9 [K_3 case]", direct_sum([fixed_matrix("T"), named_family(9, "B")]))

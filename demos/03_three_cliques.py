@@ -11,8 +11,9 @@ what separates rows that would otherwise collide.
 import json
 from pathlib import Path
 
-from pistr import (InjectionSpec, apply_injections, check_matrix, direct_sum,
-                   fixed_matrix, named_family, tilde_matrix)
+from pistr import (catalog_matrix, check_matrix, direct_sum, fixed_matrix,
+                   named_family, tilde_matrix)
+from pistr.engine import PATTERN_DIFF, PATTERN_SAME
 
 print("Triple family sums (B block largest, A block smallest):")
 for sizes in [(7, 8, 9), (7, 25, 10), (9, 9, 9)]:
@@ -25,15 +26,11 @@ base = direct_sum([tilde_matrix(5, "A"), tilde_matrix(5, "B"), tilde_matrix(5, "
 report = check_matrix(base)
 print(f"  tA_5 + tB_5 + tC_5: irregular={report.ok}, witness={report.witness}")
 
-print("\n...until the two injections separate the colliding rows:")
-for tag, specs in [
-    ("both in-edges at one vertex",
-     [InjectionSpec((1, 2), 3, 3, 3), InjectionSpec((2, 3), 3, 3, 2)]),
-    ("in-edges at different vertices",
-     [InjectionSpec((1, 2), 3, 3, 3), InjectionSpec((2, 3), 1, 3, 2)]),
-]:
-    m = apply_injections(base, [5, 5, 5], specs)
-    r = check_matrix(m)
+print("\n...until the two injections separate the colliding rows")
+print("(the engine's catalog rows, middle block tB_5 first):")
+for tag, pattern in [("both in-edges at one vertex", PATTERN_SAME),
+                     ("in-edges at different vertices", PATTERN_DIFF)]:
+    r = check_matrix(catalog_matrix((5, 5, 5), 5, pattern))
     print(f"  {tag}: irregular={r.ok}, "
           f"degrees={sorted(d.value for d in r.degrees)}")
 

@@ -12,7 +12,7 @@ import random
 
 from pistr import (clique_cover, complete_graph, construct_labeling,
                    disjoint_union, add_cross_edge, emit_graph,
-                   is_product_irregular, select_cross_edges)
+                   is_product_irregular)
 
 
 def planted(sizes, extra, seed):
@@ -40,12 +40,15 @@ print(f"graph: {g.n_vertices} vertices, {g.n_edges} edges")
 cover = clique_cover(g, 3)
 print(f"cover sizes: {cover.sizes}, cross edges available: "
       f"{len(cover.cross_edges)}")
-chosen, pattern = select_cross_edges(g, cover)
-print(f"chosen spanning edges: {chosen}  pattern: {pattern}")
 
 out = construct_labeling(g)
-print(f"\ndispatch: {out.case_trace.construction_id} "
+case = out.case_trace
+print(f"\ndispatch: {case.construction_id} "
       f"(source {out.source}, strength {out.strength})")
+print(f"spanning-tree pattern: {case.pattern}")
+for p, vmap in sorted(case.vertex_maps.items()):
+    rows = " ".join(f"{v}->{i}" for v, i in sorted(vmap.items(), key=lambda x: x[1]))
+    print(f"  part {p} onto block rows: {rows}")
 print(f"verified: {is_product_irregular(out.labeling).ok}")
 print("\nlabeled document:")
 print(emit_graph(g, out.labeling))

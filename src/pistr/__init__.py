@@ -10,19 +10,17 @@ solvers at desk scale, and a cover-driven construction engine.
 
 from .engine import (ConstructionError, ConstructionOutcome, DispatchCase,
                      FallbackBudgetError, UnsupportedCoverError,
-                     construct_labeling, label_three_cliques,
-                     label_two_cliques, select_cross_edges,
-                     three_clique_theorem_id, two_clique_theorem_id)
+                     catalog_matrix, construct_labeling, label_cover,
+                     theorem_id)
 from .fileio import DocumentError, emit_graph, parse_graph
 from .graphs import (CliqueCover, EdgeLabeling, Graph, add_cross_edge,
                      clique_cover, complete_graph, connected_components,
                      disjoint_union, has_isolated_vertex_or_edge,
                      is_connected, labeled_graph_to_matrix,
                      matrix_to_labeled_graph, validate_weighted_adjacency)
-from .matrices import (FIXED_MATRICES, InjectionSpec, RowProfile,
-                       apply_injections, direct_sum, fixed_matrix,
-                       fixed_matrix_names, l_matrix, l_matrix_k1, m_matrix,
-                       named_family, row_profile, tilde_matrix)
+from .matrices import (FIXED_MATRICES, RowProfile, direct_sum, fixed_matrix,
+                       fixed_matrix_names, m_matrix, named_family, row_profile,
+                       tilde_matrix)
 from .solver import (BudgetExhausted, ComponentSignature, PsResult,
                      component_signatures, ps_exact, ps_exact_disconnected,
                      verify_k4_characterization)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matrices
 from .engine import (FallbackBudgetError, UnsupportedCoverError,
-                     construct_labeling)
+                     catalog_matrix, construct_labeling)
 from .fileio import DocumentError, emit_graph, parse_graph
 from .graphs import (add_cross_edge, clique_cover, complete_graph,
                      disjoint_union, matrix_to_labeled_graph)
@@ -50,9 +50,9 @@ def _matrix_token(token: str) -> np.ndarray | None:
     if head == "t" and token[1:2] in "ABC" and token[2:].isdigit():
         return matrices.tilde_matrix(int(token[2:]), token[1])
     if token.startswith("LP") and token[2:].isdigit():
-        return matrices.l_matrix_k1(int(token[2:]))
+        return catalog_matrix((1, int(token[2:])))
     if head == "L" and tail.isdigit():
-        return matrices.l_matrix(int(tail))
+        return catalog_matrix((2, int(tail)))
     return None
 
 

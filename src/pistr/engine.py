@@ -32,7 +32,7 @@ import numpy as np
 
 from .graphs import (CliqueCover, Edge, EdgeLabeling, Graph, clique_cover,
                      edge_key, has_isolated_vertex_or_edge, is_connected)
-from .matrices import fixed_matrix, named_family, tilde_matrix
+from .matrices import direct_sum, fixed_matrix, named_family, tilde_matrix
 from .solver import DEFAULT_BUDGET, BudgetExhausted, Pinned, search_labelings
 from .verifier import is_product_irregular
 
@@ -121,15 +121,6 @@ def _choose_tree(cover: CliqueCover) -> _Tree:
                 pattern = PATTERN_SAME if len(hubs) == 1 else PATTERN_DIFF
                 return _Tree(links, pattern, mid)
     raise ValueError("graph must be connected")
-
-
-def select_cross_edges(g: Graph, cover: CliqueCover) -> tuple[list[Edge], str]:
-    """Deterministic cross-edge choice: one edge for two parts, a two-edge
-    spanning tree for three; everything else is surplus."""
-    if cover.n_parts not in (2, 3):
-        raise ValueError("select_cross_edges needs a cover with 2 or 3 parts")
-    tree = _choose_tree(cover)
-    return list(tree.edges), tree.pattern
 
 
 @dataclass(frozen=True)
@@ -257,23 +248,37 @@ def _lookup(sizes: tuple[int, ...], middle: int | None = None,
     return None
 
 
-def _theorem_id(sizes: tuple[int, ...]) -> str | None:
-    row = _lookup(sizes)
+def theorem_id(sizes: tuple[int, ...]) -> str | None:
+    """The theorem-path catalog row for sorted cover sizes, without its
+    "+2 edges" pattern suffix; None for the fallback shapes and for the
+    search-found (3,4) row."""
+    row = _lookup(tuple(sizes))
     if row is None or row.source != "theorem":
         return None
     return row.construction_id.split("/")[0]
 
 
-def two_clique_theorem_id(sizes: tuple[int, int]) -> str | None:
-    """Catalog row for a 2-part cover, or None for the fallback shapes
-    {(1,1),(1,2),(1,3),(2,2),(2,3),(3,3),(3,4)}."""
-    return _theorem_id(sizes)
-
-
-def three_clique_theorem_id(sizes: tuple[int, int, int]) -> str | None:
-    """Catalog row for sorted 3-part sizes, or None for the fallback shapes
-    (any size < 4, (4,4,m>=6), (4,6,6))."""
-    return _theorem_id(sizes)
+def catalog_matrix(sizes: tuple[int, ...], middle: int | None = None,
+                   pattern: str | None = None) -> np.ndarray:
+    """The weighted adjacency matrix of the catalog row for sorted cover
+    sizes: the row's blocks in its role order, each cross entry at its
+    block-local positions. middle and pattern together pick a "+2 edges"
+    row; without them the first row for the sizes is taken. ValueError if
+    no row fits."""
+    sizes = tuple(sizes)
+    row = _lookup(sizes, middle, pattern)
+    if row is None:
+        raise ValueError(f"no catalog row for sizes {sizes}")
+    orders = list(sizes)
+    if row.middle is not None:
+        orders.remove(row.middle)
+        orders.insert(0, row.middle)
+    m = direct_sum([make(n) for make, n in zip(row.blocks, orders)])
+    offsets = np.cumsum([0, *orders])
+    for a, i, b, j, w in row.cross:
+        x, y = offsets[a] + i - 1, offsets[b] + j - 1
+        m[x, y] = m[y, x] = w
+    return m
 
 
 @dataclass(frozen=True)
@@ -362,9 +367,11 @@ def _labeling_from_plan(g: Graph, cover: CliqueCover, tree: _Tree,
     return EdgeLabeling._from_values(g, values, 3), maps
 
 
-def _label(g: Graph, cover: CliqueCover, budget: int) -> ConstructionOutcome:
-    """The catalog construction for this cover, verified, or the bounded
-    search for shapes without a row."""
+def label_cover(g: Graph, cover: CliqueCover,
+                budget: int = DEFAULT_BUDGET) -> ConstructionOutcome:
+    """The catalog construction for a connected graph and its clique cover
+    of at most 3 parts, verified, or the bounded search for shapes without
+    a row."""
     tree = _choose_tree(cover)
     plan = _plan(cover, tree)
     if plan is None:
@@ -377,24 +384,6 @@ def _label(g: Graph, cover: CliqueCover, budget: int) -> ConstructionOutcome:
             f"(colliding vertices {report.witness})")
     case = DispatchCase(cover.sizes, tree.pattern, plan.construction_id, maps)
     return ConstructionOutcome(labeling, 3, plan.source, case)
-
-
-def label_two_cliques(g: Graph, cover: CliqueCover,
-                      budget: int = DEFAULT_BUDGET) -> ConstructionOutcome:
-    """Strength-3 labeling for a connected graph covered by two cliques;
-    shapes with total order <= 6 go to the bounded search fallback."""
-    if cover.n_parts != 2:
-        raise ValueError("label_two_cliques needs a 2-part cover")
-    return _label(g, cover, budget)
-
-
-def label_three_cliques(g: Graph, cover: CliqueCover,
-                        budget: int = DEFAULT_BUDGET) -> ConstructionOutcome:
-    """Strength-3 labeling for a connected graph covered by three cliques;
-    residual shapes go to the bounded search fallback."""
-    if cover.n_parts != 3:
-        raise ValueError("label_three_cliques needs a 3-part cover")
-    return _label(g, cover, budget)
 
 
 def _catalog(size: int) -> list[tuple[str, np.ndarray]]:
@@ -521,4 +510,4 @@ def construct_labeling(g: Graph, budget: int = DEFAULT_BUDGET) -> ConstructionOu
     cover = clique_cover(g, 3)
     if cover is None:
         raise UnsupportedCoverError("clique cover number exceeds 3")
-    return _label(g, cover, budget)
+    return label_cover(g, cover, budget)

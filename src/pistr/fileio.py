@@ -3,7 +3,7 @@
 Format: a header line "p <n_vertices> <n_edges>", then one line per edge
 "e <u> <v>" or "e <u> <v> <label>" with 1-based vertex ids. Lines starting
 with "c" and blank lines are ignored. Either every edge carries a label or
-none does.
+none does. The header declares at most MAX_VERTICES vertices.
 
 A document is read with one split of its text into tokens, the line breaks
 kept as separator tokens. When it is a header line followed by edge lines
@@ -20,7 +20,12 @@ import numpy as np
 from .graphs import EdgeLabeling, Graph, label_array
 
 _SEP = "\0"  # stands for each line break in the token stream
-_KEYED_MAX = 3_037_000_499  # the largest n with n * n within int64
+
+# The largest vertex count a header may declare. A graph of n vertices
+# needs arrays of n + 1 entries, so a much larger count would exhaust
+# memory, or overflow int64, before a single edge is read. Under the cap
+# n * n fits int64, so _build keys every edge by one integer.
+MAX_VERTICES = 1 << 20
 
 
 class DocumentError(ValueError):
@@ -48,7 +53,7 @@ def _split_document(text: str):
         n, m = int(tokens[1]), int(tokens[2])
     except ValueError:
         return None
-    if n < 1 or m < 0:
+    if not 1 <= n <= MAX_VERTICES or m < 0:
         return None
     del tokens[:3]  # the header; the edge lines remain
     width = len(tokens) // m if m else 4  # SEP e u v [label]
@@ -72,19 +77,12 @@ def _build(n: int, a: np.ndarray, b: np.ndarray, labels: np.ndarray | None):
     if len(u) and (u.min() < 1 or v.max() > n or np.count_nonzero(u == v)
                    or labels is not None and labels.min() < 1):
         return None
-    if n <= _KEYED_MAX:
-        keys = u * n + v - (n + 1)  # of the 0-based pair
-        order = keys.argsort()
-        keys = keys[order]
-        if np.count_nonzero(keys[1:] == keys[:-1]):
-            return None
-        g = Graph._from_ends(n, *np.divmod(keys, n), keys)
-    else:
-        order = np.lexsort((v, u))
-        u, v = u[order] - 1, v[order] - 1
-        if np.count_nonzero((u[1:] == u[:-1]) & (v[1:] == v[:-1])):
-            return None
-        g = Graph._from_ends(n, u, v)
+    keys = u * n + v - (n + 1)  # of the 0-based pair
+    order = keys.argsort()
+    keys = keys[order]
+    if np.count_nonzero(keys[1:] == keys[:-1]):
+        return None
+    g = Graph._from_ends(n, *np.divmod(keys, n), keys)
     if labels is None:
         return g, None
     labels = labels[order]
@@ -135,7 +133,7 @@ def _read_lines(text: str):
                 n, declared_edges = int(fields[1]), int(fields[2])
             except ValueError:
                 raise DocumentError(f"line {lineno}: non-integer header fields") from None
-            if n < 1 or declared_edges < 0:
+            if not 1 <= n <= MAX_VERTICES or declared_edges < 0:
                 raise DocumentError(f"line {lineno}: header out of range")
         elif head[0] != "c":
             raise DocumentError(f"line {lineno}: unknown record {head!r}")

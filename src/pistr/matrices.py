@@ -1,5 +1,5 @@
-"""Labeled-matrix constructions: the M_n(x,y,z) family, fixed matrices,
-direct sums, and symmetric cross-edge injections.
+"""Labeled-matrix constructions: the M_n(x,y,z) family, fixed matrices and
+direct sums.
 
 Matrix formulas follow 1-based row/column indices throughout, matching the
 convention the constructions were stated in; callers get numpy arrays.
@@ -103,46 +103,6 @@ def direct_sum(mats: list[np.ndarray]) -> np.ndarray:
         out[off:off + k, off:off + k] = m
         off += k
     return out
-
-
-@dataclass(frozen=True)
-class InjectionSpec:
-    """One symmetric cross entry between two blocks of a direct sum.
-
-    pair selects the block pair ((1,2), (1,3) or (2,3)); i and j are 1-based
-    row indices inside the first and second block of the pair; w is the label.
-    """
-
-    pair: tuple[int, int]
-    i: int
-    j: int
-    w: int
-
-
-def apply_injections(m: np.ndarray, block_orders: list[int],
-                     specs: list[InjectionSpec]) -> np.ndarray:
-    """Add the given cross entries to a block-diagonal matrix.
-
-    Target entries must currently be zero; the result stays symmetric.
-    """
-    m = np.array(m, dtype=np.int64)
-    if sum(block_orders) != m.shape[0]:
-        raise ValueError("block orders do not sum to the matrix order")
-    offsets = np.concatenate(([0], np.cumsum(block_orders)))
-    for spec in specs:
-        if spec.pair not in ((1, 2), (1, 3), (2, 3)):
-            raise ValueError(f"unknown block pair {spec.pair}")
-        bi, bj = spec.pair
-        if not (1 <= spec.i <= block_orders[bi - 1] and 1 <= spec.j <= block_orders[bj - 1]):
-            raise ValueError(f"injection index out of block range: {spec}")
-        if spec.w < 1:
-            raise ValueError("injection weight must be >= 1")
-        gi = offsets[bi - 1] + spec.i - 1
-        gj = offsets[bj - 1] + spec.j - 1
-        if m[gi, gj] != 0:
-            raise ValueError(f"injection target ({gi + 1},{gj + 1}) already labeled")
-        m[gi, gj] = m[gj, gi] = spec.w
-    return m
 
 
 _T = [
@@ -279,21 +239,3 @@ def fixed_matrix(name: str) -> np.ndarray:
 def fixed_matrix_names() -> list[str]:
     return list(FIXED_MATRICES)
 
-
-def l_matrix(n: int) -> np.ndarray:
-    """The (n+2) x (n+2) matrix: a 2-vertex block {entries (1,2)=1}, a B_n
-    block at rows 3..n+2, and the single cross entry (1,3) = 3.
-    """
-    if n < 4:
-        raise ValueError("l_matrix needs n >= 4")
-    m = np.zeros((n + 2, n + 2), dtype=np.int64)
-    m[0, 1] = m[1, 0] = 1
-    m[0, 2] = m[2, 0] = 3
-    m[2:, 2:] = named_family(n, "B")
-    return m
-
-
-def l_matrix_k1(n: int) -> np.ndarray:
-    """l_matrix(n) with the second row and column deleted (single-vertex block)."""
-    m = l_matrix(n)
-    return np.delete(np.delete(m, 1, axis=0), 1, axis=1)

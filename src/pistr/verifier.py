@@ -87,12 +87,6 @@ class ProductDegree:
         d = dict(self.factors)
         return d.get(2, 0), d.get(3, 0)
 
-    def times(self, label: int) -> "ProductDegree":
-        acc = Counter(dict(self.factors))
-        for p, e in factorize(label):
-            acc[p] += e
-        return ProductDegree(tuple(sorted(acc.items())))
-
     def __repr__(self):
         return f"ProductDegree({self.value})"
 

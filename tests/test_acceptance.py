@@ -15,14 +15,14 @@ import random
 import time
 from pathlib import Path
 
-from pistr.engine import (construct_labeling, three_clique_theorem_id,
-                          two_clique_theorem_id)
+import numpy as np
+
+from pistr.engine import (PATTERN_DIFF, PATTERN_SAME, catalog_matrix,
+                          construct_labeling, theorem_id)
 from pistr.graphs import (EdgeLabeling, add_cross_edge, complete_graph,
                           disjoint_union, labeled_graph_to_matrix)
-from pistr.matrices import (InjectionSpec, apply_injections, direct_sum,
-                            fixed_matrix, fixed_matrix_names, l_matrix,
-                            l_matrix_k1, m_matrix, named_family, row_profile,
-                            tilde_matrix)
+from pistr.matrices import (direct_sum, fixed_matrix, fixed_matrix_names,
+                            m_matrix, named_family, row_profile, tilde_matrix)
 from pistr.solver import (ps_exact, ps_exact_disconnected,
                           verify_k4_characterization)
 from pistr.verifier import (check_matrix, extend_with_ones,
@@ -39,35 +39,49 @@ def line(ok: bool, label: str) -> bool:
     return ok
 
 
-# The +2edges catalog: tilde blocks plus exact injection specs. The second
-# weight of the (4,4,5) role-swap case is 2; the weight 3 variant is
-# refuted by the verifier (rows collide at degree 81).
+# The +2edges catalog written out as literal matrices: tilde blocks in
+# A, B, C order plus two symmetric cross entries ((block_i, block_j), i, j,
+# w), i and j 1-based inside the two blocks. The second weight of the
+# (4,4,5) role-swap case is 2; the weight 3 variant is refuted by the
+# verifier (rows collide at degree 81).
 INJECTION_CASES = [
     ("555 same", [("A", 5), ("B", 5), ("C", 5)],
-     [InjectionSpec((1, 2), 3, 3, 3), InjectionSpec((2, 3), 3, 3, 2)]),
+     [((1, 2), 3, 3, 3), ((2, 3), 3, 3, 2)]),
     ("555 diff", [("A", 5), ("B", 5), ("C", 5)],
-     [InjectionSpec((1, 2), 3, 3, 3), InjectionSpec((2, 3), 1, 3, 2)]),
+     [((1, 2), 3, 3, 3), ((2, 3), 1, 3, 2)]),
     ("455 mid-B same", [("A", 4), ("B", 5), ("C", 5)],
-     [InjectionSpec((1, 2), 2, 3, 3), InjectionSpec((2, 3), 3, 3, 2)]),
+     [((1, 2), 2, 3, 3), ((2, 3), 3, 3, 2)]),
     ("455 mid-B diff", [("A", 4), ("B", 5), ("C", 5)],
-     [InjectionSpec((1, 2), 3, 3, 3), InjectionSpec((2, 3), 1, 3, 2)]),
+     [((1, 2), 3, 3, 3), ((2, 3), 1, 3, 2)]),
     ("455 mid-A same", [("A", 4), ("B", 5), ("C", 5)],
-     [InjectionSpec((1, 2), 2, 3, 2), InjectionSpec((1, 3), 2, 3, 2)]),
+     [((1, 2), 2, 3, 2), ((1, 3), 2, 3, 2)]),
     ("455 mid-A diff", [("A", 4), ("B", 5), ("C", 5)],
-     [InjectionSpec((1, 2), 2, 3, 2), InjectionSpec((1, 3), 4, 3, 2)]),
+     [((1, 2), 2, 3, 2), ((1, 3), 4, 3, 2)]),
     ("445 mid-B same", [("A", 4), ("B", 5), ("C", 4)],
-     [InjectionSpec((1, 2), 2, 3, 3), InjectionSpec((2, 3), 3, 2, 2)]),
+     [((1, 2), 2, 3, 3), ((2, 3), 3, 2, 2)]),
     ("445 swap diff", [("A", 4), ("B", 4), ("C", 5)],
-     [InjectionSpec((1, 3), 2, 3, 3), InjectionSpec((2, 3), 2, 2, 2)]),
+     [((1, 3), 2, 3, 3), ((2, 3), 2, 2, 2)]),
     ("445 mid-C same", [("A", 4), ("B", 5), ("C", 4)],
-     [InjectionSpec((1, 3), 2, 2, 3), InjectionSpec((2, 3), 3, 2, 3)]),
+     [((1, 3), 2, 2, 3), ((2, 3), 3, 2, 3)]),
     ("445 mid-C diff", [("A", 4), ("B", 5), ("C", 4)],
-     [InjectionSpec((1, 3), 2, 2, 3), InjectionSpec((2, 3), 3, 1, 3)]),
+     [((1, 3), 2, 2, 3), ((2, 3), 3, 1, 3)]),
     ("444 same", [("A", 4), ("B", 4), ("C", 4)],
-     [InjectionSpec((1, 3), 2, 2, 3), InjectionSpec((2, 3), 3, 2, 3)]),
+     [((1, 3), 2, 2, 3), ((2, 3), 3, 2, 3)]),
     ("444 diff", [("A", 4), ("B", 4), ("C", 4)],
-     [InjectionSpec((1, 3), 2, 2, 3), InjectionSpec((2, 3), 3, 1, 3)]),
+     [((1, 3), 2, 2, 3), ((2, 3), 3, 1, 3)]),
 ]
+
+
+def literal_sum(blocks, entries):
+    """The direct sum of the tilde blocks with the cross entries set."""
+    orders = [n for _, n in blocks]
+    offsets = [sum(orders[:k]) for k in range(len(orders))]
+    m = direct_sum([tilde_matrix(n, w) for w, n in blocks])
+    for (bi, bj), i, j, w in entries:
+        x, y = offsets[bi - 1] + i - 1, offsets[bj - 1] + j - 1
+        assert m[x, y] == 0
+        m[x, y] = m[y, x] = w
+    return m
 
 
 def test_criterion_1_construction_catalog():
@@ -94,9 +108,9 @@ def test_criterion_1_construction_catalog():
             failures.append(f"T+B{n}")
 
     for n in range(4, 41):
-        if not check_matrix(l_matrix(n)).ok:
+        if not check_matrix(catalog_matrix((2, n))).ok:
             failures.append(f"L{n}")
-        if not check_matrix(l_matrix_k1(n)).ok:
+        if not check_matrix(catalog_matrix((1, n))).ok:
             failures.append(f"LP{n}")
 
     for n in range(7, 41):
@@ -140,11 +154,8 @@ def test_criterion_1_construction_catalog():
                                     named_family(9, "B")])).ok:
         failures.append("T6_MOD_567+T5+B9")
 
-    for label, blocks, specs in INJECTION_CASES:
-        mats = [tilde_matrix(n, w) for w, n in blocks]
-        orders = [n for _, n in blocks]
-        summed = apply_injections(direct_sum(mats), orders, specs)
-        if not check_matrix(summed).ok:
+    for label, blocks, entries in INJECTION_CASES:
+        if not check_matrix(literal_sum(blocks, entries)).ok:
             failures.append(f"injections {label}")
 
     elapsed = time.monotonic() - t0
@@ -156,23 +167,30 @@ def test_criterion_1_construction_catalog():
 
 
 def test_engine_table_matches_injection_cases():
-    """Each literal +2 edges entry, as a graph: three cliques in block order
-    joined by the two edges its specs name. The engine's labeling of that
-    graph has the literal matrix's product degrees."""
-    for label, blocks, specs in INJECTION_CASES:
+    """Each literal +2 edges entry is the engine's catalog row up to the
+    order of its blocks: catalog_matrix puts the middle block (the one both
+    entries touch) first. As a graph, three cliques in block order joined by
+    the two edges the entries name, the engine labels it with the literal
+    matrix's product degrees."""
+    for label, blocks, entries in INJECTION_CASES:
+        literal = literal_sum(blocks, entries)
         orders = [n for _, n in blocks]
         offsets = [sum(orders[:k]) for k in range(3)]
+        (mid,) = set(entries[0][0]) & set(entries[1][0])
+        at_mid = [i if pair[0] == mid else j for pair, i, j, _ in entries]
+        pattern = PATTERN_SAME if at_mid[0] == at_mid[1] else PATTERN_DIFF
+        roles = [mid] + [b for b in (1, 2, 3) if b != mid]
+        perm = [offsets[b - 1] + k for b in roles for k in range(orders[b - 1])]
+        row = catalog_matrix(tuple(sorted(orders)), orders[mid - 1], pattern)
+        assert np.array_equal(row, literal[np.ix_(perm, perm)]), label
+
         g = disjoint_union(disjoint_union(complete_graph(orders[0]),
                                           complete_graph(orders[1])),
                            complete_graph(orders[2]))
-        for spec in specs:
-            bi, bj = spec.pair
-            g = add_cross_edge(g, offsets[bi - 1] + spec.i - 1,
-                               offsets[bj - 1] + spec.j - 1)
+        for (bi, bj), i, j, _ in entries:
+            g = add_cross_edge(g, offsets[bi - 1] + i - 1, offsets[bj - 1] + j - 1)
         out = construct_labeling(g)
         assert out.source == "theorem", label
-        literal = apply_injections(
-            direct_sum([tilde_matrix(n, w) for w, n in blocks]), orders, specs)
         got = sorted(d.value for d in is_product_irregular(out.labeling).degrees)
         want = sorted(d.value for d in check_matrix(literal).degrees)
         assert got == want, label
@@ -301,14 +319,7 @@ def test_criterion_5_engine_end_to_end():
         if not is_product_irregular(out.labeling).ok:
             failures.append((sizes, "unverified labeling"))
             continue
-        cover_sizes = out.case_trace.cover_sizes
-        if len(cover_sizes) == 1:
-            on_theorem_path = True
-        elif len(cover_sizes) == 2:
-            on_theorem_path = two_clique_theorem_id(cover_sizes) is not None
-        else:
-            on_theorem_path = three_clique_theorem_id(cover_sizes) is not None
-        if on_theorem_path:
+        if theorem_id(out.case_trace.cover_sizes) is not None:
             theorem_count += 1
             if out.strength != 3 or out.source != "theorem":
                 failures.append((sizes, f"theorem path gave {out.source} "

@@ -9,6 +9,84 @@ from pistr.cli import main
 from pistr.fileio import parse_graph
 
 
+# gen output of the L<n> and LP<n> tokens, byte for byte: one K_2 or K_1
+# block, a B_n block and the cross entry 3 joining their first vertices.
+GEN_L_DOCUMENTS = {
+    "L4": """\
+p 6 8
+e 1 2 1
+e 1 3 3
+e 3 4 2
+e 3 5 2
+e 3 6 2
+e 4 5 2
+e 4 6 3
+e 5 6 1
+""",
+    "L7": """\
+p 9 23
+e 1 2 1
+e 1 3 3
+e 3 4 2
+e 3 5 2
+e 3 6 2
+e 3 7 2
+e 3 8 2
+e 3 9 2
+e 4 5 2
+e 4 6 2
+e 4 7 2
+e 4 8 2
+e 4 9 3
+e 5 6 2
+e 5 7 2
+e 5 8 3
+e 5 9 3
+e 6 7 3
+e 6 8 3
+e 6 9 3
+e 7 8 3
+e 7 9 1
+e 8 9 3
+""",
+    "LP4": """\
+p 5 7
+e 1 2 3
+e 2 3 2
+e 2 4 2
+e 2 5 2
+e 3 4 2
+e 3 5 3
+e 4 5 1
+""",
+    "LP7": """\
+p 8 22
+e 1 2 3
+e 2 3 2
+e 2 4 2
+e 2 5 2
+e 2 6 2
+e 2 7 2
+e 2 8 2
+e 3 4 2
+e 3 5 2
+e 3 6 2
+e 3 7 2
+e 3 8 3
+e 4 5 2
+e 4 6 2
+e 4 7 3
+e 4 8 3
+e 5 6 3
+e 5 7 3
+e 5 8 3
+e 6 7 3
+e 6 8 1
+e 7 8 3
+""",
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -35,6 +113,10 @@ class TestGen:
             assert code == 0
             g, _ = parse_graph(out)
             assert g.n_vertices == order
+
+    def test_l_tokens_pinned(self, capsys):
+        for token, document in GEN_L_DOCUMENTS.items():
+            assert run_cli(capsys, "gen", token) == (0, document, "")
 
     def test_bad_token(self, capsys):
         code, _, err = run_cli(capsys, "gen", "Q9")
@@ -172,6 +254,17 @@ class TestMalformedInput:
         path.write_text("p 3 1\ne 1 9\n")
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 2 and "line 2" in err
+
+    def test_header_beyond_vertex_cap(self, capsys, tmp_path):
+        # a header this large used to reach the graph arrays: an OverflowError
+        # at 10**30 vertices, an allocation of about 80 GB at 10**10
+        for n in (10**30, 10**10):
+            path = tmp_path / "big.txt"
+            path.write_text(f"p {n} 1\ne 1 2\n")
+            for command in ("construct", "cover", "verify", "ps"):
+                code, out, err = run_cli(capsys, command, str(path))
+                assert (code, out) == (2, ""), command
+                assert err == "pistr: line 1: header out of range\n", command
 
     def test_internal_error_exits_two_with_one_line(self, capsys, tmp_path, monkeypatch):
         def overflow(g, k_max):

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from pistr.engine import (PATTERN_DIFF, PATTERN_SAME, UnsupportedCoverError,
-                          construct_labeling, label_three_cliques,
-                          label_two_cliques, select_cross_edges,
-                          three_clique_theorem_id, two_clique_theorem_id)
+                          _choose_tree, construct_labeling, label_cover,
+                          theorem_id)
 from pistr.fileio import emit_graph
 from pistr.graphs import (CliqueCover, Graph, add_cross_edge, clique_cover,
                           complete_graph, disjoint_union, edge_key)
@@ -26,52 +25,59 @@ def cliques_with_edges(sizes, cross):
     return g
 
 
+def tree_of(cover):
+    """The tree edges the engine labels, one for two parts and two for
+    three, and their pattern; every other cross edge is surplus."""
+    tree = _choose_tree(cover)
+    return list(tree.edges), tree.pattern
+
+
 class TestCrossEdgeSelection:
     def test_two_parts_single_choice(self):
         g = cliques_with_edges((3, 4), [(0, 3)])
         cover = clique_cover(g, 2)
-        edges, pattern = select_cross_edges(g, cover)
+        edges, pattern = tree_of(cover)
         assert edges == [(0, 3)] and pattern == "one_edge"
 
     def test_two_parts_surplus(self):
         cross = [(0, 4), (1, 5), (2, 6), (3, 7), (0, 7)]
         g = cliques_with_edges((4, 4), cross)
         cover = clique_cover(g, 2)
-        edges, _ = select_cross_edges(g, cover)
+        edges, _ = tree_of(cover)
         assert len(edges) == 1
 
     def test_three_parts_path_shape_forces_middle(self):
         # parts joined 0-1 and 1-2: part 1 must be the middle
         g = cliques_with_edges((4, 4, 4), [(0, 4), (5, 8)])
         cover = clique_cover(g, 3)
-        edges, pattern = select_cross_edges(g, cover)
+        edges, pattern = tree_of(cover)
         assert sorted(edges) == [(0, 4), (5, 8)]
         assert pattern in (PATTERN_SAME, PATTERN_DIFF)
 
     def test_pattern_same_vs_diff(self):
         same = cliques_with_edges((4, 4, 4), [(4, 0), (4, 8)])
         cover = clique_cover(same, 3)
-        assert select_cross_edges(same, cover)[1] == PATTERN_SAME
+        assert tree_of(cover)[1] == PATTERN_SAME
         diff = cliques_with_edges((4, 4, 4), [(4, 0), (5, 8)])
         cover = clique_cover(diff, 3)
-        assert select_cross_edges(diff, cover)[1] == PATTERN_DIFF
+        assert tree_of(cover)[1] == PATTERN_DIFF
 
     def test_deterministic(self):
         g = planted_cover_graph(random.Random(7), (5, 6, 7), extra_cross=6)
         cover = clique_cover(g, 3)
-        assert select_cross_edges(g, cover) == select_cross_edges(g, cover)
+        assert tree_of(cover) == tree_of(cover)
 
     def test_disconnected_rejected(self):
         g = disjoint_union(complete_graph(4), complete_graph(4))
         cover = clique_cover(g, 2)
         with pytest.raises(ValueError, match="connected"):
-            select_cross_edges(g, cover)
+            tree_of(cover)
         g = cliques_with_edges((4, 4, 4), [(0, 4)])
         cover = clique_cover(g, 3)
         with pytest.raises(ValueError, match="connected"):
-            select_cross_edges(g, cover)
+            tree_of(cover)
         with pytest.raises(ValueError, match="connected"):
-            label_three_cliques(g, cover)
+            label_cover(g, cover)
 
 
 class TestDispatchTotality:
@@ -79,7 +85,7 @@ class TestDispatchTotality:
         residual = {(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4)}
         for a in range(1, 31):
             for b in range(a, 31):
-                case = two_clique_theorem_id((a, b))
+                case = theorem_id((a, b))
                 assert (case is None) == ((a, b) in residual), (a, b)
 
     def test_three_clique_residual_set(self):
@@ -87,7 +93,7 @@ class TestDispatchTotality:
             for s2 in range(s1, 28):
                 for s3 in range(s2, 28):
                     sizes = (s1, s2, s3)
-                    case = three_clique_theorem_id(sizes)
+                    case = theorem_id(sizes)
                     residual = (s1 < 4 or sizes == (4, 6, 6)
                                 or (s1 == 4 and s2 == 4 and s3 >= 6))
                     assert (case is None) == residual, sizes
@@ -104,7 +110,7 @@ class TestTwoCliques:
         cover = clique_cover(g, 2)
         if cover.n_parts != 2 or cover.sizes != sizes:
             return  # surplus edges may change the minimum cover
-        out = label_two_cliques(g, cover)
+        out = label_cover(g, cover)
         assert out.source == "theorem" and out.strength == 3
         assert out.case_trace.construction_id == case_id
         assert is_product_irregular(out.labeling).ok
@@ -112,7 +118,7 @@ class TestTwoCliques:
     def test_cached_34_construction(self, rng):
         g = planted_cover_graph(rng, (3, 4), extra_cross=1)
         cover = clique_cover(g, 2)
-        out = label_two_cliques(g, cover)
+        out = label_cover(g, cover)
         assert out.strength == 3 and out.source == "search-fallback"
         assert out.case_trace.construction_id == "K34_edge_cached"
         assert is_product_irregular(out.labeling).ok
@@ -120,7 +126,7 @@ class TestTwoCliques:
     def test_small_shapes_fall_back(self, rng):
         # two triangles with a bridge admit strength 3 (32 labelings exist)
         g = cliques_with_edges((3, 3), [(0, 3)])
-        out = label_two_cliques(g, clique_cover(g, 2))
+        out = label_cover(g, clique_cover(g, 2))
         assert out.source == "search-fallback" and out.strength == 3
         assert is_product_irregular(out.labeling).ok
 
@@ -132,7 +138,7 @@ class TestTwoCliques:
                 cover = clique_cover(h, 2)
                 if cover.n_parts != 2:
                     continue
-                out = label_two_cliques(h, cover)
+                out = label_cover(h, cover)
                 assert is_product_irregular(out.labeling).ok
 
 
@@ -151,7 +157,7 @@ class TestThreeCliques:
         cover = clique_cover(g, 3)
         if cover.sizes != tuple(sorted(sizes)):
             return
-        out = label_three_cliques(g, cover)
+        out = label_cover(g, cover)
         assert out.source == "theorem" and out.strength == 3
         assert out.case_trace.construction_id == case_id
         assert is_product_irregular(out.labeling).ok
@@ -168,7 +174,7 @@ class TestThreeCliques:
             cross = [(m1, offs[others[0]]), (m2, offs[others[1]])]
             g = cliques_with_edges(sizes, cross)
             cover = clique_cover(g, 3)
-            out = label_three_cliques(g, cover)
+            out = label_cover(g, cover)
             assert out.source == "theorem" and out.strength == 3
             tag = "same_vertex" if same_vertex else "diff_vertices"
             assert out.case_trace.construction_id.endswith(tag)
@@ -180,7 +186,7 @@ class TestThreeCliques:
         cover = clique_cover(g, 3)
         if cover.sizes != tuple(sorted(sizes)):
             return
-        out = label_three_cliques(g, cover)
+        out = label_cover(g, cover)
         assert out.source == "search-fallback"
         assert is_product_irregular(out.labeling).ok
         assert out.strength == 3  # all these shapes admit strength 3
@@ -193,7 +199,7 @@ class TestThreeCliques:
                 cover = clique_cover(h, 3)
                 if cover.sizes != tuple(sorted(sizes)):
                     continue
-                out = label_three_cliques(h, cover)
+                out = label_cover(h, cover)
                 assert out.strength == 3
                 assert is_product_irregular(out.labeling).ok
 
@@ -221,7 +227,7 @@ class TestConstructLabeling:
         g = planted_cover_graph(rng, (5, 6, 8), extra_cross=6)
         out = construct_labeling(g)
         cover = clique_cover(g, 3)
-        chosen, _ = select_cross_edges(g, cover)
+        chosen, _ = tree_of(cover)
         spanning = set(chosen)
         for part in cover.parts:
             spanning.update(edge_key(u, v)
@@ -239,7 +245,7 @@ class TestConstructLabeling:
             if cover.sizes != tuple(sorted(sizes)):
                 continue
             out = construct_labeling(g)
-            chosen, _ = select_cross_edges(g, cover)
+            chosen, _ = tree_of(cover)
             spanning = set(chosen)
             for part in cover.parts:
                 spanning.update(
@@ -320,7 +326,7 @@ def test_output_digest_pinned():
     h = hashlib.sha256()
     ids = set()
     for g, cover in _digest_inputs():
-        out = construct_labeling(g) if cover is None else label_two_cliques(g, cover)
+        out = construct_labeling(g) if cover is None else label_cover(g, cover)
         case = out.case_trace
         ids.add(case.construction_id)
         maps = sorted((p, sorted(m.items())) for p, m in case.vertex_maps.items())

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pistr import fileio
-from pistr.fileio import DocumentError, emit_graph, parse_graph
+from pistr.fileio import MAX_VERTICES, DocumentError, emit_graph, parse_graph
 from pistr.graphs import EdgeLabeling, Graph, complete_graph, disjoint_union
 from pistr.verifier import ProductDegree, is_product_irregular
 
@@ -28,6 +28,10 @@ class TestParse:
     def test_unlabeled_document(self):
         g, labeling = parse_graph("p 3 2\ne 1 2\ne 2 3\n")
         assert labeling is None and g.n_edges == 2
+
+    def test_header_at_vertex_cap(self):
+        g, _ = parse_graph(f"p {MAX_VERTICES} 1\ne 1 {MAX_VERTICES}\n")
+        assert g.n_vertices == MAX_VERTICES and g.edges == {(0, MAX_VERTICES - 1)}
 
     def test_edgeless_header_parses(self):
         g, labeling = parse_graph("p 2 0\n")
@@ -64,6 +68,8 @@ class TestParse:
         ("p three 1\n", "line 1: non-integer header fields"),
         ("p 0 0\n", "line 1: header out of range"),
         ("p 3 -1\n", "line 1: header out of range"),
+        (f"p {MAX_VERTICES + 1} 0\n", "line 1: header out of range"),
+        (f"p {MAX_VERTICES + 1} 1\ne 1 2\n", "line 1: header out of range"),
         ("e 1 2\np 3 1\n", "line 1: edge before header"),
         ("p 3 1\ne 1\n", "line 2: edge must be 'e <u> <v> [label]'"),
         ("p 3 1\ne 1 2 3 4\n", "line 2: edge must be 'e <u> <v> [label]'"),
@@ -181,7 +187,7 @@ def reference_parse(text: str):
                 n, declared_edges = int(fields[1]), int(fields[2])
             except ValueError:
                 raise DocumentError(f"line {lineno}: non-integer header fields") from None
-            if n < 1 or declared_edges < 0:
+            if not 1 <= n <= MAX_VERTICES or declared_edges < 0:
                 raise DocumentError(f"line {lineno}: header out of range")
         elif head[0] != "c":
             raise DocumentError(f"line {lineno}: unknown record {head!r}")
@@ -284,8 +290,7 @@ class TestArrayParser:
                     continue
                 g, labeling = got
                 assert g == want[0] and g.n_edges == want[0].n_edges, doc
-                if g.n_vertices <= 100:  # not a header made 10**30 vertices
-                    assert g.adjacency == want[0].adjacency, doc
+                assert g.adjacency == want[0].adjacency, doc
                 if want[1] is None:
                     assert labeling is None, doc
                 else:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from pistr.matrices import (InjectionSpec, apply_injections, direct_sum,
-                            fixed_matrix, fixed_matrix_names, l_matrix,
-                            l_matrix_k1, m_matrix, named_family, row_profile,
-                            tilde_matrix)
+from pistr.engine import (_CATALOG, PATTERN_DIFF, PATTERN_SAME,
+                          catalog_matrix)
+from pistr.matrices import (direct_sum, fixed_matrix, fixed_matrix_names,
+                            m_matrix, named_family, row_profile, tilde_matrix)
 from pistr.verifier import check_matrix
 
 M7_LAYOUT = np.array([
@@ -126,7 +126,7 @@ class TestFixedMatrices:
 
 class TestLMatrix:
     def test_order_and_cross_entry(self):
-        m = l_matrix(4)
+        m = catalog_matrix((2, 4))
         assert m.shape == (6, 6)
         upper_cross = [(i, j) for i in range(6) for j in range(i + 1, 6)
                        if m[i, j] == 3 and not (i >= 2 and j >= 2)]
@@ -134,13 +134,19 @@ class TestLMatrix:
         assert m[0, 1] == 1 and np.array_equal(m[2:, 2:], named_family(4, "B"))
 
     def test_k1_variant_is_irregular(self):
-        m = l_matrix_k1(4)
+        m = catalog_matrix((1, 4))
         assert m.shape == (5, 5)
+        assert np.array_equal(m, np.delete(np.delete(catalog_matrix((2, 4)), 1, 0), 1, 1))
         assert check_matrix(m).ok
 
     def test_small_orders_rejected(self):
         with pytest.raises(ValueError):
-            l_matrix(3)
+            catalog_matrix((2, 3))
+
+
+def sample_sizes(row):
+    """Sorted sizes the row applies to: each range at its smallest size."""
+    return tuple(sorted(k if type(k) is int else k.start for k in row.sizes))
 
 
 class TestDirectSumAndInjections:
@@ -159,38 +165,45 @@ class TestDirectSumAndInjections:
         assert m.shape == (16, 16)
 
     def test_injection_coordinates(self):
-        base = direct_sum([tilde_matrix(5, "A"), tilde_matrix(5, "B"),
-                           tilde_matrix(5, "C")])
-        m = apply_injections(base, [5, 5, 5],
-                             [InjectionSpec((1, 2), 3, 3, 3),
-                              InjectionSpec((2, 3), 3, 3, 2)])
-        assert m[2, 7] == 3 and m[7, 2] == 3      # 1-based (3, 8)
-        assert m[7, 12] == 2 and m[12, 7] == 2    # 1-based (8, 13)
+        # roles (middle, outer, outer): tB_5, tA_5, tC_5
+        m = catalog_matrix((5, 5, 5), 5, PATTERN_SAME)
+        assert m[7, 2] == 3 and m[2, 7] == 3      # 1-based (8, 3)
+        assert m[2, 12] == 2 and m[12, 2] == 2    # 1-based (3, 13)
+        m = catalog_matrix((5, 5, 5), 5, PATTERN_DIFF)
+        assert m[0, 12] == 2 and m[12, 0] == 2    # 1-based (1, 13)
 
     def test_empty_specs_is_identity(self):
-        base = direct_sum([named_family(4, "A"), named_family(4, "B")])
-        assert np.array_equal(apply_injections(base, [4, 4], []), base)
+        base = direct_sum([named_family(4, "A"), named_family(9, "B")])
+        assert np.array_equal(catalog_matrix((4, 9)), base)
 
     def test_nonzero_target_rejected(self):
-        base = direct_sum([named_family(4, "A"), named_family(4, "B")])
-        patched = apply_injections(base, [4, 4], [InjectionSpec((1, 2), 1, 1, 2)])
-        with pytest.raises(ValueError):
-            apply_injections(patched, [4, 4], [InjectionSpec((1, 2), 1, 1, 3)])
+        # every cross entry of every row lands on a zero of its block sum
+        for row in (row for row in _CATALOG if row.cross):
+            sizes = sample_sizes(row)
+            orders = list(sizes)
+            if row.middle is not None:  # roles (middle, outer, outer)
+                orders.remove(row.middle)
+                orders.insert(0, row.middle)
+            blocks = direct_sum([make(n) for make, n in zip(row.blocks, orders)])
+            changed = catalog_matrix(sizes, row.middle, row.pattern) != blocks
+            assert np.count_nonzero(changed) == 2 * len(row.cross), row
+            assert np.all(blocks[changed] == 0), row
 
     def test_bad_spec_rejected(self):
-        base = direct_sum([named_family(4, "A"), named_family(4, "B")])
         with pytest.raises(ValueError):
-            apply_injections(base, [4, 4], [InjectionSpec((2, 1), 1, 1, 2)])
+            catalog_matrix((4, 4, 6))
         with pytest.raises(ValueError):
-            apply_injections(base, [4, 4], [InjectionSpec((1, 2), 5, 1, 2)])
+            catalog_matrix((5, 5, 5), 5, "no_such_pattern")
+        with pytest.raises(ValueError):
+            catalog_matrix((4, 5, 5), 6, PATTERN_SAME)
 
     def test_injections_scale_touched_rows_only(self):
-        base = direct_sum([named_family(5, "A"), named_family(6, "B")])
+        base = direct_sum([np.array([[0, 1], [1, 0]]), named_family(6, "B")])
         before = check_matrix(base).degrees
-        m = apply_injections(base, [5, 6], [InjectionSpec((1, 2), 2, 4, 3)])
+        m = catalog_matrix((2, 6))
         after = check_matrix(m).degrees
-        for v in range(11):
-            if v == 1 or v == 5 + 3:
+        for v in range(8):
+            if v == 0 or v == 2:
                 assert after[v].value == 3 * before[v].value
             else:
                 assert after[v] == before[v]

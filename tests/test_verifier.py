@@ -3,7 +3,8 @@ import pytest
 
 from pistr.graphs import (EdgeLabeling, Graph, complete_graph,
                           labeled_graph_to_matrix, matrix_to_labeled_graph)
-from pistr.matrices import direct_sum, fixed_matrix, l_matrix, m_matrix, named_family
+from pistr.engine import catalog_matrix
+from pistr.matrices import direct_sum, fixed_matrix, m_matrix, named_family
 from pistr.verifier import (ProductDegree, check_matrix, extend_with_ones,
                             is_product_irregular, product_degree)
 
@@ -29,9 +30,6 @@ class TestProductDegree:
         assert d.pair == (0, 59)
         assert d.value == 3**59
 
-    def test_times(self):
-        assert ProductDegree.from_value(4).times(3).value == 12
-
 
 class TestProductDegreeOfVertices:
     def test_triangle_degrees(self):
@@ -41,8 +39,8 @@ class TestProductDegreeOfVertices:
         assert product_degree(labeling, 2).pair == (1, 1)
 
     @pytest.mark.parametrize("n", [4, 5, 9, 17])
-    def test_l_matrix_row_three_degree(self, n):
-        _, labeling = matrix_to_labeled_graph(l_matrix(n))
+    def test_l_row_three_degree(self, n):
+        _, labeling = matrix_to_labeled_graph(catalog_matrix((2, n)))
         assert product_degree(labeling, 2).pair == (n - 1, 1)
 
     def test_all_ones(self):
