@@ -45,7 +45,8 @@ out = construct_labeling(g)
 case = out.case_trace
 print(f"\ndispatch: {case.construction_id} "
       f"(source {out.source}, strength {out.strength})")
-print(f"spanning-tree pattern: {case.pattern}")
+print(f"spanning-tree pattern: {case.pattern}, edges: "
+      + ", ".join(f"{u}-{v}" for u, v in case.tree_edges))
 for p, vmap in sorted(case.vertex_maps.items()):
     rows = " ".join(f"{v}->{i}" for v, i in sorted(vmap.items(), key=lambda x: x[1]))
     print(f"  part {p} onto block rows: {rows}")

@@ -4,7 +4,8 @@ strength-3 labelings.
 
 Exit codes: 0 success / verdict true; 1 verdict false or nothing found;
 2 usage, budget or internal errors. Vertex ids in documents and reports are
-1-based. The PISTR_BUDGET environment variable overrides the default search budget.
+1-based. The search budget of ps and construct is --budget, else the
+PISTR_BUDGET environment variable, else the default.
 """
 
 from __future__ import annotations
@@ -29,14 +30,22 @@ from .verifier import is_product_irregular
 SCHEMA = 1
 
 
-def _default_budget() -> int:
-    env = os.environ.get("PISTR_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"pistr: invalid PISTR_BUDGET value {env!r}")
-    return DEFAULT_BUDGET
+def _budget(flag: str | None) -> int:
+    """The search budget: --budget, else PISTR_BUDGET when set and not
+    empty, else the default; ValueError unless it is a nonnegative integer."""
+    source, raw = "--budget", flag
+    if raw is None:
+        source, raw = "PISTR_BUDGET", os.environ.get("PISTR_BUDGET")
+        if not raw:
+            return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"invalid {source} value {raw!r}: "
+                         "expected a nonnegative integer")
+    return budget
 
 
 def _matrix_token(token: str) -> np.ndarray | None:
@@ -197,6 +206,7 @@ def _cmd_construct(args) -> int:
                 "cover_sizes": list(outcome.case_trace.cover_sizes),
                 "pattern": outcome.case_trace.pattern,
                 "construction_id": outcome.case_trace.construction_id,
+                "tree_edges": [[u + 1, v + 1] for u, v in outcome.case_trace.tree_edges],
             },
             "document": emit_graph(g, outcome.labeling),
         })
@@ -236,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ps", help="exact product irregularity strength")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--s-max", type=int, default=4)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", metavar="NODES")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_ps)
 
@@ -248,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="strength-3 labeling via clique cover")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", metavar="NODES")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_construct)
     return parser
@@ -257,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget", None) is None:
-        args.budget = _default_budget()
     try:
+        if hasattr(args, "budget"):
+            args.budget = _budget(args.budget)
         return args.func(args)
     except (DocumentError, ValueError) as exc:
         print(f"pistr: {exc}", file=sys.stderr)

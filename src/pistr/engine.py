@@ -66,6 +66,7 @@ class DispatchCase:
     pattern: str
     construction_id: str
     vertex_maps: dict[int, dict[int, int]]
+    tree_edges: tuple[Edge, ...]  # the cross edges of the spanning tree, sorted
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class _Tree:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(edge_key(u, v) for u, v in self.links.values())
+        return tuple(sorted(edge_key(u, v) for u, v in self.links.values()))
 
     def link(self, pa: int, pb: int) -> tuple[int, int]:
         """The tree edge joining parts pa and pb, its endpoint in pa first."""
@@ -382,7 +383,8 @@ def label_cover(g: Graph, cover: CliqueCover,
         raise ConstructionError(
             f"construction {plan.construction_id} failed verification "
             f"(colliding vertices {report.witness})")
-    case = DispatchCase(cover.sizes, tree.pattern, plan.construction_id, maps)
+    case = DispatchCase(cover.sizes, tree.pattern, plan.construction_id, maps,
+                        tree.edges)
     return ConstructionOutcome(labeling, 3, plan.source, case)
 
 
@@ -467,7 +469,8 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
         report = is_product_irregular(labeling)
         if not report.ok:
             raise ConstructionError(f"fallback produced an invalid labeling: {note}")
-        case = DispatchCase(cover.sizes, tree.pattern, f"fallback:{note}", {})
+        case = DispatchCase(cover.sizes, tree.pattern, f"fallback:{note}", {},
+                            tree.edges)
         return ConstructionOutcome(labeling, s, "search-fallback", case)
 
     if not to_fix:

@@ -349,7 +349,10 @@ def clique_cover(g: Graph, k_max: int) -> CliqueCover | None:
     """Minimum clique cover if the minimum is <= k_max, else None.
 
     Exact: backtracking k-coloring of the complement graph with vertices
-    ordered by descending complement degree.
+    ordered by descending complement degree. Two colours are ruled out by a
+    breadth-first search instead, whose cost does not depend on how the
+    vertices are numbered; the backtracking can take thousands of steps to
+    refute them.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -358,6 +361,8 @@ def clique_cover(g: Graph, k_max: int) -> CliqueCover | None:
         return CliqueCover((), (), ())
     comp_adj = _complement_masks(g)
     for k in range(1, k_max + 1):
+        if k == 2 and not _is_bipartite(comp_adj):
+            continue
         classes = _color_graph(comp_adj, k)
         if classes is not None:
             return _cover_from_classes(classes, comp_adj)
@@ -421,6 +426,26 @@ def _color_graph(adj_masks: list[int], k: int) -> list[int] | None:
                 used -= 1
             first = c + 1
     return classes
+
+
+def _is_bipartite(adj_masks: list[int]) -> bool:
+    """Whether the graph of the adjacency bitmasks is 2-colourable:
+    breadth first from the lowest vertex not yet reached, each layer on the
+    other side from the last; an edge inside a side is an odd cycle."""
+    sides = [0, 0]
+    todo = (1 << len(adj_masks)) - 1
+    while todo:
+        frontier, side = todo & -todo, 0
+        while frontier:
+            sides[side] |= frontier
+            todo &= ~frontier
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj_masks[v]
+            if reach & sides[side]:
+                return False
+            frontier, side = reach & todo, 1 - side
+    return True
 
 
 def _bits(mask: int):

@@ -130,11 +130,23 @@ def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | Pinned | None = 
                     return ({} if collect_all else []), 0
                 seen.add(prod[v])
 
+    # The free edges come in a fixed order, so whether an edge is the last
+    # free edge of its endpoints is known before the search: step d is the
+    # edge (a, b) at depth d and how many of a and b it finishes, a first
+    # when it finishes one. Without pruning no step finishes a vertex.
+    steps: list[tuple[int, int, int]] = []
+    for u, v in free:
+        rem[u] -= 1
+        rem[v] -= 1
+        finished = (rem[u] == 0) + (rem[v] == 0) if prune else 0
+        steps.append((v, u, 1) if finished == 1 and rem[v] == 0 else (u, v, finished))
+    depths = len(steps)
     weights = range(1, s + 1)
-    assignment = [0] * len(free)
+    assignment = [0] * depths
     nodes = 0
     found: list[dict[Edge, int]] = []
     sigs: dict[tuple[int, ...], dict[Edge, int]] = {}
+    add, discard = seen.add, seen.discard
 
     def leaf() -> bool:
         if not prune and len(set(prod)) != n:
@@ -148,43 +160,54 @@ def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | Pinned | None = 
         return True
 
     def walk(depth: int) -> bool:
+        # One loop per kind of step. A finished vertex's product must be
+        # new, and it stays in seen while the search is below this step.
         nonlocal nodes
-        if depth == len(free):
+        if depth == depths:
             return leaf()
-        u, v = free[depth]
-        pu0, pv0 = prod[u], prod[v]
-        rem[u] -= 1
-        rem[v] -= 1
-        u_done, v_done = rem[u] == 0, rem[v] == 0
-        for w in weights:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExhausted
-            pu, pv = pu0 * w, pv0 * w
-            prod[u], prod[v] = pu, pv
-            if prune:
-                if u_done:
-                    if pu in seen:
-                        continue
-                    seen.add(pu)
-                if v_done:
-                    if pv in seen:
-                        if u_done:
-                            seen.discard(pu)
-                        continue
-                    seen.add(pv)
-            assignment[depth] = w
-            stop = walk(depth + 1)
-            if prune:
-                if v_done:
-                    seen.discard(pv)
-                if u_done:
-                    seen.discard(pu)
-            if stop:
-                return True
-        prod[u], prod[v] = pu0, pv0
-        rem[u] += 1
-        rem[v] += 1
+        a, b, finished = steps[depth]
+        pa0, pb0 = prod[a], prod[b]
+        deeper = depth + 1
+        if not finished:
+            for w in weights:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExhausted
+                prod[a], prod[b] = pa0 * w, pb0 * w
+                assignment[depth] = w
+                if walk(deeper):
+                    return True
+        elif finished == 1:
+            for w in weights:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExhausted
+                pa = pa0 * w
+                if pa in seen:
+                    continue
+                prod[a], prod[b] = pa, pb0 * w
+                add(pa)
+                assignment[depth] = w
+                if walk(deeper):
+                    return True
+                discard(pa)
+        else:
+            for w in weights:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExhausted
+                pa, pb = pa0 * w, pb0 * w
+                if pa in seen or pb in seen or pa == pb:
+                    continue
+                prod[a], prod[b] = pa, pb
+                add(pa)
+                add(pb)
+                assignment[depth] = w
+                if walk(deeper):
+                    return True
+                discard(pa)
+                discard(pb)
+        prod[a], prod[b] = pa0, pb0
         return False
 
     try:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from pistr import cli
 from pistr.cli import main
 from pistr.fileio import parse_graph
@@ -210,6 +212,7 @@ class TestCoverAndConstruct:
         assert code == 0
         payload = json.loads(out)
         assert payload["strength"] == 3 and payload["source"] == "theorem"
+        assert payload["case"]["tree_edges"] == [[1, 6], [6, 12]]
         g, labeling = parse_graph(payload["document"])
         from pistr.verifier import is_product_irregular
         assert is_product_irregular(labeling).ok
@@ -279,9 +282,64 @@ class TestMalformedInput:
                        "maximum recursion depth exceeded\n")
 
 
+def src_env(**extra) -> dict:
+    """The environment with the package's source tree on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+class TestBudget:
+    """A budget that is not a nonnegative integer is a usage error: one
+    stderr line and exit 2, from the flag or from the environment."""
+
+    TRIANGLE = "p 3 3\ne 1 2\ne 1 3\ne 2 3\n"
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1.5", " "])
+    def test_invalid_environment_value(self, capsys, tmp_path, monkeypatch, value):
+        path = tmp_path / "k3.txt"
+        path.write_text(self.TRIANGLE)
+        monkeypatch.setenv("PISTR_BUDGET", value)
+        for command in ("construct", "ps"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert (code, out) == (2, ""), command
+            assert err == (f"pistr: invalid PISTR_BUDGET value {value!r}: "
+                           "expected a nonnegative integer\n")
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1.5", ""])
+    def test_invalid_flag_value(self, capsys, tmp_path, monkeypatch, value):
+        path = tmp_path / "k3.txt"
+        path.write_text(self.TRIANGLE)
+        monkeypatch.delenv("PISTR_BUDGET", raising=False)
+        for command in ("construct", "ps"):
+            code, out, err = run_cli(capsys, command, str(path), f"--budget={value}")
+            assert (code, out) == (2, ""), command
+            assert err == (f"pistr: invalid --budget value {value!r}: "
+                           "expected a nonnegative integer\n")
+
+    def test_flag_wins_and_other_commands_ignore_it(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "k3.txt"
+        path.write_text(self.TRIANGLE)
+        monkeypatch.setenv("PISTR_BUDGET", "abc")
+        assert run_cli(capsys, "construct", str(path), "--budget", "100")[0] == 0
+        assert run_cli(capsys, "cover", str(path))[0] == 0
+        assert run_cli(capsys, "gen", "K3")[0] == 0
+        monkeypatch.setenv("PISTR_BUDGET", "")  # empty counts as unset
+        assert run_cli(capsys, "construct", str(path))[0] == 0
+
+    def test_process_exit_code(self, tmp_path):
+        path = tmp_path / "k3.txt"
+        path.write_text(self.TRIANGLE)
+        proc = subprocess.run([sys.executable, "-m", "pistr.cli", "construct", str(path)],
+                              capture_output=True, text=True,
+                              env=src_env(PISTR_BUDGET="abc"))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("pistr: invalid PISTR_BUDGET value 'abc'")
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "pistr.cli", "gen", "T"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("p 3 3")
 
@@ -296,9 +354,7 @@ def test_one_parser_per_process(capsys, tmp_path):
                                     (3, 7)]))
     calls = [["construct", str(path), "--json"], ["cover", str(path)],
              ["cover", str(path), "--no-such-option"], ["construct", str(path), "--json"]]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = src_env()
     fresh = {}
     codes = []
     for argv in calls:

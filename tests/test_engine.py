@@ -260,6 +260,19 @@ class TestConstructLabeling:
                           is_product_irregular(sub_labeling).degrees)
             assert full == bare
 
+    @pytest.mark.parametrize("sizes", [(6,), (4, 9), (3, 3), (5, 6, 8), (4, 4, 9),
+                                       (3, 3, 3), (7, 8, 9)])
+    def test_tree_edges_span_the_parts(self, rng, sizes):
+        g = planted_cover_graph(rng, sizes, extra_cross=3)
+        out = construct_labeling(g)
+        cover = clique_cover(g, 3)
+        tree = out.case_trace.tree_edges
+        assert tree == tuple(sorted(tree_of(cover)[0]))
+        assert len(tree) == cover.n_parts - 1 and set(tree) <= g.edges
+        part = {v: p for p, vertices in enumerate(cover.parts) for v in vertices}
+        joined = {frozenset((part[u], part[v])) for u, v in tree}
+        assert all(len(pair) == 2 for pair in joined) and len(joined) == len(tree)
+
     def test_vertex_maps_are_bijections(self, rng):
         g = planted_cover_graph(rng, (4, 5, 9), extra_cross=2)
         out = construct_labeling(g)

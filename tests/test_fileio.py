@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from pistr import fileio
@@ -143,6 +144,49 @@ class TestRoundtrip:
         assert labeling.label(0, 1) == 3
 
 
+def render(g: Graph, labeling: EdgeLabeling | None = None) -> str:
+    """The document of g written one f-string per edge; emit_graph must
+    write the same bytes."""
+    lines = [f"p {g.n_vertices} {g.n_edges}"]
+    for u, v in sorted(g.edges):
+        label = "" if labeling is None else f" {labeling.labels[(u, v)]}"
+        lines.append(f"e {u + 1} {v + 1}{label}")
+    return "\n".join(lines) + "\n"
+
+
+class TestEmit:
+    @pytest.mark.parametrize("n,m", [(1, 0), (2, 1), (9, 20), (10, 30), (40, 300),
+                                     (150, 700), (1200, 900)])
+    def test_matches_the_f_string_renderer(self, rng, n, m):
+        pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)],
+                           min(m, n * (n - 1) // 2))
+        public = Graph.from_edges(n, pairs)
+        for labels in (None, [1, 2, 3], [9999, 10**4, 1], [1, 10**6], [2**63 - 1, 5],
+                       [2**70, 7, 1]):
+            labeling = None if labels is None else EdgeLabeling.make(
+                public, {e: rng.choice(labels) for e in public.edges})
+            doc = emit_graph(public, labeling)
+            assert doc == render(public, labeling)
+            parsed, parsed_labeling = parse_graph(doc)  # array-backed
+            assert emit_graph(parsed, parsed_labeling) == doc
+
+    def test_both_sides_of_the_cutoff(self, rng):
+        for n, m, below in [(8, 12, True), (150, 700, False)]:
+            g = Graph.from_edges(n, rng.sample(
+                [(u, v) for u in range(n) for v in range(u + 1, n)], m))
+            labeling = EdgeLabeling.make(g, {e: rng.randint(1, 3) for e in g.edges})
+            for lab in (None, labeling):
+                doc = emit_graph(g, lab)
+                assert (len(doc) < fileio.KERNEL_MIN_CHARS) == below
+                assert doc == render(g, lab)
+                assert (fileio._split_document(doc) is None) == below
+
+    def test_labeling_of_another_graph_rejected(self):
+        g, h = complete_graph(3), complete_graph(4)
+        with pytest.raises(ValueError):
+            emit_graph(g, EdgeLabeling.make(h, dict.fromkeys(h.edges, 1)))
+
+
 def reference_parse(text: str):
     """The line-by-line reading of a document, building the graph and the
     labeling through their public constructors; the array parser must
@@ -271,33 +315,144 @@ def outcome(parse, text):
         return str(exc)
 
 
+def assert_reads_as_the_reference(doc):
+    """parse_graph reads doc as reference_parse does, and so does the byte
+    kernel wherever it takes doc: the graph and labels of the line loop, or
+    none that _build accepts where the line loop finds a fault (the
+    fallback would otherwise hide a misread that _build rejects)."""
+    fields = fileio._split_document(doc)
+    if fields is not None:
+        kernel = fileio._build(*fields)
+        try:
+            g, labeling = fileio._read_lines(doc)
+        except DocumentError:
+            assert kernel is None, doc
+        else:
+            assert kernel is not None and kernel[0] == g, doc
+            assert (kernel[1] is None) == (labeling is None), doc
+            if labeling is not None:
+                assert np.array_equal(kernel[1].values, labeling.values), doc
+                assert kernel[1].strength == labeling.strength, doc
+    got, want = outcome(parse_graph, doc), outcome(reference_parse, doc)
+    if isinstance(want, str):
+        assert got == want, doc
+        return False
+    g, labeling = got
+    assert g == want[0] and g.n_edges == want[0].n_edges, doc
+    assert g.adjacency == want[0].adjacency, doc
+    if want[1] is None:
+        assert labeling is None, doc
+    else:
+        assert labeling.labels == want[1].labels, doc
+        assert labeling.strength == want[1].strength, doc
+    return True
+
+
+def large_document(rng, labeled: bool) -> str:
+    """A plain document on 150 vertices, longer than the kernel cutoff."""
+    n = 150
+    pairs = rng.sample([(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)], 700)
+    lines = [f"e {u} {v}" if rng.random() < 0.5 else f"e {v} {u}" for u, v in pairs]
+    if labeled:
+        lines = [f"{line} {rng.choice([1, 2, 3, rng.randint(1, 10**17)])}" for line in lines]
+    text = f"p {n} {len(lines)}\n" + "\n".join(lines) + "\n"
+    assert len(text) >= fileio.KERNEL_MIN_CHARS
+    return text
+
+
+def _field_fault(spell):
+    """A fault that respells one number of a line."""
+    def fault(rng, line):
+        fields = line.split(" ")
+        k = rng.randrange(1, len(fields))
+        fields[k] = spell(fields[k])
+        return " ".join(fields)
+    return fault
+
+
+def _insert_e(rng, line):
+    k = rng.randrange(2, len(line) + 1)
+    return line[:k] + "e" + line[k:]
+
+
+# Byte-level faults the kernel must leave to the line loop: each turns one
+# line out of the canonical form.
+LINE_FAULTS = {
+    "double space": lambda rng, line: line.replace(" ", "  ", 1),
+    "trailing space": lambda rng, line: line + " ",
+    "tab": lambda rng, line: line.replace(" ", "\t", 1),
+    "CR": lambda rng, line: line + "\r",
+    "19-digit field": _field_fault(lambda f: f.zfill(19)),
+    "arabic-indic digit": _field_fault(lambda f: f[:-1] + "\u0661"),
+    "superscript digit": _field_fault(lambda f: f[:-1] + "\u00b2"),
+    "e inside a line": _insert_e,
+    "e doubled": lambda rng, line: "e" + line,
+    "blank line": lambda rng, line: line + "\n",
+}
+# Faults on every edge line, which keep each line's separator count equal.
+DOCUMENT_FAULTS = {
+    "double space everywhere": lambda line: line.replace(" ", "  ", 1),
+    "trailing space everywhere": lambda line: line + " ",
+    "leading byte everywhere": lambda line: "0" + line,
+}
+# Spellings the kernel reads itself, as the line loop does.
+CANONICAL_VARIANTS = {
+    "leading zeros": lambda rng, text: "\n".join(
+        _field_fault(lambda f: f.zfill(18))(rng, line) if line.startswith("e") else line
+        for line in text.split("\n")),
+    "no final newline": lambda rng, text: text[:-1],
+}
+
+
 class TestArrayParser:
     """parse_graph reads a document through int arrays; every document must
     read as the line-by-line reference reads it."""
 
-    def test_agrees_with_the_reference(self):
+    def test_agrees_with_the_reference(self, monkeypatch):
+        monkeypatch.setattr(fileio, "KERNEL_MIN_CHARS", 0)
         rng = random.Random(6061)
         agreed = failed = 0
         for k in range(240):
             text = random_document(rng, labeled=k % 2 == 1, plain=k % 3 == 0)
-            # plain documents take the one-split reading
+            # with no cutoff the kernel reads every plain document
             assert (fileio._split_document(text) is not None) == (k % 3 == 0)
             for doc in (text, corrupt(rng, text), corrupt(rng, text)):
-                got, want = outcome(parse_graph, doc), outcome(reference_parse, doc)
-                if isinstance(want, str):
-                    assert got == want, doc
-                    failed += 1
-                    continue
-                g, labeling = got
-                assert g == want[0] and g.n_edges == want[0].n_edges, doc
-                assert g.adjacency == want[0].adjacency, doc
-                if want[1] is None:
-                    assert labeling is None, doc
+                if assert_reads_as_the_reference(doc):
+                    agreed += 1
                 else:
-                    assert labeling.labels == want[1].labels, doc
-                    assert labeling.strength == want[1].strength, doc
-                agreed += 1
+                    failed += 1
         assert agreed >= 240 and failed >= 300
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("fault", sorted(LINE_FAULTS))
+    def test_large_document_faults(self, labeled, fault):
+        rng = random.Random(f"{fault}/{labeled}")
+        text = large_document(rng, labeled)
+        assert assert_reads_as_the_reference(text)
+        assert fileio._split_document(text) is not None
+        lines = text.split("\n")  # the last one is empty
+        # the header, the first and the last edge line, and one between
+        for i in (0, 1, len(lines) - 2, rng.randrange(2, len(lines) - 2)):
+            doc = "\n".join(lines[:i] + [LINE_FAULTS[fault](rng, lines[i])] + lines[i + 1:])
+            assert fileio._split_document(doc) is None, doc[:200]
+            assert_reads_as_the_reference(doc)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("fault", sorted(DOCUMENT_FAULTS))
+    def test_large_document_faults_on_every_line(self, labeled, fault):
+        text = large_document(random.Random(fault), labeled)
+        doc = "\n".join(DOCUMENT_FAULTS[fault](line) if line.startswith("e") else line
+                        for line in text.split("\n"))
+        assert fileio._split_document(doc) is None, doc[:200]
+        assert_reads_as_the_reference(doc)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("variant", sorted(CANONICAL_VARIANTS))
+    def test_large_document_variants(self, labeled, variant):
+        rng = random.Random(f"{variant}/{labeled}")
+        text = CANONICAL_VARIANTS[variant](rng, large_document(rng, labeled))
+        assert fileio._split_document(text) is not None
+        assert assert_reads_as_the_reference(text)
 
     def test_label_beyond_int64(self):
         doc = f"p 3 3\ne 1 2 {2**70}\ne 2 3 3\ne 1 3 1\n"

@@ -8,7 +8,7 @@ from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge,
                           disjoint_union, has_isolated_vertex_or_edge,
                           is_connected, labeled_graph_to_matrix,
                           matrix_to_labeled_graph)
-from pistr.graphs import _color_graph, _complement_masks
+from pistr.graphs import _color_graph, _complement_masks, _is_bipartite
 from pistr.matrices import fixed_matrix, m_matrix
 
 from conftest import (permute_graph, planted_cover_graph, random_graph_no_isolates,
@@ -318,6 +318,33 @@ class TestCliqueCover:
             masks = _complement_masks(g)
             for k in range(1, 5):
                 assert _color_graph(masks, k) == recursive_color_graph(masks, k)
+
+    def test_two_colour_check_agrees_with_the_search(self, rng):
+        # clique_cover rules out two parts with _is_bipartite instead of
+        # _color_graph(., 2), so the two must agree on every graph: the
+        # complements of random graphs and of planted covers, and cycles,
+        # paths and their unions taken as they are.
+        graphs = [random_graph_no_isolates(rng, n_min=2, n_max=11) for _ in range(60)]
+        graphs += [permute_graph(rng, planted_cover_graph(rng, sizes, extra))[0]
+                   for sizes, extra in [((1, 4), 0), ((3, 4), 5), ((5, 9), 12),
+                                        ((4, 5, 6), 8), ((2, 2, 2), 3)]
+                   for _ in range(4)]
+        mask_sets = [_complement_masks(g) for g in graphs]
+        for n in range(1, 10):
+            cycle = [(i, (i + 1) % n) for i in range(n)] if n > 2 else []
+            path = [(i, i + 1) for i in range(n - 1)]
+            for edges in (cycle, path, cycle + [(u + n, v + n) for u, v in path]):
+                masks = [0] * (2 * n)
+                for u, v in edges:
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+                mask_sets.append(masks)
+        verdicts = set()
+        for masks in mask_sets:
+            verdict = _is_bipartite(masks)
+            assert verdict == (_color_graph(masks, 2) is not None)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_k_max_respected(self):
         c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])

@@ -2,12 +2,91 @@ import pytest
 
 from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge, complete_graph,
                           disjoint_union, edge_key)
-from pistr.solver import (BudgetExhausted, Pinned, component_signatures, ps_exact,
-                          ps_exact_disconnected, search_labelings,
-                          verify_k4_characterization)
+from pistr.solver import (BudgetExhausted, Pinned, component_signatures,
+                          edge_search_order, ps_exact, ps_exact_disconnected,
+                          search_labelings, verify_k4_characterization)
 from pistr.verifier import extend_with_ones, is_product_irregular
 
 from conftest import random_graph_no_isolates
+
+
+def reference_search(g, s, fixed, budget, prune, collect_all):
+    """The labeling search as first written: one loop for every depth, the
+    vertices' remaining free edges counted down and up as it goes."""
+    n = g.n_vertices
+    free = edge_search_order(g, g.edges.difference(fixed))
+    prod, pinned, rem = [1] * n, [False] * n, [0] * n
+    for (u, v), w in fixed.items():
+        prod[u] *= w
+        prod[v] *= w
+        pinned[u] = pinned[v] = True
+    for u, v in free:
+        rem[u] += 1
+        rem[v] += 1
+    seen = set()
+    if prune:
+        for v in range(n):
+            if rem[v] == 0 and pinned[v]:
+                if prod[v] in seen:
+                    return ({} if collect_all else []), 0
+                seen.add(prod[v])
+    assignment = [0] * len(free)
+    nodes = 0
+    found, sigs = [], {}
+
+    def walk(depth):
+        nonlocal nodes
+        if depth == len(free):
+            if not prune and len(set(prod)) != n:
+                return False
+            labels = dict(fixed)
+            labels.update(zip(free, assignment))
+            if collect_all:
+                sigs.setdefault(tuple(sorted(prod)), labels)
+                return False
+            found.append(labels)
+            return True
+        u, v = free[depth]
+        pu0, pv0 = prod[u], prod[v]
+        rem[u] -= 1
+        rem[v] -= 1
+        u_done, v_done = rem[u] == 0, rem[v] == 0
+        for w in range(1, s + 1):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExhausted
+            pu, pv = pu0 * w, pv0 * w
+            prod[u], prod[v] = pu, pv
+            if prune:
+                if u_done:
+                    if pu in seen:
+                        continue
+                    seen.add(pu)
+                if v_done:
+                    if pv in seen:
+                        if u_done:
+                            seen.discard(pu)
+                        continue
+                    seen.add(pv)
+            assignment[depth] = w
+            stop = walk(depth + 1)
+            if prune:
+                if v_done:
+                    seen.discard(pv)
+                if u_done:
+                    seen.discard(pu)
+            if stop:
+                return True
+        prod[u], prod[v] = pu0, pv0
+        rem[u] += 1
+        rem[v] += 1
+        return False
+
+    try:
+        walk(0)
+    except BudgetExhausted:
+        raise BudgetExhausted(nodes)
+    return (sigs if collect_all else found), nodes
 
 
 def k3_k3_edge():
@@ -203,6 +282,27 @@ class TestSearchCore:
                 else:
                     assert got == [{e: w for e, w in sol.items() if e not in fixed}
                                    for sol in want]
+
+    def test_matches_the_reference_search(self, rng):
+        # Every answer, node count and budget stop of search_labelings is
+        # the reference search's, so certificates, fallback labelings and
+        # the node counts the budgets are spent by all stay put.
+        for _ in range(40):
+            g = random_graph_no_isolates(rng, n_min=4, n_max=7, max_edges=11)
+            edges = sorted(g.edges)
+            fixed = {e: rng.randint(1, 3) for e in rng.sample(edges, rng.randint(0, 3))}
+            for s in (2, 3):
+                for prune, collect_all in ((True, False), (True, True), (False, False)):
+                    args = (g, s, fixed)
+                    budget = rng.choice([10**9, rng.randint(1, 400)])
+                    try:
+                        want = reference_search(*args, budget, prune, collect_all)
+                    except BudgetExhausted as exc:
+                        with pytest.raises(BudgetExhausted) as got:
+                            search_labelings(*args, budget, prune, collect_all)
+                        assert got.value.args == exc.args
+                        continue
+                    assert search_labelings(*args, budget, prune, collect_all) == want
 
     def test_budget_raises(self):
         g = complete_graph(5)
