@@ -271,13 +271,7 @@ def main(argv=None) -> int:
         if hasattr(args, "budget"):
             args.budget = _budget(args.budget)
         return args.func(args)
-    except (DocumentError, ValueError) as exc:
-        print(f"pistr: {exc}", file=sys.stderr)
-        return 2
-    except FallbackBudgetError as exc:
-        print(f"pistr: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, FallbackBudgetError, OSError) as exc:  # DocumentError is a ValueError
         print(f"pistr: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 means "nothing found", never a crash

@@ -33,8 +33,8 @@ import numpy as np
 from .graphs import (CliqueCover, Edge, EdgeLabeling, Graph, clique_cover,
                      edge_key, has_isolated_vertex_or_edge, is_connected)
 from .matrices import direct_sum, fixed_matrix, named_family, tilde_matrix
-from .solver import DEFAULT_BUDGET, BudgetExhausted, Pinned, search_labelings
-from .verifier import is_product_irregular
+from .solver import DEFAULT_BUDGET, BudgetExhausted, search_labelings
+from .verifier import check_matrix, is_product_irregular
 
 PATTERN_NONE = "none"
 PATTERN_ONE_EDGE = "one_edge"
@@ -408,27 +408,20 @@ def _catalog(size: int) -> list[tuple[str, np.ndarray]]:
     raise ValueError(f"no catalog for size {size}")
 
 
-def _row_products(mat: np.ndarray) -> list[int]:
-    """The exact product of the nonzero entries of each row of mat."""
-    products = [1] * len(mat)
-    for w in np.unique(mat).tolist():
-        if w > 1:
-            counts = np.count_nonzero(mat == w, axis=1).tolist()
-            products = [x * w**c for x, c in zip(products, counts)]
-    return products
-
-
 def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
               budget: int) -> ConstructionOutcome:
     """Bounded search for shapes without a catalog row.
 
     The search runs on the spanning graph: the parts plus the tree edges.
     Cliques too large to search are pinned to catalog blocks (largest first)
-    until at most 16 of its edges remain free; those are exhausted at s = 3,
-    then s = 4, over the first 200 block combinations. The search sees only
-    the free edges and each vertex's product of pinned labels, worked out
-    once per combination. Small shapes skip the pinning and are exhausted
-    at increasing s directly.
+    until at most 16 of its edges remain free; the search sees only the free
+    edges and each vertex's product of pinned labels. One loop exhausts
+    s = 3, then s = 4, over the first 200 block combinations; with nothing
+    pinned there is one combination, the empty one. No s below 3 can
+    succeed: with labels 1 and 2 the n >= 2 products must be 2^0 .. 2^(n-1),
+    but the vertex with 2^(n-1) has an edge labeled 2 to the vertex with 1.
+    s = 4 suffices for every unpinned spanning graph except K2, which has
+    no labeling at all and which construct_labeling rejects.
     """
     by_size_desc = sorted(range(cover.n_parts), key=lambda p: -cover.sizes[p])
     to_fix: list[int] = []
@@ -445,61 +438,42 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
         if p not in to_fix:
             edges.update(itertools.combinations(sorted(part), 2))
     free = Graph(g.n_vertices, frozenset(edges))
-    used = 0
-
-    def try_search(s, fixed):
-        nonlocal used
-        try:
-            sols, nodes = search_labelings(free, s, fixed=fixed,
-                                           budget=min(budget - used,
-                                                      _FALLBACK_SEARCH_BUDGET))
-        except BudgetExhausted as exc:
-            used += exc.args[0] if exc.args else 0
-            if used >= budget:
-                raise FallbackBudgetError(
-                    f"fallback budget exhausted after {used} nodes") from None
-            return None
-        used += nodes
-        return sols[0] if sols else None
-
-    def outcome(found, s, note, blocks=()):
-        values = _block_values(g, blocks)
-        values[g.edge_index(list(found))] = list(found.values())
-        labeling = EdgeLabeling._from_values(g, values, s)
-        report = is_product_irregular(labeling)
-        if not report.ok:
-            raise ConstructionError(f"fallback produced an invalid labeling: {note}")
-        case = DispatchCase(cover.sizes, tree.pattern, f"fallback:{note}", {},
-                            tree.edges)
-        return ConstructionOutcome(labeling, s, "search-fallback", case)
-
-    if not to_fix:
-        for s in range(1, max(3, g.n_vertices) + 1):
-            found = try_search(s, {})
-            if found is not None:
-                return outcome(found, s, f"exhaustive(s={s})")
-        raise FallbackBudgetError("no labeling found up to the strength cap")
-
     combos = list(itertools.islice(
         itertools.product(*[_catalog(cover.sizes[p]) for p in to_fix]),
         _FALLBACK_COMBO_CAP))
-    pins: list[Pinned | None] = [None] * len(combos)
     rows: dict[tuple[int, str], list[int]] = {}  # (part, block) -> row products
+    used = 0
     for s in (3, 4):
-        for k, combo in enumerate(combos):
-            if pins[k] is None:
-                products, pinned = [1] * g.n_vertices, [False] * g.n_vertices
-                for p, (name, mat) in zip(to_fix, combo):
-                    if (p, name) not in rows:
-                        rows[p, name] = _row_products(mat)
-                    for v, product in zip(cover.parts[p], rows[p, name]):
-                        products[v], pinned[v] = product, True
-                pins[k] = Pinned(tuple(products), tuple(pinned))
-            found = try_search(s, pins[k])
-            if found is not None:
-                note = f"fixed({','.join(name for name, _ in combo)}),s={s}"
-                blocks = [(cover.parts[p], mat) for p, (_, mat) in zip(to_fix, combo)]
-                return outcome(found, s, note, blocks)
+        for combo in combos:
+            products = [1] * g.n_vertices if combo else None
+            for p, (name, mat) in zip(to_fix, combo):
+                if (p, name) not in rows:
+                    rows[p, name] = [d.value for d in check_matrix(mat).degrees]
+                for v, product in zip(cover.parts[p], rows[p, name]):
+                    products[v] = product
+            try:
+                sols, nodes = search_labelings(
+                    free, s, products, min(budget - used, _FALLBACK_SEARCH_BUDGET))
+            except BudgetExhausted as exc:
+                used += exc.args[0]
+                if used >= budget:
+                    raise FallbackBudgetError(
+                        f"fallback budget exhausted after {used} nodes") from None
+                continue
+            used += nodes
+            if not sols:
+                continue
+            note = (f"fixed({','.join(name for name, _ in combo)}),s={s}" if combo
+                    else f"exhaustive(s={s})")
+            values = _block_values(g, [(cover.parts[p], mat)
+                                       for p, (_, mat) in zip(to_fix, combo)])
+            values[g.edge_index(list(sols[0]))] = list(sols[0].values())
+            labeling = EdgeLabeling._from_values(g, values, s)
+            if not is_product_irregular(labeling).ok:
+                raise ConstructionError(f"fallback produced an invalid labeling: {note}")
+            case = DispatchCase(cover.sizes, tree.pattern, f"fallback:{note}", {},
+                                tree.edges)
+            return ConstructionOutcome(labeling, s, "search-fallback", case)
     raise FallbackBudgetError("fallback search stages exhausted without a labeling")
 
 

@@ -58,12 +58,11 @@ class ComponentSignature:
         return tuple(d.value for d in self.degrees)
 
 
-def edge_search_order(g: Graph, free_edges=None) -> list[Edge]:
+def edge_search_order(g: Graph) -> list[Edge]:
     """Order edges so each vertex's incident edges appear consecutively,
     busiest vertices first; finishing vertices early maximizes pruning."""
-    edges = set(g.edges if free_edges is None else free_edges)
     deg = [0] * g.n_vertices
-    for u, v in edges:
+    for u, v in g.edges:
         deg[u] += 1
         deg[v] += 1
     vorder = sorted(range(g.n_vertices), key=lambda v: (-deg[v], v))
@@ -71,7 +70,7 @@ def edge_search_order(g: Graph, free_edges=None) -> list[Edge]:
     order: list[Edge] = []
     seen: set[Edge] = set()
     for v in vorder:
-        inc = sorted((e for e in edges if v in e),
+        inc = sorted((e for e in g.edges if v in e),
                      key=lambda e: pos[e[1] if e[0] == v else e[0]])
         for e in inc:
             if e not in seen:
@@ -80,52 +79,31 @@ def edge_search_order(g: Graph, free_edges=None) -> list[Edge]:
     return order
 
 
-@dataclass(frozen=True)
-class Pinned:
-    """Labels fixed outside a search, given by what the search needs of
-    them: each vertex's product of fixed labels, and whether it has a fixed
-    edge at all. The fixed edges themselves stay out of the search's graph."""
-
-    products: tuple[int, ...]
-    pinned: tuple[bool, ...]
-
-
-def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | Pinned | None = None,
+def search_labelings(g: Graph, s: int, products: list[int] | None = None,
                      budget: int = DEFAULT_BUDGET, prune: bool = True,
                      collect_all: bool = False):
-    """Core DFS over labelings of the free edges with labels 1..s.
+    """Core DFS over labelings of the edges of g with labels 1..s.
 
-    ``fixed`` maps edges of g to fixed labels, every other edge being free;
-    or it is a Pinned, and every edge of g is free. Returns (solutions,
-    nodes): with collect_all=False, solutions is a list holding at most one
-    label map (first found); with collect_all=True it maps each realizable
-    degree multiset (sorted value tuple over all vertices) to the first
-    label map realizing it. A label map holds the free edges and the edges
-    of a fixed dict. Raises BudgetExhausted when the node budget runs out.
+    ``products`` holds each vertex's product of labels fixed outside g; a
+    vertex with no edge in g is then finished before the search. Returns
+    (solutions, nodes): with collect_all=False, solutions is a list holding
+    at most one label map of g's edges (first found); with collect_all=True
+    it maps each realizable degree multiset (sorted value tuple over all
+    vertices) to the first label map realizing it. Raises
+    BudgetExhausted(nodes) when the node budget runs out.
     """
     n = g.n_vertices
-    if isinstance(fixed, Pinned):
-        free = edge_search_order(g)
-        prod, pinned = list(fixed.products), fixed.pinned
-        fixed = {}
-    else:
-        fixed = fixed or {}
-        free = edge_search_order(g, g.edges.difference(fixed))
-        prod = [1] * n
-        pinned = [False] * n  # v has a fixed edge
-        for (u, v), w in fixed.items():
-            prod[u] *= w
-            prod[v] *= w
-            pinned[u] = pinned[v] = True
+    free = edge_search_order(g)
+    prod = [1] * n if products is None else list(products)
     rem = [0] * n
     for u, v in free:
         rem[u] += 1
         rem[v] += 1
 
     seen: set[int] = set()
-    if prune:
+    if prune and products is not None:
         for v in range(n):
-            if rem[v] == 0 and pinned[v]:  # every edge of v is fixed
+            if rem[v] == 0:  # every edge of v is fixed outside g
                 if prod[v] in seen:
                     return ({} if collect_all else []), 0
                 seen.add(prod[v])
@@ -151,8 +129,7 @@ def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | Pinned | None = 
     def leaf() -> bool:
         if not prune and len(set(prod)) != n:
             return False
-        labels = dict(fixed)
-        labels.update(zip(free, assignment))
+        labels = dict(zip(free, assignment))
         if collect_all:
             sigs.setdefault(tuple(sorted(prod)), labels)
             return False
@@ -172,7 +149,7 @@ def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | Pinned | None = 
             for w in weights:
                 nodes += 1
                 if nodes > budget:
-                    raise BudgetExhausted
+                    raise BudgetExhausted(nodes)
                 prod[a], prod[b] = pa0 * w, pb0 * w
                 assignment[depth] = w
                 if walk(deeper):
@@ -181,7 +158,7 @@ def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | Pinned | None = 
             for w in weights:
                 nodes += 1
                 if nodes > budget:
-                    raise BudgetExhausted
+                    raise BudgetExhausted(nodes)
                 pa = pa0 * w
                 if pa in seen:
                     continue
@@ -195,7 +172,7 @@ def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | Pinned | None = 
             for w in weights:
                 nodes += 1
                 if nodes > budget:
-                    raise BudgetExhausted
+                    raise BudgetExhausted(nodes)
                 pa, pb = pa0 * w, pb0 * w
                 if pa in seen or pb in seen or pa == pb:
                     continue
@@ -210,32 +187,29 @@ def search_labelings(g: Graph, s: int, fixed: dict[Edge, int] | Pinned | None = 
         prod[a], prod[b] = pa0, pb0
         return False
 
-    try:
-        walk(0)
-    except BudgetExhausted:
-        raise BudgetExhausted(nodes)
+    walk(0)
     return (sigs if collect_all else found), nodes
 
 
-def _check_searchable(g: Graph):
+def _check_searchable(g: Graph, s_max: int):
     if g.n_vertices < 2:
         raise ValueError("graph too small: product degrees need incident edges")
     if has_isolated_vertex_or_edge(g):
         raise ValueError("graph has an isolated vertex or isolated edge")
+    if s_max < 1:
+        raise ValueError("s_max must be >= 1")
 
 
 def ps_exact(g: Graph, s_max: int, budget: int = DEFAULT_BUDGET,
              prune: bool = True) -> PsResult:
     """Smallest s <= s_max admitting a product-irregular labeling of g."""
-    _check_searchable(g)
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
+    _check_searchable(g, s_max)
     total = 0
     for s in range(1, s_max + 1):
         try:
             found, nodes = search_labelings(g, s, budget=budget - total, prune=prune)
         except BudgetExhausted as exc:
-            total += exc.args[0] if exc.args else 0
+            total += exc.args[0]
             return PsResult(None, None, total, True, s_max)
         total += nodes
         if found:
@@ -305,9 +279,7 @@ def ps_exact_disconnected(g: Graph, s_max: int,
                           budget: int = DEFAULT_BUDGET) -> PsResult:
     """Exact strength via per-component signature sets; equivalent to
     ps_exact but far cheaper when components repeat (disjoint clique unions)."""
-    _check_searchable(g)
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
+    _check_searchable(g, s_max)
     comps = connected_components(g)
     subs = [induced_subgraph(g, c) for c in comps]
     cache: dict[tuple, list[ComponentSignature]] = {}
@@ -344,7 +316,7 @@ def ps_exact_disconnected(g: Graph, s_max: int,
                                                 budget - total)
             total += nodes
         except BudgetExhausted as exc:
-            total += exc.args[0] if exc.args else 0
+            total += exc.args[0]
             return PsResult(None, None, total, True, s_max)
         if choice is None:
             continue

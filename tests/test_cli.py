@@ -327,6 +327,19 @@ class TestBudget:
         monkeypatch.setenv("PISTR_BUDGET", "")  # empty counts as unset
         assert run_cli(capsys, "construct", str(path))[0] == 0
 
+    @pytest.mark.parametrize("expr,edges", [
+        ("K3+K3", ["1,4"]),  # unpinned: the spanning graph is searched whole
+        ("K3+K4+K4", ["1,4", "1,8"]),  # (3,4,4): one K4 pinned to a block
+    ])
+    def test_fallback_budget_exhausted(self, capsys, tmp_path, monkeypatch, expr, edges):
+        _, doc, _ = run_cli(capsys, "gen", expr, *(f"--edge={e}" for e in edges))
+        path = tmp_path / "g.txt"
+        path.write_text(doc)
+        monkeypatch.delenv("PISTR_BUDGET", raising=False)
+        code, out, err = run_cli(capsys, "construct", str(path), "--budget", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("pistr: fallback budget exhausted after")
+
     def test_process_exit_code(self, tmp_path):
         path = tmp_path / "k3.txt"
         path.write_text(self.TRIANGLE)

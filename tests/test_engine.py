@@ -1,15 +1,18 @@
+import collections
 import hashlib
 import itertools
 import random
+from math import comb
 
 import pytest
 
-from pistr.engine import (PATTERN_DIFF, PATTERN_SAME, UnsupportedCoverError,
-                          _choose_tree, construct_labeling, label_cover,
-                          theorem_id)
+from pistr.engine import (PATTERN_DIFF, PATTERN_SAME, FallbackBudgetError,
+                          UnsupportedCoverError, _choose_tree, _plan,
+                          construct_labeling, label_cover, theorem_id)
 from pistr.fileio import emit_graph
 from pistr.graphs import (CliqueCover, Graph, add_cross_edge, clique_cover,
                           complete_graph, disjoint_union, edge_key)
+from pistr.solver import ps_exact
 from pistr.verifier import is_product_irregular
 
 from conftest import permute_graph, planted_cover_graph
@@ -202,6 +205,48 @@ class TestThreeCliques:
                 out = label_cover(h, cover)
                 assert out.strength == 3
                 assert is_product_irregular(out.labeling).ok
+
+
+def spanning_graphs():
+    """Every graph the fallback searches with nothing pinned, up to
+    isomorphism, with its cover: two or three cliques plus a spanning tree,
+    at most 16 edges. Three parts take each size once as the middle part,
+    and both tree edges leave one hub vertex or two."""
+    two = [(a, b) for a in range(1, 7) for b in range(a, 7)]
+    three = list(itertools.combinations_with_replacement(range(1, 7), 3))
+    for sizes in two + three:
+        if sum(comb(k, 2) for k in sizes) + len(sizes) - 1 > 16:
+            continue
+        offs = [sum(sizes[:i]) for i in range(len(sizes))]
+        parts = tuple(tuple(range(o, o + k)) for o, k in zip(offs, sizes))
+        clique_edges = [e for part in parts for e in itertools.combinations(part, 2)]
+        for m in sorted({sizes.index(k) for k in sizes}) if len(sizes) == 3 else [0]:
+            outers = [o for o in range(len(sizes)) if o != m]
+            for hubs in [(0, 0), (0, 1)][:1 + (len(sizes) == 3 and sizes[m] > 1)]:
+                tree = [(m, parts[m][h], o, parts[o][0]) for o, h in zip(outers, hubs)]
+                cross = tuple((pa, pb, u, v) if pa < pb else (pb, pa, v, u)
+                              for pa, u, pb, v in tree)
+                g = Graph.from_edges(sum(sizes), clique_edges + [(u, v) for _, u, _, v in tree])
+                yield g, CliqueCover(parts, sizes, cross)
+
+
+def test_unpinned_fallback_census():
+    # The fallback starts at s = 3 and stops at s = 4: on every spanning
+    # graph without a catalog row it returns the exact strength.
+    strengths = collections.Counter()
+    for g, cover in spanning_graphs():
+        if _plan(cover, _choose_tree(cover)) is not None:
+            continue
+        if g.n_vertices == 2:  # K2, which construct_labeling rejects
+            with pytest.raises(FallbackBudgetError):
+                label_cover(g, cover)
+            continue
+        s = ps_exact(g, 4).value
+        out = label_cover(g, cover)
+        assert out.case_trace.construction_id == f"fallback:exhaustive(s={s})", cover
+        assert is_product_irregular(out.labeling).ok
+        strengths[s] += 1
+    assert strengths == {3: 84, 4: 8}
 
 
 class TestConstructLabeling:

@@ -2,7 +2,7 @@ import pytest
 
 from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge, complete_graph,
                           disjoint_union, edge_key)
-from pistr.solver import (BudgetExhausted, Pinned, component_signatures,
+from pistr.solver import (BudgetExhausted, component_signatures,
                           edge_search_order, ps_exact, ps_exact_disconnected,
                           search_labelings, verify_k4_characterization)
 from pistr.verifier import extend_with_ones, is_product_irregular
@@ -14,7 +14,7 @@ def reference_search(g, s, fixed, budget, prune, collect_all):
     """The labeling search as first written: one loop for every depth, the
     vertices' remaining free edges counted down and up as it goes."""
     n = g.n_vertices
-    free = edge_search_order(g, g.edges.difference(fixed))
+    free = edge_search_order(Graph(n, g.edges.difference(fixed)))
     prod, pinned, rem = [1] * n, [False] * n, [0] * n
     for (u, v), w in fixed.items():
         prod[u] *= w
@@ -226,88 +226,89 @@ class TestDisconnectedSolver:
         assert r.budget_exhausted and r.value is None
 
 
+def strip(labels, fixed):
+    """labels without the fixed edges."""
+    return {e: w for e, w in labels.items() if e not in fixed}
+
+
+def free_graph_and_products(g, fixed):
+    """g without the fixed edges, and each vertex's product of fixed labels."""
+    products = [1] * g.n_vertices
+    for (u, v), w in fixed.items():
+        products[u] *= w
+        products[v] *= w
+    return Graph(g.n_vertices, g.edges.difference(fixed)), products
+
+
 class TestSearchCore:
     def test_fixed_labels_respected(self):
+        # Edge 0-1 fixed at 2 counts toward the products of 0 and 1.
         g = complete_graph(3)
-        fixed = {edge_key(0, 1): 1}
-        sols, _ = search_labelings(g, 3, fixed=fixed)
-        assert sols and sols[0][edge_key(0, 1)] == 1
+        free, products = free_graph_and_products(g, {edge_key(0, 1): 2})
+        sols, _ = search_labelings(free, 3, products)
+        assert sols and set(sols[0]) == free.edges
+        labeling = EdgeLabeling(g, {**sols[0], edge_key(0, 1): 2}, 3)
+        assert is_product_irregular(labeling).ok
 
     def test_infeasible_fixed_block_prunes_immediately(self):
         # two fixed components with identical degrees collide at depth zero
         g = disjoint_union(complete_graph(3), complete_graph(3))
-        fixed = {e: 1 for e in g.edges}
-        sols, nodes = search_labelings(g, 3, fixed=fixed)
+        free, products = free_graph_and_products(g, {e: 1 for e in g.edges})
+        sols, nodes = search_labelings(free, 3, products)
         assert sols == [] and nodes == 0
 
     def test_pinned_vertices_colliding_before_the_search(self):
         # Vertices 0 and 3 have every edge fixed, both with product 2; the
         # edge 1-2 stays free, so the collision is found before any node.
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        fixed = {(0, 1): 2, (2, 3): 2}
-        assert search_labelings(g, 3, fixed=fixed) == ([], 0)
-        assert search_labelings(g, 3, fixed=fixed, collect_all=True) == ({}, 0)
+        free, products = free_graph_and_products(g, {(0, 1): 2, (2, 3): 2})
+        assert search_labelings(free, 3, products) == ([], 0)
+        assert search_labelings(free, 3, products, collect_all=True) == ({}, 0)
 
     def test_isolated_vertices_are_not_pinned(self):
-        # Vertices 4 and 5 have no edges (product 1, like nothing else at
-        # depth zero); only vertices with a fixed edge enter the prune.
+        # Without products, vertices 4 and 5 have no edges and stay out of
+        # the prune, so vertex 0 may share their product 1; with products
+        # they are finished before the search, and collide at 1.
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3)])
-        sols, nodes = search_labelings(g, 3, fixed={(0, 1): 2, (2, 3): 3})
-        assert nodes > 0 and sols == [{(0, 1): 2, (2, 3): 3, (1, 2): 2}]
-
-    @pytest.mark.parametrize("s", [2, 3])
-    def test_pinned_products_search_like_fixed_labels(self, rng, s):
-        # Fixing labels as a dict or handing over only their products and
-        # pinned vertices explores the same nodes and labels the free edges
-        # alike; the Pinned search returns the free edges alone.
-        for _ in range(20):
-            g = random_graph_no_isolates(rng, n_min=5, n_max=7, max_edges=12)
-            edges = sorted(g.edges)
-            fixed = {e: rng.randint(1, 3) for e in rng.sample(edges, len(edges) // 2)}
-            products, pinned = [1] * g.n_vertices, [False] * g.n_vertices
-            for (u, v), w in fixed.items():
-                products[u] *= w
-                products[v] *= w
-                pinned[u] = pinned[v] = True
-            free = Graph(g.n_vertices, g.edges.difference(fixed))
-            for collect_all in (False, True):
-                want, want_nodes = search_labelings(g, s, fixed=fixed,
-                                                    collect_all=collect_all)
-                got, nodes = search_labelings(free, s, collect_all=collect_all,
-                                              fixed=Pinned(tuple(products), tuple(pinned)))
-                assert nodes == want_nodes
-                if collect_all:
-                    assert got == {k: {e: w for e, w in sol.items() if e not in fixed}
-                                   for k, sol in want.items()}
-                else:
-                    assert got == [{e: w for e, w in sol.items() if e not in fixed}
-                                   for sol in want]
+        sols, nodes = search_labelings(g, 3)
+        assert nodes > 0 and sols == [{(0, 1): 1, (1, 2): 2, (2, 3): 3}]
+        assert search_labelings(g, 3, [1] * 6) == ([], 0)
 
     def test_matches_the_reference_search(self, rng):
         # Every answer, node count and budget stop of search_labelings is
         # the reference search's, so certificates, fallback labelings and
-        # the node counts the budgets are spent by all stay put.
+        # the node counts the budgets are spent by all stay put. The
+        # search gets g without the fixed edges plus their products; the
+        # reference labels the fixed edges too.
         for _ in range(40):
             g = random_graph_no_isolates(rng, n_min=4, n_max=7, max_edges=11)
             edges = sorted(g.edges)
             fixed = {e: rng.randint(1, 3) for e in rng.sample(edges, rng.randint(0, 3))}
+            free, products = free_graph_and_products(g, fixed)
             for s in (2, 3):
                 for prune, collect_all in ((True, False), (True, True), (False, False)):
-                    args = (g, s, fixed)
                     budget = rng.choice([10**9, rng.randint(1, 400)])
+                    args = (free, s, products, budget, prune, collect_all)
                     try:
-                        want = reference_search(*args, budget, prune, collect_all)
+                        want, want_nodes = reference_search(g, s, fixed, budget, prune,
+                                                            collect_all)
                     except BudgetExhausted as exc:
                         with pytest.raises(BudgetExhausted) as got:
-                            search_labelings(*args, budget, prune, collect_all)
+                            search_labelings(*args)
                         assert got.value.args == exc.args
                         continue
-                    assert search_labelings(*args, budget, prune, collect_all) == want
+                    if collect_all:
+                        want = {k: strip(sol, fixed) for k, sol in want.items()}
+                    else:
+                        want = [strip(sol, fixed) for sol in want]
+                    assert search_labelings(*args) == (want, want_nodes)
 
     def test_budget_raises(self):
+        # The exception carries the node count, one past the budget.
         g = complete_graph(5)
-        with pytest.raises(BudgetExhausted):
+        with pytest.raises(BudgetExhausted) as exc:
             search_labelings(g, 3, budget=10)
+        assert exc.value.args == (11,)
 
 
 def test_k4_characterization_holds():
