@@ -11,6 +11,7 @@ PISTR_BUDGET environment variable, else the default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -270,7 +271,18 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "budget"):
             args.budget = _budget(args.budget)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout: stop without a word
+        # Point fd 1 at the null device so that the interpreter's flush at
+        # exit stays quiet; in-process callers may pass a stdout without one.
+        with contextlib.suppress(AttributeError, OSError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 2
     except (ValueError, FallbackBudgetError, OSError) as exc:  # DocumentError is a ValueError
         print(f"pistr: {exc}", file=sys.stderr)
         return 2

@@ -51,7 +51,8 @@ class UnsupportedCoverError(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """A catalog construction failed verification (transcription bug)."""
+    """A labeling the engine built failed verification (a catalog
+    transcription or search bug)."""
 
 
 class FallbackBudgetError(RuntimeError):
@@ -89,13 +90,6 @@ class _Tree:
     @property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(edge_key(u, v) for u, v in self.links.values()))
-
-    def link(self, pa: int, pb: int) -> tuple[int, int]:
-        """The tree edge joining parts pa and pb, its endpoint in pa first."""
-        if pa < pb:
-            return self.links[(pa, pb)]
-        v, u = self.links[(pb, pa)]
-        return u, v
 
 
 def _choose_tree(cover: CliqueCover) -> _Tree:
@@ -282,54 +276,6 @@ def catalog_matrix(sizes: tuple[int, ...], middle: int | None = None,
     return m
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """A catalog row bound to the parts of one cover."""
-
-    construction_id: str
-    source: str
-    blocks: list[tuple[int, np.ndarray]]
-    cross: list[tuple[int, int, int, int, int]]  # (part_a, i, part_b, j, w)
-
-
-def _plan(cover: CliqueCover, tree: _Tree) -> _Plan | None:
-    """Bind the catalog row of this cover and tree to the cover's parts,
-    building only that row's blocks; None for shapes without a row."""
-    mid = tree.middle
-    row = _lookup(cover.sizes, None if mid is None else cover.sizes[mid], tree.pattern)
-    if row is None:
-        return None
-    roles = tuple(range(cover.n_parts))
-    if row.middle is not None:
-        roles = (mid, *(p for p in roles if p != mid))
-    blocks = [(p, make(cover.sizes[p])) for p, make in zip(roles, row.blocks)]
-    cross = [(roles[a], i, roles[b], j, w) for a, i, b, j, w in row.cross]
-    return _Plan(row.construction_id, row.source, blocks, cross)
-
-
-def _vertex_maps(cover: CliqueCover, tree: _Tree, plan: _Plan) -> dict[int, dict[int, int]]:
-    """Align each part to its block: the tree edge endpoints go to the
-    positions the cross entries name, the other vertices fill the free
-    positions in part order."""
-    pins: dict[int, dict[int, int]] = {p: {} for p, _ in plan.blocks}
-    for pa, i, pb, j, _ in plan.cross:
-        u, v = tree.link(pa, pb)
-        pins[pa][u] = i
-        pins[pb][v] = j
-    maps = {}
-    for part_idx, vmap in pins.items():
-        taken = set(vmap.values())
-        if len(taken) != len(vmap):
-            raise ConstructionError(f"conflicting pins for part {part_idx}: {vmap}")
-        part = cover.parts[part_idx]
-        free_locals = (i for i in range(1, len(part) + 1) if i not in taken)
-        for v in part:
-            if v not in vmap:
-                vmap[v] = next(free_locals)
-        maps[part_idx] = vmap
-    return maps
-
-
 def _block_values(g: Graph, blocks) -> np.ndarray:
     """Labels aligned with g.ends from (vertices, matrix) blocks: an edge
     inside a block's vertices takes its entry, row and column i of the
@@ -352,40 +298,61 @@ def _block_values(g: Graph, blocks) -> np.ndarray:
     return np.maximum(np.concatenate(flat)[at], 1)
 
 
-def _labeling_from_plan(g: Graph, cover: CliqueCover, tree: _Tree,
-                        plan: _Plan) -> tuple[EdgeLabeling, dict]:
-    maps = _vertex_maps(cover, tree, plan)
-    inv = {p: {i: v for v, i in m.items()} for p, m in maps.items()}
-    values = _block_values(g, [([inv[p][i] for i in range(1, mat.shape[0] + 1)], mat)
-                               for p, mat in plan.blocks])
-    if plan.cross:
-        pairs = [(inv[pa][i], inv[pb][j]) for pa, i, pb, j, _ in plan.cross]
-        try:
-            values[g.edge_index(pairs)] = [w for *_, w in plan.cross]
-        except KeyError as exc:
-            raise ConstructionError(
-                f"cross entry {exc.args[0]} is not an edge of the graph") from None
-    return EdgeLabeling._from_values(g, values, 3), maps
+def _outcome(g: Graph, cover: CliqueCover, tree: _Tree, blocks, fixed: dict[Edge, int],
+             s: int, construction_id: str, source: str,
+             vertex_maps: dict[int, dict[int, int]]) -> ConstructionOutcome:
+    """The labeling of g by the (vertices, matrix) blocks, with the fixed
+    labels, a map from vertex pairs to labels, written over them; verified
+    before it is returned. Every labeling the engine produces ends here."""
+    values = _block_values(g, blocks)
+    if fixed:
+        values[g.edge_index(list(fixed))] = list(fixed.values())
+    labeling = EdgeLabeling._from_values(g, values, s)
+    report = is_product_irregular(labeling)
+    if not report.ok:
+        raise ConstructionError(
+            f"construction {construction_id} failed verification "
+            f"(colliding vertices {report.witness})")
+    case = DispatchCase(cover.sizes, tree.pattern, construction_id, vertex_maps,
+                        tree.edges)
+    return ConstructionOutcome(labeling, s, source, case)
 
 
 def label_cover(g: Graph, cover: CliqueCover,
                 budget: int = DEFAULT_BUDGET) -> ConstructionOutcome:
     """The catalog construction for a connected graph and its clique cover
     of at most 3 parts, verified, or the bounded search for shapes without
-    a row."""
+    a row.
+
+    Each part is aligned to its block: the tree edge endpoints go to the
+    positions the row's cross entries name, the other vertices fill the
+    free positions in part order."""
+    if cover.n_parts > 3:
+        raise UnsupportedCoverError("clique cover number exceeds 3")
     tree = _choose_tree(cover)
-    plan = _plan(cover, tree)
-    if plan is None:
+    mid = tree.middle
+    row = _lookup(cover.sizes, None if mid is None else cover.sizes[mid], tree.pattern)
+    if row is None:
         return _fallback(g, cover, tree, budget)
-    labeling, maps = _labeling_from_plan(g, cover, tree, plan)
-    report = is_product_irregular(labeling)
-    if not report.ok:
-        raise ConstructionError(
-            f"construction {plan.construction_id} failed verification "
-            f"(colliding vertices {report.witness})")
-    case = DispatchCase(cover.sizes, tree.pattern, plan.construction_id, maps,
-                        tree.edges)
-    return ConstructionOutcome(labeling, 3, plan.source, case)
+    roles = tuple(range(cover.n_parts))
+    if row.middle is not None:
+        roles = (mid, *(p for p in roles if p != mid))
+    pins: dict[int, dict[int, int]] = {p: {} for p in roles}  # vertex -> position
+    fixed = {}
+    for a, i, b, j, w in row.cross:
+        (pa, i), (pb, j) = sorted(((roles[a], i), (roles[b], j)))
+        u, v = tree.links[pa, pb]
+        pins[pa][u], pins[pb][v] = i, j
+        fixed[u, v] = w
+    blocks, maps = [], {}
+    for p, make in zip(roles, row.blocks):
+        order = [v for v in cover.parts[p] if v not in pins[p]]
+        for v, i in sorted(pins[p].items(), key=lambda pin: pin[1]):
+            order.insert(i - 1, v)
+        blocks.append((order, make(cover.sizes[p])))
+        maps[p] = {v: i for i, v in enumerate(order, 1)}
+    return _outcome(g, cover, tree, blocks, fixed, 3, row.construction_id,
+                    row.source, maps)
 
 
 def _catalog(size: int) -> list[tuple[str, np.ndarray]]:
@@ -427,9 +394,7 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
     to_fix: list[int] = []
     free_edges = len(tree.links) + sum(comb(size, 2) for size in cover.sizes)
     for p in by_size_desc:
-        if free_edges <= _FALLBACK_MAX_FREE_EDGES:
-            break
-        if cover.sizes[p] < 4:
+        if free_edges <= _FALLBACK_MAX_FREE_EDGES or cover.sizes[p] < 4:
             break
         to_fix.append(p)
         free_edges -= comb(cover.sizes[p], 2)
@@ -465,15 +430,9 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
                 continue
             note = (f"fixed({','.join(name for name, _ in combo)}),s={s}" if combo
                     else f"exhaustive(s={s})")
-            values = _block_values(g, [(cover.parts[p], mat)
-                                       for p, (_, mat) in zip(to_fix, combo)])
-            values[g.edge_index(list(sols[0]))] = list(sols[0].values())
-            labeling = EdgeLabeling._from_values(g, values, s)
-            if not is_product_irregular(labeling).ok:
-                raise ConstructionError(f"fallback produced an invalid labeling: {note}")
-            case = DispatchCase(cover.sizes, tree.pattern, f"fallback:{note}", {},
-                                tree.edges)
-            return ConstructionOutcome(labeling, s, "search-fallback", case)
+            blocks = [(cover.parts[p], mat) for p, (_, mat) in zip(to_fix, combo)]
+            return _outcome(g, cover, tree, blocks, sols[0], s, f"fallback:{note}",
+                            "search-fallback", {})
     raise FallbackBudgetError("fallback search stages exhausted without a labeling")
 
 

@@ -191,60 +191,58 @@ def search_labelings(g: Graph, s: int, products: list[int] | None = None,
     return (sigs if collect_all else found), nodes
 
 
-def _check_searchable(g: Graph, s_max: int):
+def _by_strength(g: Graph, s_max: int, budget: int, attempt) -> PsResult:
+    """The smallest s <= s_max at which attempt(s, budget left) returns a
+    label map of g's edges, not None, with the nodes it explored; a search
+    that runs out raises BudgetExhausted with every node of the attempt."""
     if g.n_vertices < 2:
         raise ValueError("graph too small: product degrees need incident edges")
     if has_isolated_vertex_or_edge(g):
         raise ValueError("graph has an isolated vertex or isolated edge")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
+    total = 0
+    for s in range(1, s_max + 1):
+        try:
+            labels, nodes = attempt(s, budget - total)
+        except BudgetExhausted as exc:
+            return PsResult(None, None, total + exc.args[0], True, s_max)
+        total += nodes
+        if labels is not None:
+            return PsResult(s, EdgeLabeling(g, labels, s), total, False, s_max)
+    return PsResult(None, None, total, False, s_max)
 
 
 def ps_exact(g: Graph, s_max: int, budget: int = DEFAULT_BUDGET,
              prune: bool = True) -> PsResult:
     """Smallest s <= s_max admitting a product-irregular labeling of g."""
-    _check_searchable(g, s_max)
-    total = 0
-    for s in range(1, s_max + 1):
-        try:
-            found, nodes = search_labelings(g, s, budget=budget - total, prune=prune)
-        except BudgetExhausted as exc:
-            total += exc.args[0]
-            return PsResult(None, None, total, True, s_max)
-        total += nodes
-        if found:
-            cert = EdgeLabeling(g, found[0], s)
-            return PsResult(s, cert, total, False, s_max)
-    return PsResult(None, None, total, False, s_max)
+    def attempt(s: int, left: int):
+        found, nodes = search_labelings(g, s, budget=left, prune=prune)
+        return (found[0] if found else None), nodes
+
+    return _by_strength(g, s_max, budget, attempt)
 
 
 def component_signatures(g_component: Graph, s: int,
                          budget: int = DEFAULT_BUDGET) -> list[ComponentSignature]:
     """All distinct internally-valid degree multisets of a connected graph
-    with labels <= s, each with one representative labeling."""
+    with labels <= s, in sorted order, each with its first labeling."""
     if g_component.n_vertices < 2:
         raise ValueError("component must have at least one edge")
-    comps = connected_components(g_component)
-    if len(comps) != 1:
+    if len(connected_components(g_component)) != 1:
         raise ValueError("component_signatures needs a connected graph")
-    return _signatures(g_component, s, budget)[0]
-
-
-def _signatures(g: Graph, s: int, budget: int) -> tuple[list[ComponentSignature], int]:
-    """Every realizable degree multiset of g with labels <= s, in sorted
-    order, each with its first labeling; and the search's node count."""
-    sigs, nodes = search_labelings(g, s, budget=budget, collect_all=True)
+    sigs, _ = search_labelings(g_component, s, budget=budget, collect_all=True)
     return [ComponentSignature(tuple(ProductDegree.from_value(v) for v in values),
-                               EdgeLabeling(g, sigs[values], s))
-            for values in sorted(sigs)], nodes
+                               EdgeLabeling(g_component, sigs[values], s))
+            for values in sorted(sigs)]
 
 
-def _combine_signatures(per_component: list[list[tuple[int, int]]],
+def _combine_signatures(per_component: list[list[int]],
                         budget: int) -> tuple[list[int] | None, int]:
     """Pick one signature index per component with pairwise-disjoint supports.
 
-    per_component holds (bitmask, index) pairs; components should be ordered
-    by ascending set size. Failed partial masks are memoized per level, which
+    per_component holds each component's signature bitmasks; components
+    should be ordered by ascending set size. Failed partial masks are memoized per level, which
     makes refutation equivalent to level-by-level merging with deduplication.
     """
     k = len(per_component)
@@ -258,7 +256,7 @@ def _combine_signatures(per_component: list[list[tuple[int, int]]],
             return True
         if acc in failed[level]:
             return False
-        for mask, idx in per_component[level]:
+        for idx, mask in enumerate(per_component[level]):
             nodes += 1
             if nodes > budget:
                 raise BudgetExhausted(nodes)
@@ -278,57 +276,47 @@ def _combine_signatures(per_component: list[list[tuple[int, int]]],
 def ps_exact_disconnected(g: Graph, s_max: int,
                           budget: int = DEFAULT_BUDGET) -> PsResult:
     """Exact strength via per-component signature sets; equivalent to
-    ps_exact but far cheaper when components repeat (disjoint clique unions)."""
-    _check_searchable(g, s_max)
-    comps = connected_components(g)
-    subs = [induced_subgraph(g, c) for c in comps]
-    cache: dict[tuple, list[ComponentSignature]] = {}
-    total = 0
-    for s in range(1, s_max + 1):
-        sig_sets: list[list[ComponentSignature]] = []
-        feasible = True
+    ps_exact but far cheaper when components repeat (disjoint clique unions).
+
+    At each s every component's realizable degree multisets (sorted value
+    tuples) are collected once per distinct component, then one multiset
+    per component is chosen with no value shared."""
+    subs = [induced_subgraph(g, c) for c in connected_components(g)]
+
+    def attempt(s: int, left: int):
+        used = 0
+        cache: dict[tuple, list[tuple[tuple[int, ...], dict[Edge, int]]]] = {}
+        sigs = []  # per component: (sorted degree values, label map), sorted
         try:
             for sub, _ in subs:
-                key = (s, sub.n_vertices, sub.edges)
+                key = (sub.n_vertices, sub.edges)
                 if key not in cache:
-                    cache[key], nodes = _signatures(sub, s, budget - total)
-                    total += nodes
-                sig_sets.append(cache[key])
+                    found, nodes = search_labelings(sub, s, budget=left - used,
+                                                    collect_all=True)
+                    used += nodes
+                    cache[key] = sorted(found.items())
                 if not cache[key]:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            values = sorted({v for sigs in sig_sets
-                             for sig in sigs for v in sig.degree_values})
-            bit = {v: i for i, v in enumerate(values)}
-            masked = []
-            for sigs in sig_sets:
-                entries = []
-                for i, sig in enumerate(sigs):
-                    m = 0
-                    for v in sig.degree_values:
-                        m |= 1 << bit[v]
-                    entries.append((m, i))
-                masked.append(entries)
-            comp_order = sorted(range(len(subs)), key=lambda i: len(masked[i]))
-            choice, nodes = _combine_signatures([masked[i] for i in comp_order],
-                                                budget - total)
-            total += nodes
+                    return None, used
+                sigs.append(cache[key])
+            values = sorted({v for pairs in sigs for t, _ in pairs for v in t})
+            bit = {v: 1 << i for i, v in enumerate(values)}
+            # the values of one multiset are distinct: their bits sum to its mask
+            masks = [[sum(bit[v] for v in t) for t, _ in pairs] for pairs in sigs]
+            order = sorted(range(len(subs)), key=lambda i: len(masks[i]))
+            choice, nodes = _combine_signatures([masks[i] for i in order], left - used)
+            used += nodes
         except BudgetExhausted as exc:
-            total += exc.args[0]
-            return PsResult(None, None, total, True, s_max)
+            raise BudgetExhausted(used + exc.args[0]) from None
         if choice is None:
-            continue
+            return None, used
         labels: dict[Edge, int] = {}
-        for pos, comp_idx in enumerate(comp_order):
-            sig = sig_sets[comp_idx][choice[pos]]
-            old = subs[comp_idx][1]
-            for (u, v), w in sig.labeling.labels.items():
+        for i, pick in zip(order, choice):
+            old = subs[i][1]
+            for (u, v), w in sigs[i][pick][1].items():
                 labels[edge_key(old[u], old[v])] = w
-        cert = EdgeLabeling(g, labels, s)
-        return PsResult(s, cert, total, False, s_max)
-    return PsResult(None, None, total, False, s_max)
+        return labels, used
+
+    return _by_strength(g, s_max, budget, attempt)
 
 
 def verify_k4_characterization() -> bool:

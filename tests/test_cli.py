@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 
 from pistr import cli
 from pistr.cli import main
-from pistr.fileio import parse_graph
+from pistr.fileio import emit_graph, parse_graph
+from pistr.graphs import complete_graph
 
 
 # gen output of the L<n> and LP<n> tokens, byte for byte: one K_2 or K_1
@@ -355,6 +357,34 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("p 3 3")
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    """A reader that stops early ends construct with exit 2 and nothing on
+    stderr, also when the output is larger than the pipe buffer."""
+    path = tmp_path / "k300.txt"
+    path.write_text(emit_graph(complete_graph(300)))
+    # Unbuffered, a write that the closed pipe cuts short returns a short
+    # count, which the text layer drops without an error: no exit code holds.
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "pistr.cli", "construct", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_closed_stdout_in_process(monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):  # no file descriptor, like a test's capture
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["gen", "K3"]) == 2
+    assert capsys.readouterr().err == ""
 
 
 def test_one_parser_per_process(capsys, tmp_path):

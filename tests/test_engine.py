@@ -1,13 +1,17 @@
 import collections
+import dataclasses
 import hashlib
 import itertools
 import random
+import re
 from math import comb
 
 import pytest
 
-from pistr.engine import (PATTERN_DIFF, PATTERN_SAME, FallbackBudgetError,
-                          UnsupportedCoverError, _choose_tree, _plan,
+from pistr import engine
+from pistr.cli import main
+from pistr.engine import (PATTERN_DIFF, PATTERN_SAME, ConstructionError,
+                          FallbackBudgetError, UnsupportedCoverError, _choose_tree,
                           construct_labeling, label_cover, theorem_id)
 from pistr.fileio import emit_graph
 from pistr.graphs import (CliqueCover, Graph, add_cross_edge, clique_cover,
@@ -235,14 +239,14 @@ def test_unpinned_fallback_census():
     # graph without a catalog row it returns the exact strength.
     strengths = collections.Counter()
     for g, cover in spanning_graphs():
-        if _plan(cover, _choose_tree(cover)) is not None:
-            continue
         if g.n_vertices == 2:  # K2, which construct_labeling rejects
             with pytest.raises(FallbackBudgetError):
                 label_cover(g, cover)
             continue
-        s = ps_exact(g, 4).value
         out = label_cover(g, cover)
+        if not out.case_trace.construction_id.startswith("fallback:"):
+            continue  # a catalog shape
+        s = ps_exact(g, 4).value
         assert out.case_trace.construction_id == f"fallback:exhaustive(s={s})", cover
         assert is_product_irregular(out.labeling).ok
         strengths[s] += 1
@@ -261,6 +265,13 @@ class TestConstructLabeling:
         assert clique_cover(c7, 3) is None
         with pytest.raises(UnsupportedCoverError):
             construct_labeling(c7)
+
+    def test_more_than_three_parts_unsupported(self):
+        g = cliques_with_edges((3, 3, 3, 3), [(2, 3), (5, 6), (8, 9)])
+        cover = clique_cover(g, 4)
+        assert cover.n_parts == 4
+        with pytest.raises(UnsupportedCoverError, match="^clique cover number exceeds 3$"):
+            label_cover(g, cover)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -334,6 +345,41 @@ class TestConstructLabeling:
             out2 = construct_labeling(g)
             assert emit_graph(g, out1.labeling) == emit_graph(g, out2.labeling)
             assert out1.case_trace == out2.case_trace
+
+
+def _wrong_cross_weight(monkeypatch):
+    lookup = engine._lookup
+    monkeypatch.setattr(engine, "_lookup", lambda *key: dataclasses.replace(
+        lookup(*key), cross=((0, 4, 1, 1, 2),)))  # K44_edge has weight 3 there
+
+
+def _colliding_search(monkeypatch):
+    monkeypatch.setattr(engine, "search_labelings", lambda free, *args: (
+        [dict.fromkeys(free.edges, 1)], 0))  # every product 1
+
+
+@pytest.mark.parametrize("break_it, sizes, construction_id", [
+    (_wrong_cross_weight, (4, 4), "K44_edge"),
+    (_colliding_search, (3, 3), "fallback:exhaustive(s=3)"),
+])
+def test_verification_guard(monkeypatch, capsys, tmp_path, break_it, sizes, construction_id):
+    # Every labeling is verified before it is returned: a catalog row or a
+    # search that yields a colliding labeling raises, naming its construction,
+    # and the command line reports it as one internal error, exit 2.
+    g = cliques_with_edges(sizes, [(0, sizes[0])])
+    assert construct_labeling(g).case_trace.construction_id == construction_id
+    break_it(monkeypatch)
+    with pytest.raises(ConstructionError,
+                       match=f"^construction {re.escape(construction_id)} failed verification"):
+        construct_labeling(g)
+    path = tmp_path / "g.txt"
+    path.write_text(emit_graph(g))
+    capsys.readouterr()
+    assert main(["construct", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"pistr: internal error: ConstructionError: construction "
+                          f"{construction_id} failed verification")
 
 
 def _digest_inputs():

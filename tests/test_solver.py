@@ -226,6 +226,44 @@ class TestDisconnectedSolver:
         assert r.budget_exhausted and r.value is None
 
 
+def clique_union(*sizes):
+    g = complete_graph(sizes[0])
+    for k in sizes[1:]:
+        g = disjoint_union(g, complete_graph(k))
+    return g
+
+
+@pytest.mark.parametrize("solve, sizes, value, nodes", [
+    (ps_exact_disconnected, (4, 4), 4, 6_179),
+    (ps_exact_disconnected, (5, 5), 3, 66_226),
+    (ps_exact_disconnected, (5, 5, 4), 3, 67_260),
+    (ps_exact, (4, 4), 4, 83_541),
+    (ps_exact, (7,), 3, 483_757),
+])
+def test_node_counts_pinned(solve, sizes, value, nodes):
+    # DFS nodes at s_max = 4 as the benchmark reports them: a change to the
+    # search order, the pruning or the budget accounting moves them.
+    r = solve(clique_union(*sizes), 4)
+    assert (r.value, r.nodes_explored, r.budget_exhausted) == (value, nodes, False)
+
+
+@pytest.mark.parametrize("solve", [ps_exact, ps_exact_disconnected])
+def test_budget_stop_at_twenty(solve):
+    r = solve(clique_union(4, 4), 4, budget=20)
+    assert (r.value, r.nodes_explored, r.budget_exhausted) == (None, 21, True)
+
+
+def test_budget_stop_counts_every_node():
+    # Wherever the budget runs out (an earlier strength, the second
+    # component's search, the combination step that ends the run), the
+    # result counts every node explored before it and the one that broke it.
+    g = clique_union(3, 4)
+    full = ps_exact_disconnected(g, 4).nodes_explored
+    for budget in [*range(0, full, 199), *range(full - 40, full)]:
+        r = ps_exact_disconnected(g, 4, budget=budget)
+        assert (r.value, r.nodes_explored, r.budget_exhausted) == (None, budget + 1, True)
+
+
 def strip(labels, fixed):
     """labels without the fixed edges."""
     return {e: w for e, w in labels.items() if e not in fixed}
