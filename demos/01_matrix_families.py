@@ -18,11 +18,11 @@ for i in range(1, 8):
     profile = row_profile(7, i)
     print(f"  row {i}: type {profile.row_type}, counts {profile.counts}")
 
-print("\nA_7 = M_7(1,2,3) with its product degrees (a, b) meaning 2^a 3^b:")
+print("\nA_7 = M_7(1,2,3) with its product degrees:")
 a7 = named_family(7, "A")
 print(a7)
 report = check_matrix(a7)
-print("degrees:", [d.pair for d in report.degrees])
+print("degrees:", [d.value for d in report.degrees])
 print("product-irregular:", report.ok)
 
 print("\nCoprime triples stay product-irregular across orders:")

@@ -25,6 +25,6 @@ from .solver import (BudgetExhausted, ComponentSignature, PsResult,
                      component_signatures, ps_exact, ps_exact_disconnected,
                      verify_k4_characterization)
 from .verifier import (IrregularityReport, ProductDegree, check_matrix,
-                       extend_with_ones, is_product_irregular, product_degree)
+                       extend_with_ones, is_product_irregular)
 
 __version__ = "0.1.0"

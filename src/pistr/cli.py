@@ -24,7 +24,7 @@ from .engine import (FallbackBudgetError, UnsupportedCoverError,
                      catalog_matrix, construct_labeling)
 from .fileio import DocumentError, emit_graph, parse_graph
 from .graphs import (add_cross_edge, clique_cover, complete_graph,
-                     disjoint_union, matrix_to_labeled_graph)
+                     disjoint_union, edge_key, matrix_to_labeled_graph)
 from .solver import DEFAULT_BUDGET, ps_exact
 from .verifier import is_product_irregular
 
@@ -75,6 +75,8 @@ def _generate(expr: str, cross: list[tuple[int, int]]) -> str:
         for t in tokens[1:]:
             g = disjoint_union(g, complete_graph(int(t[1:])))
         for u, v in cross:
+            if g.has_edge(u - 1, v - 1):
+                raise DocumentError(f"edge {edge_key(u, v)} already present")
             g = add_cross_edge(g, u - 1, v - 1)
         return emit_graph(g)
     if cross:
@@ -121,6 +123,10 @@ def _cmd_verify(args) -> int:
     g, labeling = parse_graph(_read_document(args.input))
     if labeling is None:
         raise DocumentError("verify needs a labeled document")
+    degree = np.bincount(np.concatenate(g.ends), minlength=g.n_vertices)
+    if not degree.all():
+        raise DocumentError(f"vertex {int(degree.argmin()) + 1} is isolated; "
+                            "product degree undefined")
     report = is_product_irregular(labeling)
     if args.json:
         _emit_json({

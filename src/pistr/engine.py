@@ -34,7 +34,7 @@ from .graphs import (CliqueCover, Edge, EdgeLabeling, Graph, clique_cover,
                      edge_key, has_isolated_vertex_or_edge, is_connected)
 from .matrices import direct_sum, fixed_matrix, named_family, tilde_matrix
 from .solver import DEFAULT_BUDGET, BudgetExhausted, search_labelings
-from .verifier import check_matrix, is_product_irregular
+from .verifier import is_product_irregular
 
 PATTERN_NONE = "none"
 PATTERN_ONE_EDGE = "one_edge"
@@ -375,6 +375,14 @@ def _catalog(size: int) -> list[tuple[str, np.ndarray]]:
     raise ValueError(f"no catalog for size {size}")
 
 
+def _row_products(block: np.ndarray) -> list[int]:
+    """The product of each row's labels, 2^a * 3^b for a twos and b threes:
+    exact because every _catalog block is over the labels 1..3."""
+    twos = (block == 2).sum(axis=1).tolist()
+    threes = (block == 3).sum(axis=1).tolist()
+    return [2**a * 3**b for a, b in zip(twos, threes)]
+
+
 def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
               budget: int) -> ConstructionOutcome:
     """Bounded search for shapes without a catalog row.
@@ -413,7 +421,7 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
             products = [1] * g.n_vertices if combo else None
             for p, (name, mat) in zip(to_fix, combo):
                 if (p, name) not in rows:
-                    rows[p, name] = [d.value for d in check_matrix(mat).degrees]
+                    rows[p, name] = _row_products(mat)
                 for v, product in zip(cover.parts[p], rows[p, name]):
                     products[v] = product
             try:

@@ -122,12 +122,6 @@ class Graph:
                 cells, cells % step)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        indptr, _, indices = self.csr
-        flat, bounds = indices.tolist(), indptr.tolist()
-        return tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-
-    @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by smallest
         vertex; one walk over the compressed rows, shared by every caller.
@@ -151,9 +145,6 @@ class Graph:
             seen |= comp
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
@@ -306,11 +297,12 @@ def matrix_to_labeled_graph(m: np.ndarray) -> tuple[Graph, EdgeLabeling]:
     """Positive entries become labeled edges; inverse of labeled_graph_to_matrix."""
     m = validate_weighted_adjacency(m)
     n = m.shape[0]
-    u, v = np.triu_indices(n, 1)
-    w = m[u, v]
-    keep = w > 0
-    g = Graph._from_ends(n, u[keep].astype(np.int64), v[keep].astype(np.int64))
-    labels = w[keep].astype(np.int64)
+    # flat positions u * n + v of the entries above the diagonal, ascending;
+    # the array holds one entry per edge, not one per vertex pair
+    keys = np.flatnonzero(np.triu(m > 0, 1)).astype(np.int64, copy=False)
+    u, v = np.divmod(keys, max(n, 1))
+    g = Graph._from_ends(n, u, v, keys)
+    labels = m[u, v].astype(np.int64, copy=False)
     return g, EdgeLabeling._from_values(g, labels, int(labels.max(initial=1)))
 
 

@@ -1,23 +1,21 @@
 """Exact product degrees and product-irregularity verdicts.
 
 Product degrees are kept in factored form (prime -> exponent), so products
-like 3^(n-1) stay exact at any order. For labels drawn from {1, 2, 3} a
-degree collapses to the exponent pair (a, b) with value 2^a * 3^b.
+like 3^(n-1) stay exact at any order.
 
-Two entry points reach the same verdict by separate paths:
-is_product_irregular reads the label array of an edge labeling with one
-bincount, factorizing each distinct label value once; check_matrix reads the rows of a
-weighted adjacency matrix. Both report the smallest colliding vertex pair.
+One kernel computes every verdict: is_product_irregular counts the labels
+at each vertex of an edge labeling with bincount, factorizing each distinct
+label value once, and reports the smallest colliding vertex pair. check_matrix
+converts a weighted adjacency matrix to its labeled graph and calls it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import EdgeLabeling, Graph, validate_weighted_adjacency
+from .graphs import EdgeLabeling, Graph, matrix_to_labeled_graph
 
 _factor_cache: dict[int, tuple[tuple[int, int], ...]] = {1: ()}
 
@@ -55,37 +53,12 @@ class ProductDegree:
     def from_value(cls, v: int) -> "ProductDegree":
         return cls(factorize(v))
 
-    @classmethod
-    def from_labels(cls, labels) -> "ProductDegree":
-        acc: Counter[int] = Counter()
-        for w in labels:
-            for p, e in factorize(w):
-                acc[p] += e
-        return cls(tuple(sorted(acc.items())))
-
-    @classmethod
-    def from_pair(cls, a: int, b: int) -> "ProductDegree":
-        out = []
-        if a:
-            out.append((2, a))
-        if b:
-            out.append((3, b))
-        return cls(tuple(out))
-
     @property
     def value(self) -> int:
         v = 1
         for p, e in self.factors:
             v *= p**e
         return v
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        """(exponent of 2, exponent of 3); defined only for labels in {1,2,3}."""
-        if any(p not in (2, 3) for p, _ in self.factors):
-            raise ValueError("degree has prime factors beyond 2 and 3")
-        d = dict(self.factors)
-        return d.get(2, 0), d.get(3, 0)
 
     def __repr__(self):
         return f"ProductDegree({self.value})"
@@ -98,14 +71,6 @@ class IrregularityReport:
     ok: bool
     witness: tuple[int, int] | None
     degrees: tuple[ProductDegree, ...]
-
-
-def product_degree(labeling: EdgeLabeling, v: int) -> ProductDegree:
-    """Factored product of the labels of the edges incident with v."""
-    nbrs = labeling.graph.neighbors(v)
-    if not nbrs:
-        raise ValueError(f"vertex {v} is isolated; product degree undefined")
-    return ProductDegree.from_labels(labeling.label(v, u) for u in nbrs)
 
 
 def _report(degrees: list[ProductDegree]) -> IrregularityReport:
@@ -124,8 +89,8 @@ def _report(degrees: list[ProductDegree]) -> IrregularityReport:
 def is_product_irregular(labeling: EdgeLabeling) -> IrregularityReport:
     """All vertices must have pairwise distinct product degrees.
 
-    One bincount over the edge ends counts, per label value, how many edges
-    with that label meet each vertex; each label value is factorized once,
+    A bincount over each end of the edges counts, per label value, how many
+    edges with that label meet each vertex; each label value is factorized once,
     and one product of the counts with the values' exponents gives every
     vertex's exponent per prime.
     """
@@ -134,8 +99,9 @@ def is_product_irregular(labeling: EdgeLabeling) -> IrregularityReport:
     u, v = g.ends
     values = np.array(sorted(set(labeling.values.tolist())), dtype=labeling.values.dtype)
     at = values.searchsorted(labeling.values) * n
-    counts = np.bincount(np.concatenate((at + u, at + v)),
-                         minlength=len(values) * n).reshape(len(values), n)
+    size = len(values) * n
+    counts = (np.bincount(at + u, minlength=size)
+              + np.bincount(at + v, minlength=size)).reshape(len(values), n)
     factors = [dict(factorize(w)) for w in values.tolist()]
     primes = sorted(set().union(*factors))
     # one column per prime, then a column of ones that counts the edges
@@ -150,27 +116,10 @@ def is_product_irregular(labeling: EdgeLabeling) -> IrregularityReport:
 
 
 def check_matrix(m: np.ndarray) -> IrregularityReport:
-    """Product-irregularity of a weighted adjacency matrix.
-
-    The verdict equals is_product_irregular on the converted labeled graph;
-    rows are read directly (product of nonzero entries), with a vectorized
-    path for matrices over {0,1,2,3}.
-    """
-    m = validate_weighted_adjacency(m)
-    if m.shape[0] == 0:
-        return IrregularityReport(True, None, ())
-    row_nonzero = (m > 0).sum(axis=1)
-    if np.any(row_nonzero == 0):
-        raise ValueError("matrix has an all-zero row (isolated vertex)")
-    if m.max() <= 3:
-        a = (m == 2).sum(axis=1)
-        b = (m == 3).sum(axis=1)
-        degrees = [ProductDegree.from_pair(int(ai), int(bi)) for ai, bi in zip(a, b)]
-    else:
-        degrees = []
-        for row in m:
-            degrees.append(ProductDegree.from_labels(int(w) for w in row if w))
-    return _report(degrees)
+    """Product-irregularity of a weighted adjacency matrix: the verdict of
+    is_product_irregular on its labeled graph; ValueError unless m is a
+    valid weighted adjacency matrix with no all-zero row."""
+    return is_product_irregular(matrix_to_labeled_graph(m)[1])
 
 
 def extend_with_ones(labeling: EdgeLabeling, new_edges) -> EdgeLabeling:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from pistr.graphs import (Graph, add_cross_edge, complete_graph,
@@ -70,6 +72,19 @@ def permute_graph(rng: random.Random, g: Graph, labels=None):
         return h, perm
     new_labels = {edge_key(perm[u], perm[v]): w for (u, v), w in labels.items()}
     return h, perm, new_labels
+
+
+def brute_products(m) -> list[int]:
+    """The product of each row's nonzero entries, as Python ints: the
+    reference the verifier and the engine are checked against."""
+    return [math.prod(w for w in row if w) for row in np.asarray(m).tolist()]
+
+
+def brute_witness(products: list[int]) -> tuple[int, int] | None:
+    """The lexicographically smallest pair u < v with equal products."""
+    n = len(products)
+    return min(((u, v) for u in range(n) for v in range(u + 1, n)
+                if products[u] == products[v]), default=None)
 
 
 @pytest.fixture

@@ -104,6 +104,12 @@ class TestGen:
         g, labeling = parse_graph(out)
         assert g.n_vertices == 6 and g.n_edges == 7 and labeling is None
 
+    @pytest.mark.parametrize("spec", ["1,2", "2,1"])
+    def test_edge_already_present_named_from_one(self, capsys, spec):
+        code, out, err = run_cli(capsys, "gen", "K3+K3", "--edge", spec)
+        assert code == 2 and out == ""
+        assert err == "pistr: edge (1, 2) already present\n"
+
     def test_matrix_expression(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "A4+B9")
         assert code == 0
@@ -148,6 +154,13 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["schema"] == 1 and payload["ok"] is False
         assert payload["witness"] is not None
+
+    def test_isolated_vertex_named_from_one(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("p 4 2\ne 1 2 2\ne 2 3 3\n")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == "pistr: vertex 4 is isolated; product degree undefined\n"
 
     def test_unlabeled_rejected(self, capsys, tmp_path):
         path = tmp_path / "g.txt"

@@ -19,7 +19,7 @@ from pistr.graphs import (CliqueCover, Graph, add_cross_edge, clique_cover,
 from pistr.solver import ps_exact
 from pistr.verifier import is_product_irregular
 
-from conftest import permute_graph, planted_cover_graph
+from conftest import brute_products, permute_graph, planted_cover_graph
 
 
 def cliques_with_edges(sizes, cross):
@@ -251,6 +251,15 @@ def test_unpinned_fallback_census():
         assert is_product_irregular(out.labeling).ok
         strengths[s] += 1
     assert strengths == {3: 84, 4: 8}
+
+
+@pytest.mark.parametrize("size", range(4, 13))
+def test_pinned_row_products(size):
+    # The fallback reads a pinned block's row products as 2^a * 3^b, which
+    # holds only while every block it may pin is over the labels 1..3.
+    for name, block in engine._catalog(size):
+        assert block.min() >= 0 and block.max() <= 3, name
+        assert engine._row_products(block) == brute_products(block), name
 
 
 class TestConstructLabeling:

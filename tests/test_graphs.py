@@ -151,10 +151,11 @@ class TestBuilders:
             h, packed = matrix_to_labeled_graph(labeled_graph_to_matrix(labeling))
             assert "edges" not in h.__dict__  # built from arrays, read lazily
             assert h == g and hash(h) == hash(g) and h.n_edges == g.n_edges
-            assert h.adjacency == g.adjacency and h.components == g.components
+            assert all(map(np.array_equal, h.csr, g.csr)) and h.components == g.components
             assert h.edges == g.edges and packed.labels == labeling.labels
             assert packed == labeling
             assert [e.tolist() for e in h.ends] == [e.tolist() for e in g.ends]
+            assert h._keys.tolist() == [u * h.n_vertices + v for u, v in sorted(g.edges)]
             with pytest.raises(AttributeError):
                 h.n_vertices = 1
             with pytest.raises(AttributeError):
@@ -227,12 +228,16 @@ class TestConnectivity:
             pairs = list(itertools.combinations(range(n), 2))
             g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, min(n, len(pairs)))))
             comps = connected_components(g)
+            neighbors = {v: set() for v in range(n)}
+            for u, v in g.edges:
+                neighbors[u].add(v)
+                neighbors[v].add(u)
             assert sorted(v for c in comps for v in c) == list(range(n))
             assert [c[0] for c in comps] == sorted(c[0] for c in comps)
             for comp in comps:
                 reached, stack = {comp[0]}, [comp[0]]
                 while stack:
-                    for u in g.neighbors(stack.pop()):
+                    for u in neighbors[stack.pop()]:
                         if u not in reached:
                             reached.add(u)
                             stack.append(u)

@@ -102,7 +102,7 @@ class TestFixedMatrices:
 
     def test_t_degrees(self):
         degrees = check_matrix(fixed_matrix("T")).degrees
-        assert [d.pair for d in degrees] == [(1, 0), (0, 1), (1, 1)]
+        assert [d.value for d in degrees] == [2, 3, 6]
 
     def test_p6_first_row(self):
         assert fixed_matrix("P6")[0].tolist() == [0, 2, 2, 2, 2, 1]

@@ -6,54 +6,56 @@ from pistr.graphs import (EdgeLabeling, Graph, complete_graph,
 from pistr.engine import catalog_matrix
 from pistr.matrices import direct_sum, fixed_matrix, m_matrix, named_family
 from pistr.verifier import (ProductDegree, check_matrix, extend_with_ones,
-                            is_product_irregular, product_degree)
+                            is_product_irregular)
 
-from conftest import permute_graph, random_graph_no_isolates, random_labeling
+from conftest import (brute_products, brute_witness, permute_graph,
+                      random_graph_no_isolates, random_labeling)
+
+
+def assert_matches_brute(report, m):
+    """The report's degrees, verdict and witness are those of the brute
+    row products of m."""
+    products = brute_products(m)
+    witness = brute_witness(products)
+    assert [d.value for d in report.degrees] == products
+    assert [ProductDegree.from_value(p) for p in products] == list(report.degrees)
+    assert (report.ok, report.witness) == (witness is None, witness)
 
 
 class TestProductDegree:
     def test_label_one_is_empty(self):
-        assert ProductDegree.from_labels([1, 1, 1]).factors == ()
-        assert ProductDegree.from_labels([1]).value == 1
+        assert ProductDegree.from_value(1).factors == ()
+        assert ProductDegree.from_value(1).value == 1
 
     def test_pair_collapse(self):
-        d = ProductDegree.from_labels([2, 3, 2])
-        assert d.pair == (2, 1)
+        # labels 2, 3, 2 at one vertex: exponents 2 of 2 and 1 of 3
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        labeling = EdgeLabeling.make(g, {(0, 1): 2, (0, 2): 3, (0, 3): 2})
+        d = is_product_irregular(labeling).degrees[0]
+        assert d.factors == ((2, 2), (3, 1))
         assert d.value == 12
-
-    def test_pair_rejects_other_primes(self):
-        with pytest.raises(ValueError):
-            ProductDegree.from_labels([5]).pair
-
-    def test_exact_at_scale(self):
-        d = ProductDegree.from_labels([3] * 59)
-        assert d.pair == (0, 59)
-        assert d.value == 3**59
 
 
 class TestProductDegreeOfVertices:
     def test_triangle_degrees(self):
         _, labeling = matrix_to_labeled_graph(fixed_matrix("T"))
-        assert product_degree(labeling, 0).pair == (1, 0)
-        assert product_degree(labeling, 1).pair == (0, 1)
-        assert product_degree(labeling, 2).pair == (1, 1)
+        degrees = is_product_irregular(labeling).degrees
+        assert [d.factors for d in degrees] == [((2, 1),), ((3, 1),), ((2, 1), (3, 1))]
 
     @pytest.mark.parametrize("n", [4, 5, 9, 17])
     def test_l_row_three_degree(self, n):
         _, labeling = matrix_to_labeled_graph(catalog_matrix((2, n)))
-        assert product_degree(labeling, 2).pair == (n - 1, 1)
+        assert is_product_irregular(labeling).degrees[2].factors == ((2, n - 1), (3, 1))
 
     def test_all_ones(self):
         g = complete_graph(3)
         labeling = EdgeLabeling.make(g, {e: 1 for e in g.edges})
-        assert product_degree(labeling, 0).value == 1
+        assert is_product_irregular(labeling).degrees[0].value == 1
 
     def test_isolated_vertex_rejected(self):
         g = Graph.from_edges(3, [(0, 1)])
         labeling = EdgeLabeling.make(g, {(0, 1): 2})
-        with pytest.raises(ValueError):
-            product_degree(labeling, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vertex 2 is isolated"):
             is_product_irregular(labeling)
 
 
@@ -97,9 +99,8 @@ class TestIrregularity:
         with pytest.raises(ValueError, match=f"vertex {isolated} is isolated"):
             is_product_irregular(labeling)
 
-    def test_agrees_with_check_matrix_beyond_three(self, rng):
-        # Labels 4, 5 and 6 make the two paths factorize differently:
-        # check_matrix row by row, is_product_irregular per label value.
+    def test_matches_brute_product_beyond_three(self, rng):
+        # Labels 4, 5 and 6 bring in primes and exponents beyond 2 and 3.
         verdicts = set()
         for _ in range(80):
             g = random_graph_no_isolates(rng, n_min=4, n_max=10)
@@ -107,12 +108,10 @@ class TestIrregularity:
             for e, w in zip(sorted(g.edges), (4, 5, 6)):
                 labels[e] = w
             labeling = EdgeLabeling.make(g, labels)
-            r1 = is_product_irregular(labeling)
-            r2 = check_matrix(labeled_graph_to_matrix(labeling))
-            assert (r1.ok, r1.witness) == (r2.ok, r2.witness)
-            assert [d.value for d in r1.degrees] == [d.value for d in r2.degrees]
-            assert [d.factors for d in r1.degrees] == [d.factors for d in r2.degrees]
-            verdicts.add(r1.ok)
+            m = labeled_graph_to_matrix(labeling)
+            assert_matches_brute(is_product_irregular(labeling), m)
+            assert_matches_brute(check_matrix(m), m)
+            verdicts.add(is_product_irregular(labeling).ok)
         assert verdicts == {True, False}
 
 
@@ -131,25 +130,44 @@ class TestCheckMatrix:
     def test_zero_row_rejected(self):
         m = np.zeros((3, 3), dtype=int)
         m[0, 1] = m[1, 0] = 2
+        with pytest.raises(ValueError, match="vertex 2 is isolated"):
+            check_matrix(m)
+
+    def test_empty_matrix_ok(self):
+        report = check_matrix(np.zeros((0, 0), dtype=int))
+        assert report.ok and report.witness is None and report.degrees == ()
+
+    def test_float_matrix_with_integer_values(self):
+        m = fixed_matrix("T")
+        assert check_matrix(m.astype(float)) == check_matrix(m)
+
+    @pytest.mark.parametrize("m", [
+        np.zeros((2, 3), dtype=int),                   # not square
+        np.array([[0, 1], [2, 0]]),                    # asymmetric
+        np.array([[0, -1], [-1, 0]]),                  # negative
+        np.array([[0, 1.5], [1.5, 0]]),                # not integral
+        np.array([[1, 1], [1, 0]]),                    # loop
+    ])
+    def test_malformed_rejected(self, m):
         with pytest.raises(ValueError):
             check_matrix(m)
+
+    def test_exact_at_scale(self):
+        report = check_matrix(m_matrix(60, 3, 3, 3))
+        assert all(d.factors == ((3, 59),) for d in report.degrees)
+        assert report.degrees[0].value == 3**59 and len(report.degrees) == 60
+        assert not report.ok and report.witness == (0, 1)
 
     def test_matches_graph_verdict(self, rng):
         for _ in range(60):
             g = random_graph_no_isolates(rng, n_min=4, n_max=8)
             labeling = EdgeLabeling.make(g, random_labeling(rng, g, s=4))
             m = labeled_graph_to_matrix(labeling)
-            assert check_matrix(m).ok == is_product_irregular(labeling).ok
+            assert_matches_brute(check_matrix(m), m)
 
     def test_general_label_path(self):
-        # entries above 3 take the factored slow path; verdict must agree
-        # with the labeled-graph route
         m = m_matrix(8, 5, 7, 11)
-        r1 = check_matrix(m)
-        _, labeling = matrix_to_labeled_graph(m)
-        r2 = is_product_irregular(labeling)
-        assert r1.ok == r2.ok
-        assert [d.factors for d in r1.degrees] == [d.factors for d in r2.degrees]
+        assert_matches_brute(check_matrix(m), m)
 
 
 class TestInvariances:
