@@ -38,8 +38,10 @@ g = planted((5, 6, 8), extra=4, seed=11)
 print(f"graph: {g.n_vertices} vertices, {g.n_edges} edges")
 
 cover = clique_cover(g, 3)
+# every part is a clique, so the edges beyond its C(size, 2) join two parts
+inside = sum(size * (size - 1) // 2 for size in cover.sizes)
 print(f"cover sizes: {cover.sizes}, cross edges available: "
-      f"{len(cover.cross_edges)}")
+      f"{g.n_edges - inside}")
 
 out = construct_labeling(g)
 case = out.case_trace

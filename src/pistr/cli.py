@@ -75,6 +75,10 @@ def _generate(expr: str, cross: list[tuple[int, int]]) -> str:
         for t in tokens[1:]:
             g = disjoint_union(g, complete_graph(int(t[1:])))
         for u, v in cross:
+            for x in (u, v):
+                if not 1 <= x <= g.n_vertices:
+                    raise DocumentError(f"--edge {u},{v}: vertex {x} outside "
+                                        f"1..{g.n_vertices}")
             if g.has_edge(u - 1, v - 1):
                 raise DocumentError(f"edge {edge_key(u, v)} already present")
             g = add_cross_edge(g, u - 1, v - 1)
@@ -181,7 +185,8 @@ def _cmd_cover(args) -> int:
             "sizes": None if cover is None else list(cover.sizes),
             "parts": None if cover is None
             else [[v + 1 for v in part] for part in cover.parts],
-            "n_cross_edges": None if cover is None else len(cover.cross_edges),
+            "n_cross_edges": None if cover is None  # the parts are cliques
+            else g.n_edges - sum(size * (size - 1) // 2 for size in cover.sizes),
         })
     elif cover is None:
         print(f"no clique cover with at most {args.k_max} parts")

@@ -92,19 +92,26 @@ class _Tree:
         return tuple(sorted(edge_key(u, v) for u, v in self.links.values()))
 
 
-def _choose_tree(cover: CliqueCover) -> _Tree:
+def _choose_tree(g: Graph, cover: CliqueCover) -> _Tree:
     """Spanning tree over the parts: the smallest cross edge of each chosen
     pair of parts, for three parts through the first part joined to both
     others. The parts are cliques, so the graph is connected exactly when
     such a tree exists."""
-    by_pair: dict[tuple[int, int], tuple[int, int]] = {}
-    for pi, pj, u, v in cover.cross_edges:
-        key = (pi, pj)
-        if key not in by_pair or edge_key(u, v) < edge_key(*by_pair[key]):
-            by_pair[key] = (u, v)
     k = cover.n_parts
     if k == 1:
         return _Tree({}, PATTERN_NONE, None)
+    bit = np.zeros(g.n_vertices, dtype=np.int64)  # 1 << the part of each vertex
+    for p, part in enumerate(cover.parts):
+        bit[list(part)] = 1 << p
+    u, v = g.ends
+    pair = bit[u] | bit[v]  # an edge between parts i and j has both bits
+    by_pair: dict[tuple[int, int], tuple[int, int]] = {}
+    for i, j in itertools.combinations(range(k), 2):
+        hit = pair == (1 << i | 1 << j)
+        e = int(hit.argmax())  # the first hit, the smallest: g.ends is sorted
+        if hit[e]:
+            x, y = int(u[e]), int(v[e])
+            by_pair[i, j] = (x, y) if bit[x] == 1 << i else (y, x)
     if k == 2 and (0, 1) in by_pair:
         return _Tree(by_pair, PATTERN_ONE_EDGE, None)
     if k == 3:
@@ -329,7 +336,7 @@ def label_cover(g: Graph, cover: CliqueCover,
     free positions in part order."""
     if cover.n_parts > 3:
         raise UnsupportedCoverError("clique cover number exceeds 3")
-    tree = _choose_tree(cover)
+    tree = _choose_tree(g, cover)
     mid = tree.middle
     row = _lookup(cover.sizes, None if mid is None else cover.sizes[mid], tree.pattern)
     if row is None:

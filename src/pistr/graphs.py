@@ -233,16 +233,12 @@ def label_array(labels) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CliqueCover:
-    """Ordered partition of the vertex set into cliques.
-
-    Parts are sorted by size ascending (ties by smallest contained vertex);
-    cross_edges lists every graph edge joining two different parts as
-    (part_i, part_j, u, v) with part_i < part_j, u in part_i, v in part_j.
-    """
+    """Ordered partition of the vertex set into cliques: the parts sorted by
+    size ascending, ties by smallest contained vertex, each part's vertices
+    ascending. Everything else about the graph is read from the graph."""
 
     parts: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
-    cross_edges: tuple[tuple[int, int, int, int], ...]
 
     @property
     def n_parts(self) -> int:
@@ -340,24 +336,27 @@ def induced_subgraph(g: Graph, vertices: list[int]) -> tuple[Graph, list[int]]:
 def clique_cover(g: Graph, k_max: int) -> CliqueCover | None:
     """Minimum clique cover if the minimum is <= k_max, else None.
 
-    Exact: backtracking k-coloring of the complement graph with vertices
-    ordered by descending complement degree. Two colours are ruled out by a
-    breadth-first search instead, whose cost does not depend on how the
-    vertices are numbered; the backtracking can take thousands of steps to
-    refute them.
+    Exact: a k-colouring of the complement graph for k = 1, 2, ... The
+    cliques of a cover with at most k_max parts hold at least the edges of
+    n vertices split as evenly as possible into k_max cliques, so a graph
+    with fewer edges is refused before any n x n work. Two colours are a
+    breadth-first search, whose cost does not depend on how the vertices
+    are numbered; every other k is a backtracking search with vertices
+    ordered by descending complement degree.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    n = g.n_vertices
-    if n == 0:
-        return CliqueCover((), (), ())
+    q, r = divmod(g.n_vertices, k_max)
+    # the fewest edges k_max cliques on n vertices hold: parts of q, r of them q + 1
+    if g.n_edges < k_max * q * (q - 1) // 2 + r * q:
+        return None
     comp_adj = _complement_masks(g)
     for k in range(1, k_max + 1):
-        if k == 2 and not _is_bipartite(comp_adj):
-            continue
-        classes = _color_graph(comp_adj, k)
+        classes = _two_colour(comp_adj) if k == 2 else _color_graph(comp_adj, k)
         if classes is not None:
-            return _cover_from_classes(classes, comp_adj)
+            parts = sorted((tuple(_bits(mask)) for mask in classes if mask),
+                           key=lambda p: (len(p), p[0]))
+            return CliqueCover(tuple(parts), tuple(len(p) for p in parts))
     return None
 
 
@@ -367,7 +366,7 @@ def _complement_masks(g: Graph) -> list[int]:
     n = g.n_vertices
     indptr, cells, _ = g.csr
     masks: list[int] = []
-    step = max(1, _MASK_BLOCK // n)
+    step = max(1, _MASK_BLOCK // max(n, 1))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         block = np.ones((hi - lo, n), dtype=bool)
@@ -388,7 +387,7 @@ def _color_graph(adj_masks: list[int], k: int) -> list[int] | None:
     when none fits, the search backs up one depth and resumes after the color
     chosen there."""
     n = len(adj_masks)
-    order = sorted(range(n), key=lambda v: (-adj_masks[v].bit_count(), v))
+    order = _order(adj_masks)
     classes = [0] * k
     color = [0] * n  # color[i] is the color of order[i] while depth > i
     bumped = [False] * n  # whether that color opened a new class
@@ -420,14 +419,21 @@ def _color_graph(adj_masks: list[int], k: int) -> list[int] | None:
     return classes
 
 
-def _is_bipartite(adj_masks: list[int]) -> bool:
-    """Whether the graph of the adjacency bitmasks is 2-colourable:
-    breadth first from the lowest vertex not yet reached, each layer on the
-    other side from the last; an edge inside a side is an odd cycle."""
+def _order(adj_masks: list[int]) -> list[int]:
+    """The vertices by descending degree, then id: the colourings' order."""
+    return sorted(range(len(adj_masks)), key=lambda v: (-adj_masks[v].bit_count(), v))
+
+
+def _two_colour(adj_masks: list[int]) -> list[int] | None:
+    """The classes _color_graph(adj_masks, 2) returns, or None: breadth
+    first from each component's first vertex in _order, on side 0, each
+    layer on the other side from the last; an edge inside a side is an odd
+    cycle. Side 0 for those vertices is the least colouring in that order,
+    the one the backtracking finds first."""
     sides = [0, 0]
     todo = (1 << len(adj_masks)) - 1
-    while todo:
-        frontier, side = todo & -todo, 0
+    for start in _order(adj_masks):
+        frontier, side = todo & 1 << start, 0
         while frontier:
             sides[side] |= frontier
             todo &= ~frontier
@@ -435,9 +441,9 @@ def _is_bipartite(adj_masks: list[int]) -> bool:
             for v in _bits(frontier):
                 reach |= adj_masks[v]
             if reach & sides[side]:
-                return False
+                return None
             frontier, side = reach & todo, 1 - side
-    return True
+    return sides
 
 
 def _bits(mask: int):
@@ -446,25 +452,3 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _cover_from_classes(classes: list[int], comp_adj: list[int]) -> CliqueCover:
-    """The cover whose parts are the colour classes; the cross edges are
-    read off the complement masks, a vertex and a part at a time."""
-    parts = sorted((tuple(_bits(mask)) for mask in classes if mask),
-                   key=lambda p: (len(p), p[0]))
-    part_of = [0] * len(comp_adj)
-    for i, part in enumerate(parts):
-        for v in part:
-            part_of[v] = i
-    full = (1 << len(comp_adj)) - 1
-    cross = []
-    for i, part in enumerate(parts):
-        outside = full ^ sum(1 << v for v in part)
-        for x in part:
-            # neighbours y > x in other parts
-            for y in _bits(outside & ~comp_adj[x] & -(2 << x)):
-                j = part_of[y]
-                cross.append((i, j, x, y) if i < j else (j, i, y, x))
-    cross.sort()
-    return CliqueCover(tuple(parts), tuple(len(p) for p in parts), tuple(cross))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -62,6 +64,14 @@ def planted_cover_graph(rng: random.Random, sizes, extra_cross=0) -> Graph:
     return g
 
 
+def cycle_complement(n: int, seed: int) -> Graph:
+    """The complement of an n-cycle whose vertices follow the seeded
+    permutation np.random.default_rng(seed).permutation(n)."""
+    order = np.random.default_rng(seed).permutation(n).tolist()
+    cycle = {edge_key(order[i - 1], order[i]) for i in range(n)}
+    return Graph(n, frozenset(itertools.combinations(range(n), 2)) - cycle)
+
+
 def permute_graph(rng: random.Random, g: Graph, labels=None):
     """Relabel vertices by a random permutation; returns (graph, perm[, labels])."""
     perm = list(range(g.n_vertices))
@@ -85,6 +95,24 @@ def brute_witness(products: list[int]) -> tuple[int, int] | None:
     n = len(products)
     return min(((u, v) for u in range(n) for v in range(u + 1, n)
                 if products[u] == products[v]), default=None)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the test if the body runs longer than seconds, so that a hang
+    fails fast instead of stalling the suite. Built on a SIGALRM interval
+    timer (POSIX, main thread only): the failure is raised between two
+    bytecodes, and pytest's own exception gets past ``except Exception``."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -12,6 +12,8 @@ from pistr.cli import main
 from pistr.fileio import emit_graph, parse_graph
 from pistr.graphs import complete_graph
 
+from conftest import deadline, permute_graph, planted_cover_graph
+
 
 # gen output of the L<n> and LP<n> tokens, byte for byte: one K_2 or K_1
 # block, a B_n block and the cross entry 3 joining their first vertices.
@@ -97,6 +99,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def brute_cross_edges(doc: str, payload: dict) -> int:
+    """The edges of the document joining two different parts of a cover
+    --json payload, counted one by one."""
+    part_of = {v: i for i, part in enumerate(payload["parts"]) for v in part}
+    g, _ = parse_graph(doc)
+    return sum(part_of[u + 1] != part_of[v + 1] for u, v in g.edges)
+
+
 class TestGen:
     def test_clique_expression(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "K3+K3", "--edge", "1,4")
@@ -109,6 +119,12 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", "K3+K3", "--edge", spec)
         assert code == 2 and out == ""
         assert err == "pistr: edge (1, 2) already present\n"
+
+    @pytest.mark.parametrize("spec,vertex", [("1,9", 9), ("0,4", 0), ("7,2", 7)])
+    def test_edge_endpoint_out_of_range_named(self, capsys, spec, vertex):
+        code, out, err = run_cli(capsys, "gen", "K3+K3", "--edge", spec)
+        assert (code, out) == (2, "")
+        assert err == f"pistr: --edge {spec}: vertex {vertex} outside 1..6\n"
 
     def test_matrix_expression(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "A4+B9")
@@ -211,6 +227,48 @@ class TestCoverAndConstruct:
         assert code == 0
         payload = json.loads(out)
         assert payload["sizes"] == [5, 6]
+
+    def test_cover_json_pinned(self, capsys, tmp_path):
+        # three cliques, 1-4, 5-9 and 10-15, and seven cross edges: five
+        # more than a spanning tree over the parts needs
+        cross = ["1,5", "2,6", "3,7", "5,10", "6,11", "1,10", "4,15"]
+        _, doc, _ = run_cli(capsys, "gen", "K4+K5+K6",
+                            *(arg for edge in cross for arg in ("--edge", edge)))
+        path = tmp_path / "g.txt"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, "cover", str(path), "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["sizes"] == [4, 5, 6]
+        assert payload["parts"] == [[1, 2, 3, 4], [5, 6, 7, 8, 9],
+                                    [10, 11, 12, 13, 14, 15]]
+        assert payload["n_cross_edges"] == brute_cross_edges(doc, payload) == 7
+
+    def test_cover_json_cross_count_on_planted_covers(self, capsys, tmp_path, rng):
+        for sizes, extra in [((3, 4), 5), ((4, 5, 6), 12), ((6, 7, 7), 30)]:
+            g, _ = permute_graph(rng, planted_cover_graph(rng, sizes, extra))
+            doc = emit_graph(g)
+            path = tmp_path / "g.txt"
+            path.write_text(doc)
+            code, out, _ = run_cli(capsys, "cover", str(path), "--json")
+            payload = json.loads(out)
+            assert code == 0 and payload["sizes"] == sorted(sizes)
+            parts = payload["parts"]
+            assert sorted(v for part in parts for v in part) == list(range(1, g.n_vertices + 1))
+            assert payload["n_cross_edges"] == brute_cross_edges(doc, payload)
+            assert payload["n_cross_edges"] >= len(sizes) - 1 + extra
+
+    @pytest.mark.parametrize("n_edges", [0, (1 << 20) - 1])
+    def test_sparse_graph_at_the_vertex_cap(self, capsys, tmp_path, n_edges):
+        # 2^20 vertices, edgeless or a path: far too few edges for three
+        # cliques, refused before the 128 GiB of complement bitmasks
+        n = 1 << 20
+        path = tmp_path / "sparse.txt"
+        path.write_text(f"p {n} {n_edges}\n"
+                        + "".join(f"e {v} {v + 1}\n" for v in range(1, n_edges + 1)))
+        with deadline(5):
+            code, out, err = run_cli(capsys, "cover", str(path))
+        assert (code, out, err) == (1, "no clique cover with at most 3 parts\n", "")
 
     def test_cover_not_found(self, capsys, tmp_path):
         path = tmp_path / "c5.txt"

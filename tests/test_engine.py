@@ -19,7 +19,8 @@ from pistr.graphs import (CliqueCover, Graph, add_cross_edge, clique_cover,
 from pistr.solver import ps_exact
 from pistr.verifier import is_product_irregular
 
-from conftest import brute_products, permute_graph, planted_cover_graph
+from conftest import (brute_products, cycle_complement, permute_graph,
+                      planted_cover_graph)
 
 
 def cliques_with_edges(sizes, cross):
@@ -32,57 +33,94 @@ def cliques_with_edges(sizes, cross):
     return g
 
 
-def tree_of(cover):
+def tree_of(g, cover):
     """The tree edges the engine labels, one for two parts and two for
     three, and their pattern; every other cross edge is surplus."""
-    tree = _choose_tree(cover)
+    tree = _choose_tree(g, cover)
     return list(tree.edges), tree.pattern
 
 
+def assert_smallest_cross_edges(g, cover):
+    """_choose_tree against the cross edges listed one by one: each chosen
+    pair of parts is joined by its smallest edge, endpoints in part order,
+    and three parts go through the first middle part joined to both
+    others."""
+    part = {v: p for p, vertices in enumerate(cover.parts) for v in vertices}
+    smallest = {}
+    for u, v in sorted(g.edges):
+        if part[u] != part[v]:
+            key = (part[u], part[v]) if part[u] < part[v] else (part[v], part[u])
+            smallest.setdefault(key, (u, v) if key[0] == part[u] else (v, u))
+    tree = _choose_tree(g, cover)
+    if cover.n_parts == 3:
+        mid = next(m for m in range(3)
+                   if sum(m in key for key in smallest) == 2)
+        assert tree.middle == mid
+        smallest = {key: edge for key, edge in smallest.items() if mid in key}
+    assert tree.links == smallest
+    assert all(type(x) is int for edge in tree.links.values() for x in edge)
+
+
 class TestCrossEdgeSelection:
+    @pytest.mark.parametrize("sizes,extra", [((3, 4), 5), ((5, 9), 12),
+                                             ((4, 5, 6), 8), ((6, 7, 7), 20)])
+    def test_tree_takes_the_smallest_cross_edge_per_pair(self, rng, sizes, extra):
+        for _ in range(5):
+            g, _ = permute_graph(rng, planted_cover_graph(rng, sizes, extra))
+            cover = clique_cover(g, 3)
+            assert cover.n_parts == len(sizes)
+            assert_smallest_cross_edges(g, cover)
+
+    def test_tree_on_an_odd_cycle_complement(self):
+        # three parts, (41, 130, 130), and 27,259 edges between them
+        g = cycle_complement(301, 301)
+        cover = clique_cover(g, 3)
+        assert cover.n_parts == 3
+        assert_smallest_cross_edges(g, cover)
+
     def test_two_parts_single_choice(self):
         g = cliques_with_edges((3, 4), [(0, 3)])
         cover = clique_cover(g, 2)
-        edges, pattern = tree_of(cover)
+        edges, pattern = tree_of(g, cover)
         assert edges == [(0, 3)] and pattern == "one_edge"
 
     def test_two_parts_surplus(self):
         cross = [(0, 4), (1, 5), (2, 6), (3, 7), (0, 7)]
         g = cliques_with_edges((4, 4), cross)
         cover = clique_cover(g, 2)
-        edges, _ = tree_of(cover)
+        edges, _ = tree_of(g, cover)
         assert len(edges) == 1
 
     def test_three_parts_path_shape_forces_middle(self):
         # parts joined 0-1 and 1-2: part 1 must be the middle
         g = cliques_with_edges((4, 4, 4), [(0, 4), (5, 8)])
         cover = clique_cover(g, 3)
-        edges, pattern = tree_of(cover)
+        edges, pattern = tree_of(g, cover)
         assert sorted(edges) == [(0, 4), (5, 8)]
         assert pattern in (PATTERN_SAME, PATTERN_DIFF)
 
     def test_pattern_same_vs_diff(self):
         same = cliques_with_edges((4, 4, 4), [(4, 0), (4, 8)])
         cover = clique_cover(same, 3)
-        assert tree_of(cover)[1] == PATTERN_SAME
+        assert tree_of(same, cover)[1] == PATTERN_SAME
         diff = cliques_with_edges((4, 4, 4), [(4, 0), (5, 8)])
         cover = clique_cover(diff, 3)
-        assert tree_of(cover)[1] == PATTERN_DIFF
+        assert tree_of(diff, cover)[1] == PATTERN_DIFF
 
     def test_deterministic(self):
         g = planted_cover_graph(random.Random(7), (5, 6, 7), extra_cross=6)
         cover = clique_cover(g, 3)
-        assert tree_of(cover) == tree_of(cover)
+        assert tree_of(g, cover) == tree_of(g, cover)
 
     def test_disconnected_rejected(self):
         g = disjoint_union(complete_graph(4), complete_graph(4))
         cover = clique_cover(g, 2)
         with pytest.raises(ValueError, match="connected"):
-            tree_of(cover)
+            tree_of(g, cover)
         g = cliques_with_edges((4, 4, 4), [(0, 4)])
         cover = clique_cover(g, 3)
         with pytest.raises(ValueError, match="connected"):
-            tree_of(cover)
+            tree_of(g, cover)
         with pytest.raises(ValueError, match="connected"):
             label_cover(g, cover)
 
@@ -228,10 +266,8 @@ def spanning_graphs():
             outers = [o for o in range(len(sizes)) if o != m]
             for hubs in [(0, 0), (0, 1)][:1 + (len(sizes) == 3 and sizes[m] > 1)]:
                 tree = [(m, parts[m][h], o, parts[o][0]) for o, h in zip(outers, hubs)]
-                cross = tuple((pa, pb, u, v) if pa < pb else (pb, pa, v, u)
-                              for pa, u, pb, v in tree)
                 g = Graph.from_edges(sum(sizes), clique_edges + [(u, v) for _, u, _, v in tree])
-                yield g, CliqueCover(parts, sizes, cross)
+                yield g, CliqueCover(parts, sizes)
 
 
 def test_unpinned_fallback_census():
@@ -292,7 +328,7 @@ class TestConstructLabeling:
         g = planted_cover_graph(rng, (5, 6, 8), extra_cross=6)
         out = construct_labeling(g)
         cover = clique_cover(g, 3)
-        chosen, _ = tree_of(cover)
+        chosen, _ = tree_of(g, cover)
         spanning = set(chosen)
         for part in cover.parts:
             spanning.update(edge_key(u, v)
@@ -310,7 +346,7 @@ class TestConstructLabeling:
             if cover.sizes != tuple(sorted(sizes)):
                 continue
             out = construct_labeling(g)
-            chosen, _ = tree_of(cover)
+            chosen, _ = tree_of(g, cover)
             spanning = set(chosen)
             for part in cover.parts:
                 spanning.update(
@@ -332,7 +368,7 @@ class TestConstructLabeling:
         out = construct_labeling(g)
         cover = clique_cover(g, 3)
         tree = out.case_trace.tree_edges
-        assert tree == tuple(sorted(tree_of(cover)[0]))
+        assert tree == tuple(sorted(tree_of(g, cover)[0]))
         assert len(tree) == cover.n_parts - 1 and set(tree) <= g.edges
         part = {v: p for p, vertices in enumerate(cover.parts) for v in vertices}
         joined = {frozenset((part[u], part[v])) for u, v in tree}
@@ -403,8 +439,7 @@ def _digest_inputs():
         x, y = rng.sample(range(n + 1), 2)  # x alone, joined to y in K_n
         rest = tuple(sorted(v for v in range(n + 1) if v != x))
         g = Graph.from_edges(n + 1, [(x, y)] + list(itertools.combinations(rest, 2)))
-        cross = ((0, 1, x, y),)
-        inputs.append((g, CliqueCover(((x,), rest), (1, n), cross)))
+        inputs.append((g, CliqueCover(((x,), rest), (1, n))))
     two = [(1, 4), (1, 7), (2, 4), (2, 6), (3, 5), (3, 7), (4, 4), (4, 9),
            (5, 5), (5, 8), (6, 6), (6, 7), (3, 4), (1, 3), (2, 2), (2, 3), (3, 3)]
     three = [(7, 8, 9), (7, 7, 7), (4, 8, 9), (5, 7, 7), (6, 6, 9), (6, 6, 7),

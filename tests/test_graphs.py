@@ -1,18 +1,21 @@
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
-from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge,
+from pistr.engine import construct_labeling
+from pistr.graphs import (CliqueCover, EdgeLabeling, Graph, add_cross_edge,
                           clique_cover, complete_graph, connected_components,
                           disjoint_union, has_isolated_vertex_or_edge,
                           is_connected, labeled_graph_to_matrix,
                           matrix_to_labeled_graph)
-from pistr.graphs import _color_graph, _complement_masks, _is_bipartite
+from pistr.graphs import _color_graph, _complement_masks, _two_colour
 from pistr.matrices import fixed_matrix, m_matrix
+from pistr.verifier import is_product_irregular
 
-from conftest import (permute_graph, planted_cover_graph, random_graph_no_isolates,
-                      random_labeling)
+from conftest import (cycle_complement, deadline, permute_graph, planted_cover_graph,
+                      random_graph_no_isolates, random_labeling)
 
 
 def brute_min_cover(g: Graph) -> int:
@@ -290,30 +293,56 @@ class TestCliqueCover:
             assert cover.n_parts == brute_min_cover(g)
 
     def test_cross_edge_inventory(self):
+        # the cover is its partition alone; the edge joining the parts is
+        # what the graph holds beyond the two cliques
         g = add_cross_edge(disjoint_union(complete_graph(3), complete_graph(4)), 1, 5)
         cover = clique_cover(g, 2)
-        assert cover.sizes == (3, 4)
-        assert cover.cross_edges == ((0, 1, 1, 5),)
-
-    @pytest.mark.parametrize("sizes,extra", [((3, 4), 5), ((5, 9), 12),
-                                             ((4, 5, 6), 8), ((6, 7, 7), 20)])
-    def test_cross_edges_sorted_and_complete(self, rng, sizes, extra):
-        for _ in range(5):
-            g, _ = permute_graph(rng, planted_cover_graph(rng, sizes, extra))
-            cover = clique_cover(g, 3)
-            assert cover.n_parts == len(sizes)
-            # Every edge between two parts, listed pair of parts by pair of
-            # parts and endpoint by endpoint: sorted without a sort.
-            expected = [(i, j, u, v)
-                        for i, j in itertools.combinations(range(cover.n_parts), 2)
-                        for u in sorted(cover.parts[i]) for v in sorted(cover.parts[j])
-                        if g.has_edge(u, v)]
-            assert len(expected) > len(sizes) - 1
-            assert list(cover.cross_edges) == expected
+        assert cover == CliqueCover(((0, 1, 2), (3, 4, 5, 6)), (3, 4))
+        inside = {e for part in cover.parts for e in itertools.combinations(part, 2)}
+        assert g.edges - inside == {(1, 5)}
 
     def test_large_complete_graph_needs_no_recursion(self):
         cover = clique_cover(complete_graph(1200), 3)
-        assert cover.sizes == (1200,) and cover.cross_edges == ()
+        assert cover.sizes == (1200,) and cover.parts == (tuple(range(1200)),)
+
+    def test_too_few_edges_refused_before_the_masks(self, monkeypatch):
+        # three cliques on 9 vertices hold at least the 9 edges of (3,3,3)
+        g = disjoint_union(disjoint_union(complete_graph(3), complete_graph(3)),
+                           complete_graph(3))
+        assert g.n_edges == 9
+        assert clique_cover(g, 3).parts == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+        short = Graph(9, g.edges - {(0, 1)})
+        assert brute_min_cover(short) == 4
+
+        def unreachable(g):
+            raise AssertionError("complement masks built for a refused graph")
+
+        monkeypatch.setattr("pistr.graphs._complement_masks", unreachable)
+        assert clique_cover(short, 3) is None
+        assert clique_cover(Graph(10, frozenset()), 9) is None
+
+    def test_refusal_matches_brute_force_for_every_k_max(self):
+        pairs = list(itertools.combinations(range(5), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edges(5, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            least = brute_min_cover(g)
+            for k_max in range(1, 6):
+                cover = clique_cover(g, k_max)
+                assert (cover is None) == (least > k_max), (bits, k_max)
+
+    def test_even_cycle_complement_in_time(self):
+        # cover number 2; the backtracking 2-colouring took 24 s on this
+        # numbering of the 70-cycle, the breadth-first one reads both parts
+        # off the cycle at once
+        n = 70
+        g = cycle_complement(n, n)
+        order = np.random.default_rng(n).permutation(n).tolist()
+        with deadline(1):
+            cover = clique_cover(g, 3)
+            out = construct_labeling(g)
+        assert cover.parts == tuple(sorted((tuple(sorted(order[1::2])),
+                                            tuple(sorted(order[0::2])))))
+        assert out.strength == 3 and is_product_irregular(out.labeling).ok
 
     def test_coloring_matches_recursive_search(self, rng):
         # The explicit-stack search must visit colours in the order of the
@@ -325,16 +354,25 @@ class TestCliqueCover:
                 assert _color_graph(masks, k) == recursive_color_graph(masks, k)
 
     def test_two_colour_check_agrees_with_the_search(self, rng):
-        # clique_cover rules out two parts with _is_bipartite instead of
-        # _color_graph(., 2), so the two must agree on every graph: the
-        # complements of random graphs and of planted covers, and cycles,
-        # paths and their unions taken as they are.
+        # clique_cover takes two parts from _two_colour instead of
+        # _color_graph(., 2), so the two must return the same classes on
+        # every graph: the complements of random graphs and of planted
+        # covers, sparse random graphs, and cycles, paths and their unions
+        # taken as they are.
         graphs = [random_graph_no_isolates(rng, n_min=2, n_max=11) for _ in range(60)]
         graphs += [permute_graph(rng, planted_cover_graph(rng, sizes, extra))[0]
                    for sizes, extra in [((1, 4), 0), ((3, 4), 5), ((5, 9), 12),
                                         ((4, 5, 6), 8), ((2, 2, 2), 3)]
                    for _ in range(4)]
         mask_sets = [_complement_masks(g) for g in graphs]
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            masks = [0] * n
+            for u, v in itertools.combinations(range(n), 2):
+                if rng.random() < 1.5 / n:
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+            mask_sets.append(masks)
         for n in range(1, 10):
             cycle = [(i, (i + 1) % n) for i in range(n)] if n > 2 else []
             path = [(i, i + 1) for i in range(n - 1)]
@@ -344,12 +382,12 @@ class TestCliqueCover:
                     masks[u] |= 1 << v
                     masks[v] |= 1 << u
                 mask_sets.append(masks)
-        verdicts = set()
+        verdicts = collections.Counter()
         for masks in mask_sets:
-            verdict = _is_bipartite(masks)
-            assert verdict == (_color_graph(masks, 2) is not None)
-            verdicts.add(verdict)
-        assert verdicts == {True, False}
+            classes = _two_colour(masks)
+            assert classes == _color_graph(masks, 2), masks
+            verdicts[classes is not None] += 1
+        assert min(verdicts[True], verdicts[False]) > 100, verdicts
 
     def test_k_max_respected(self):
         c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
