@@ -79,6 +79,8 @@ def _generate(expr: str, cross: list[tuple[int, int]]) -> str:
                 if not 1 <= x <= g.n_vertices:
                     raise DocumentError(f"--edge {u},{v}: vertex {x} outside "
                                         f"1..{g.n_vertices}")
+            if u == v:
+                raise DocumentError(f"--edge {u},{v}: loop at vertex {u}")
             if g.has_edge(u - 1, v - 1):
                 raise DocumentError(f"edge {edge_key(u, v)} already present")
             g = add_cross_edge(g, u - 1, v - 1)

@@ -19,8 +19,9 @@ duplicate and label checks at once, in _build; the line loop makes them
 line by line.
 
 emit_graph writes every document through byte tables: each vertex id and
-each distinct label is spelled once, and one uint8 matrix holds the edge
-lines, one row each.
+each distinct label is spelled once, as one fixed-size item (numpy.void),
+and the edge lines are the rows of one structured array, each field filled
+by one flat gather from its table.
 """
 
 from __future__ import annotations
@@ -208,31 +209,30 @@ def emit_graph(g: Graph, labeling: EdgeLabeling | None = None) -> str:
     u, v = g.ends
     if not len(u):
         return header
-    # Row k: "e", " u", " v", [" w"] and "\n" of edge k, each spelling
-    # padded with zero bytes, which the last step drops.
+    # Row k: "e", " u", " v", [" w"] and "\n" of edge k, each spelling one
+    # fixed-size field padded with zero bytes, which the last step drops.
     ids = _spellings(g.n_vertices)[1:]
     fields = [(ids, u), (ids, v)]
     if labeling is not None:
         values = labeling.values
         top = values.max()
-        if values.dtype != object and top < len(_NUMBERS):
+        if values.dtype != object and len(str(top)) in _NUMBERS:
             fields.append((_spellings(top), values))
         else:
             distinct, inverse = np.unique(values, return_inverse=True)
             fields.append((_spelled(distinct), inverse))
-    rows = np.empty((len(u), 2 + sum(table.shape[1] for table, _ in fields)), np.uint8)
-    rows[:, 0], rows[:, -1] = _E, _NEWLINE
-    at = 1
-    for table, index in fields:
-        width = table.shape[1]
-        table.take(index, axis=0, out=rows[:, at:at + width])
-        at += width
+    spelled = [(f"f{k}", table.dtype) for k, (table, _) in enumerate(fields)]
+    rows = np.empty(len(u), [("e", np.uint8), *spelled, ("end", np.uint8)])
+    rows["e"], rows["end"] = _E, _NEWLINE
+    for (name, _), (table, index) in zip(spelled, fields):
+        rows[name] = table.take(index)
     return header + rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _spelled(values: np.ndarray) -> np.ndarray:
-    """Row i: a space, then the decimal digits of the nonnegative values[i],
-    as ASCII bytes padded on the right with zero bytes."""
+    """Item i: a space, then the decimal digits of the nonnegative values[i],
+    as ASCII bytes padded on the right with zero bytes, all one fixed-size
+    item (numpy.void) so that a gather moves whole spellings."""
     if values.dtype == object:
         digits = np.array([str(w) for w in values.tolist()], dtype="S")
     else:
@@ -240,14 +240,14 @@ def _spelled(values: np.ndarray) -> np.ndarray:
     table = np.empty((len(values), digits.itemsize + 1), np.uint8)
     table[:, 0] = _SPACE
     table[:, 1:] = digits.view(np.uint8).reshape(len(values), -1)
-    return table
+    return table.view(f"V{table.shape[1]}").reshape(-1)
 
 
-_NUMBERS = _spelled(np.arange(10_000))  # spelled once: most ids and labels
+# _NUMBERS[d] spells 0 .. 10**d - 1 in d digit places: most ids and labels.
+_NUMBERS = {d: _spelled(np.arange(10 ** d)) for d in range(1, 5)}
 
 
 def _spellings(top: int) -> np.ndarray:
-    """Rows 0..top: row i spells i as _spelled does."""
-    if top < len(_NUMBERS):
-        return _NUMBERS[:top + 1, :len(str(top)) + 1]
-    return _spelled(np.arange(top + 1))
+    """Items 0..top: item i spells i as _spelled does."""
+    table = _NUMBERS.get(len(str(top)))
+    return _spelled(np.arange(top + 1)) if table is None else table[:top + 1]

@@ -109,42 +109,34 @@ class Graph:
         return pos
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compressed rows (indptr, cells, indices): the neighbours of v are
-        indices[indptr[v]:indptr[v + 1]], in ascending order, and cells[k]
-        is entry k's position in a flat n x n adjacency matrix."""
-        n = self.n_vertices
+    def _roots(self) -> np.ndarray:
+        """Each vertex's component label, the smallest vertex of its
+        component: root labels over ``ends`` by hooking and pointer jumping
+        (Shiloach and Vishkin, J. Algorithms 1982). Each round hooks every
+        root to the smallest of the smaller roots across its edges, then
+        jumps f = f[f] until every vertex points at a root, and keeps only
+        the edges that still join two roots."""
+        f = np.arange(self.n_vertices)
         u, v = self.ends
-        cells = np.concatenate((self._keys, v * n + u))
-        cells.sort()
-        step = max(n, 1)
-        return (cells.searchsorted(np.arange(n + 1, dtype=np.int64) * step),
-                cells, cells % step)
+        while len(u):
+            np.minimum.at(f, np.maximum(u, v), np.minimum(u, v))
+            up = f[f]
+            while np.count_nonzero(up != f):
+                f, up = up, up[up]
+            u, v = f[u], f[v]
+            keep = u != v
+            u, v = u[keep], v[keep]
+        return f
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by smallest
-        vertex; one walk over the compressed rows, shared by every caller.
-        A walk stops once it holds every vertex not yet placed, so a
-        connected graph reads only the rows it needs to reach them all."""
-        indptr, _, indices = self.csr
-        bounds = indptr.tolist()
-        seen: set[int] = set()
-        comps = []
-        for start in range(self.n_vertices):
-            if start in seen:
-                continue
-            rest = self.n_vertices - len(seen)
-            comp = {start}
-            stack = [start]
-            while stack and len(comp) < rest:
-                x = stack.pop()
-                fresh = set(indices[bounds[x]:bounds[x + 1]].tolist()).difference(comp)
-                comp |= fresh
-                stack.extend(fresh)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        vertex: the vertices sorted stably by their root label, cut by the
+        component sizes."""
+        sizes = np.bincount(self._roots)
+        ends = np.cumsum(sizes[sizes > 0]).tolist()
+        vertices = self._roots.argsort(kind="stable").tolist()
+        return tuple(tuple(vertices[a:b]) for a, b in zip([0, *ends], ends))
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
@@ -312,7 +304,7 @@ def labeled_graph_to_matrix(labeling: EdgeLabeling) -> np.ndarray:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(g.components) <= 1
+    return not np.count_nonzero(g._roots)  # every vertex in vertex 0's component
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -322,7 +314,8 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 def has_isolated_vertex_or_edge(g: Graph) -> bool:
     """True if some component is a single vertex or a single edge."""
-    return any(len(comp) <= 2 for comp in g.components)  # 2 vertices = 1 edge
+    by_size = np.bincount(np.bincount(g._roots), minlength=3)  # components per size
+    return bool(np.count_nonzero(by_size[1:3]))  # 2 vertices = 1 edge
 
 
 def induced_subgraph(g: Graph, vertices: list[int]) -> tuple[Graph, list[int]]:
@@ -361,17 +354,23 @@ def clique_cover(g: Graph, k_max: int) -> CliqueCover | None:
 
 
 def _complement_masks(g: Graph) -> list[int]:
-    """Bitmask of each vertex's non-neighbours (itself excluded), read off
-    the compressed rows a block of rows at a time."""
+    """Bitmask of each vertex's non-neighbours (itself excluded), a block of
+    rows at a time: row u's cells u * n + v come from the edges' sorted keys,
+    a slice found by searchsorted on u, and row v's cells v * n + u from the
+    edges whose v lies in the block."""
     n = g.n_vertices
-    indptr, cells, _ = g.csr
+    u, v = g.ends
+    keys = g._keys
     masks: list[int] = []
     step = max(1, _MASK_BLOCK // max(n, 1))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         block = np.ones((hi - lo, n), dtype=bool)
         flat = block.reshape(-1)
-        flat[cells[indptr[lo]:indptr[hi]] - lo * n] = False
+        first, last = u.searchsorted((lo, hi))
+        flat[keys[first:last] - lo * n] = False
+        mine = slice(None) if hi - lo == n else (v >= lo) & (v < hi)
+        flat[(v[mine] - lo) * n + u[mine]] = False
         flat[lo::n + 1] = False  # (r, lo + r): the vertex itself
         data = np.packbits(block, axis=1, bitorder="little").tobytes()
         width = (n + 7) // 8

@@ -60,23 +60,21 @@ class ComponentSignature:
 
 def edge_search_order(g: Graph) -> list[Edge]:
     """Order edges so each vertex's incident edges appear consecutively,
-    busiest vertices first; finishing vertices early maximizes pruning."""
+    busiest vertices first; finishing vertices early maximizes pruning.
+    An edge comes at the first of its ends in that vertex order, and there
+    by the place of its other end: one sort of the edges."""
     deg = [0] * g.n_vertices
     for u, v in g.edges:
         deg[u] += 1
         deg[v] += 1
     vorder = sorted(range(g.n_vertices), key=lambda v: (-deg[v], v))
     pos = {v: i for i, v in enumerate(vorder)}
-    order: list[Edge] = []
-    seen: set[Edge] = set()
-    for v in vorder:
-        inc = sorted((e for e in g.edges if v in e),
-                     key=lambda e: pos[e[1] if e[0] == v else e[0]])
-        for e in inc:
-            if e not in seen:
-                seen.add(e)
-                order.append(e)
-    return order
+
+    def place(e: Edge) -> tuple[int, int]:
+        a, b = pos[e[0]], pos[e[1]]
+        return (a, b) if a < b else (b, a)
+
+    return sorted(g.edges, key=place)
 
 
 def search_labelings(g: Graph, s: int, products: list[int] | None = None,

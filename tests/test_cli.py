@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pistr import cli
@@ -125,6 +126,11 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", "K3+K3", "--edge", spec)
         assert (code, out) == (2, "")
         assert err == f"pistr: --edge {spec}: vertex {vertex} outside 1..6\n"
+
+    def test_edge_loop_named(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "K3+K3", "--edge", "3,3")
+        assert (code, out) == (2, "")
+        assert err == "pistr: --edge 3,3: loop at vertex 3\n"
 
     def test_matrix_expression(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "A4+B9")
@@ -269,6 +275,23 @@ class TestCoverAndConstruct:
         with deadline(5):
             code, out, err = run_cli(capsys, "cover", str(path))
         assert (code, out, err) == (1, "no clique cover with at most 3 parts\n", "")
+
+    @pytest.mark.parametrize("n_edges,want", [
+        (0, (2, "", "pistr: graph has an isolated vertex or isolated edge\n")),
+        ((1 << 20) - 1, (1, "unsupported: clique cover number exceeds 3\n", "")),
+    ])
+    def test_construct_refuses_fast_at_the_vertex_cap(self, tmp_path, n_edges, want):
+        # 2^20 vertices, edgeless or a path through a shuffled numbering:
+        # array passes over the edges refuse them, interpreter start included
+        n = 1 << 20
+        order = (np.random.default_rng(7).permutation(n) + 1).tolist()
+        path = tmp_path / "sparse.txt"
+        path.write_text(f"p {n} {n_edges}\n" + "".join(
+            f"e {order[i]} {order[i + 1]}\n" for i in range(n_edges)))
+        with deadline(1.5):
+            proc = subprocess.run([sys.executable, "-m", "pistr.cli", "construct", str(path)],
+                                  capture_output=True, text=True, env=src_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
 
     def test_cover_not_found(self, capsys, tmp_path):
         path = tmp_path / "c5.txt"

@@ -154,7 +154,7 @@ class TestBuilders:
             h, packed = matrix_to_labeled_graph(labeled_graph_to_matrix(labeling))
             assert "edges" not in h.__dict__  # built from arrays, read lazily
             assert h == g and hash(h) == hash(g) and h.n_edges == g.n_edges
-            assert all(map(np.array_equal, h.csr, g.csr)) and h.components == g.components
+            assert h.components == g.components
             assert h.edges == g.edges and packed.labels == labeling.labels
             assert packed == labeling
             assert [e.tolist() for e in h.ends] == [e.tolist() for e in g.ends]
@@ -247,6 +247,64 @@ class TestConnectivity:
                 assert sorted(reached) == comp
             assert is_connected(g) == (len(comps) == 1)
             assert has_isolated_vertex_or_edge(g) == any(len(c) <= 2 for c in comps)
+
+    @staticmethod
+    def brute_components(n, edges):
+        """Components by breadth-first search from each unreached vertex."""
+        neighbors = [[] for _ in range(n)]
+        for u, v in edges:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        comps, reached = [], set()
+        for start in range(n):
+            if start in reached:
+                continue
+            comp, queue = {start}, collections.deque([start])
+            while queue:
+                for w in neighbors[queue.popleft()]:
+                    if w not in comp:
+                        comp.add(w)
+                        queue.append(w)
+            reached |= comp
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
+
+    def test_components_agree_with_breadth_first_search(self, rng):
+        # many components under a shuffled numbering: isolated vertices,
+        # isolated edges, paths and denser pieces, n = 0 and n = 1 included
+        for trial in range(400):
+            n = trial if trial < 2 else rng.randint(2, 60)
+            n_groups = rng.randint(1, max(1, n // 2))
+            group = [rng.randrange(n_groups) for _ in range(n)]
+            p = rng.choice([0.0, 0.05, 0.2, 0.6])
+            edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                     if group[u] == group[v] and rng.random() < p]
+            edges += [(v, v + 1) for v in range(n - 1) if rng.random() < 0.05]
+            g = Graph.from_edges(n, edges)
+            want = self.brute_components(n, g.edges)
+            assert g.components == want
+            assert connected_components(g) == [list(c) for c in want]
+            assert is_connected(g) == (len(want) <= 1)
+            assert has_isolated_vertex_or_edge(g) == any(len(c) <= 2 for c in want)
+
+    def test_shuffled_path_is_one_component(self):
+        def keys_of(a, b, n):
+            return np.minimum(a, b) * n + np.maximum(a, b)
+
+        n = 10 ** 5
+        order = np.random.default_rng(5).permutation(n)
+        a, b = order[:-1], order[1:]
+        keys = np.sort(keys_of(a, b, n))
+        g = Graph._from_ends(n, *np.divmod(keys, n))
+        assert is_connected(g) and not has_isolated_vertex_or_edge(g)
+        assert g.components == (tuple(range(n)),)
+        # without the middle edge of the path: its two halves
+        k = n // 2
+        cut = Graph._from_ends(n, *np.divmod(keys[keys != keys_of(a[k], b[k], n)], n))
+        halves = order[:k + 1], order[k + 1:]
+        assert cut.components == tuple(sorted(tuple(sorted(h.tolist())) for h in halves))
+        assert not is_connected(cut) and not has_isolated_vertex_or_edge(cut)
+
 
 
 class TestCliqueCover:

@@ -89,6 +89,35 @@ def reference_search(g, s, fixed, budget, prune, collect_all):
     return (sigs if collect_all else found), nodes
 
 
+def reference_edge_search_order(g):
+    """The edge order as first written: for each vertex, busiest first, a
+    scan of every edge for its unplaced incident ones."""
+    deg = [0] * g.n_vertices
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    vorder = sorted(range(g.n_vertices), key=lambda v: (-deg[v], v))
+    pos = {v: i for i, v in enumerate(vorder)}
+    order, seen = [], set()
+    for v in vorder:
+        inc = sorted((e for e in g.edges if v in e),
+                     key=lambda e: pos[e[1] if e[0] == v else e[0]])
+        for e in inc:
+            if e not in seen:
+                seen.add(e)
+                order.append(e)
+    return order
+
+
+def test_edge_search_order_matches_the_reference(rng):
+    for _ in range(300):
+        n = rng.randint(0, 24)
+        p = rng.random()
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < p])
+        assert edge_search_order(g) == reference_edge_search_order(g)
+
+
 def k3_k3_edge():
     return add_cross_edge(disjoint_union(complete_graph(3), complete_graph(3)), 0, 3)
 
