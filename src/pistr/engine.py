@@ -4,19 +4,19 @@ number at most 3.
 The engine computes a minimum clique cover, picks cross edges forming a
 spanning tree over the parts, and looks up the construction in one table,
 _CATALOG, keyed by the sorted part sizes (and, for the "+2 edges" rows, the
-middle part's size and the in-edge pattern). Each row gives its blocks and
-cross entries; only the selected row's blocks are built, and the vertices
-the cross entries name follow from the tree edges. Every surplus edge is
-labeled 1, which leaves all product degrees unchanged. Shapes outside the
-catalog go to a bounded exact search.
+middle part's size and the in-edge pattern). catalog_matrix renders the row
+as one weighted adjacency matrix; the graph's vertices are listed in its row
+order, the tree edge endpoints where the cross entries name them, and each
+edge takes its entry. Every surplus edge meets a zero entry and is labeled
+1, which leaves all product degrees unchanged. Shapes outside the catalog go
+to a bounded exact search, whose answer is written into a matrix too.
 
 Three rows correct the published catalog, each marked where it stands in
 the table and exhaustively verified in the test suite: (4,4,5) with in-edges
 at two vertices of the size-5 middle, (4,6,7) and (6,6,7).
 
-Fallback shapes (no catalog row): two parts with sizes summing to at most 6
-or sizes (3,4); three parts with any size below 4, sizes (4,4,m) for m >= 6,
-or sizes (4,6,6).
+Fallback shapes (no catalog row): two parts with sizes summing to at most 6;
+three parts with any size below 4, sizes (4,4,m) for m >= 6, or (4,6,6).
 """
 
 from __future__ import annotations
@@ -237,9 +237,12 @@ _CATALOG = (
 @functools.cache
 def _lookup(sizes: tuple[int, ...], middle: int | None = None,
             pattern: str | None = None) -> _Row | None:
-    """The first catalog row for these sorted sizes; a "+2 edges" row also
-    needs its middle size and pattern, unless middle is None. Cached: the
-    catalog is fixed."""
+    """The first catalog row for these sizes; a "+2 edges" row also needs
+    its middle size and pattern, unless middle is None. ValueError unless
+    the sizes are sorted ascending: the rows' ranges match them in order.
+    Cached: the catalog is fixed."""
+    if list(sizes) != sorted(sizes):
+        raise ValueError(f"no catalog row for sizes {sizes}: sizes must be sorted ascending")
     for row in _CATALOG:
         if (len(row.sizes) == len(sizes)
                 and all(s == k if type(k) is int else s in k
@@ -253,7 +256,7 @@ def _lookup(sizes: tuple[int, ...], middle: int | None = None,
 def theorem_id(sizes: tuple[int, ...]) -> str | None:
     """The theorem-path catalog row for sorted cover sizes, without its
     "+2 edges" pattern suffix; None for the fallback shapes and for the
-    search-found (3,4) row."""
+    search-found (3,4) row. ValueError for unsorted sizes."""
     row = _lookup(tuple(sizes))
     if row is None or row.source != "theorem":
         return None
@@ -266,7 +269,7 @@ def catalog_matrix(sizes: tuple[int, ...], middle: int | None = None,
     sizes: the row's blocks in its role order, each cross entry at its
     block-local positions. middle and pattern together pick a "+2 edges"
     row; without them the first row for the sizes is taken. ValueError if
-    no row fits."""
+    the sizes are unsorted or no row fits."""
     sizes = tuple(sizes)
     row = _lookup(sizes, middle, pattern)
     if row is None:
@@ -283,38 +286,17 @@ def catalog_matrix(sizes: tuple[int, ...], middle: int | None = None,
     return m
 
 
-def _block_values(g: Graph, blocks) -> np.ndarray:
-    """Labels aligned with g.ends from (vertices, matrix) blocks: an edge
-    inside a block's vertices takes its entry, row and column i of the
-    matrix standing for the i-th vertex; every other edge, and an edge on a
-    zero entry, takes 1."""
-    n = g.n_vertices
-    owner = list(range(-1, -n - 1, -1))  # outside every block: its own
-    row, col = [0] * n, [0] * n  # entry (x, y) is flat[row[x] + col[y]]
-    flat = [np.zeros(1, dtype=np.int64)]  # flat[0]: the entry of no block
-    start = 1
-    for k, (verts, mat) in enumerate(blocks):
-        size = len(verts)
-        for i, x in enumerate(verts):
-            owner[x], row[x], col[x] = k, start + i * size, i
-        flat.append(mat.ravel())
-        start += size * size
-    u, v = g.ends
-    owner, row, col = np.array((owner, row, col))
-    at = (row[u] + col[v]) * (owner[u] == owner[v])
-    return np.maximum(np.concatenate(flat)[at], 1)
-
-
-def _outcome(g: Graph, cover: CliqueCover, tree: _Tree, blocks, fixed: dict[Edge, int],
+def _outcome(g: Graph, cover: CliqueCover, tree: _Tree, order, m: np.ndarray,
              s: int, construction_id: str, source: str,
              vertex_maps: dict[int, dict[int, int]]) -> ConstructionOutcome:
-    """The labeling of g by the (vertices, matrix) blocks, with the fixed
-    labels, a map from vertex pairs to labels, written over them; verified
-    before it is returned. Every labeling the engine produces ends here."""
-    values = _block_values(g, blocks)
-    if fixed:
-        values[g.edge_index(list(fixed))] = list(fixed.values())
-    labeling = EdgeLabeling._from_values(g, values, s)
+    """The labeling of g by the weighted adjacency matrix m, whose row i
+    stands for vertex order[i]: each edge takes its entry, 1 where the entry
+    is 0. Verified before it is returned; every labeling the engine
+    produces ends here."""
+    pos = np.empty(g.n_vertices, dtype=np.int64)
+    pos[order] = np.arange(g.n_vertices)
+    u, v = g.ends
+    labeling = EdgeLabeling._from_values(g, np.maximum(m[pos[u], pos[v]], 1), s)
     report = is_product_irregular(labeling)
     if not report.ok:
         raise ConstructionError(
@@ -331,35 +313,58 @@ def label_cover(g: Graph, cover: CliqueCover,
     of at most 3 parts, verified, or the bounded search for shapes without
     a row.
 
-    Each part is aligned to its block: the tree edge endpoints go to the
-    positions the row's cross entries name, the other vertices fill the
-    free positions in part order."""
+    ValueError unless the cover is one clique_cover could return for g: its
+    parts partition the vertices, each ascending and a clique of g, ordered
+    by size, then smallest vertex, with their lengths as the sizes."""
+    parts, n = cover.parts, g.n_vertices
+    if not all(parts) or sorted(itertools.chain(*parts)) != list(range(n)):
+        raise ValueError("cover parts do not partition the vertices")
+    if tuple(cover.sizes) != tuple(map(len, parts)):
+        raise ValueError("cover sizes do not match its parts")
+    if list(map(list, parts)) != sorted(map(sorted, parts), key=lambda p: (len(p), p[0])):
+        raise ValueError("cover parts are not each ascending, ordered by size, then "
+                         "smallest vertex")
+    part_of = np.empty(n, dtype=np.int64)
+    part_of[list(itertools.chain(*parts))] = np.repeat(np.arange(len(parts)), cover.sizes)
+    u, v = g.ends
+    inside = np.bincount(part_of[u][part_of[u] == part_of[v]], minlength=len(parts))
+    for p, size in enumerate(cover.sizes):
+        if inside[p] != comb(size, 2):
+            raise ValueError(f"cover part {parts[p]} is not a clique of the graph")
     if cover.n_parts > 3:
         raise UnsupportedCoverError("clique cover number exceeds 3")
+    return _label(g, cover, budget)
+
+
+def _label(g: Graph, cover: CliqueCover, budget: int) -> ConstructionOutcome:
+    """label_cover for a cover known to fit g, of at most 3 parts.
+
+    On a catalog row, g's vertices are listed in the row order of
+    catalog_matrix: part by part in role order, each part's tree edge
+    endpoints at the positions the row's cross entries name and its other
+    vertices in part order. The vertex_maps are read off that order."""
     tree = _choose_tree(g, cover)
-    mid = tree.middle
-    row = _lookup(cover.sizes, None if mid is None else cover.sizes[mid], tree.pattern)
+    middle = None if tree.middle is None else cover.sizes[tree.middle]
+    row = _lookup(cover.sizes, middle, tree.pattern)
     if row is None:
         return _fallback(g, cover, tree, budget)
     roles = tuple(range(cover.n_parts))
     if row.middle is not None:
-        roles = (mid, *(p for p in roles if p != mid))
+        roles = (tree.middle, *(p for p in roles if p != tree.middle))
     pins: dict[int, dict[int, int]] = {p: {} for p in roles}  # vertex -> position
-    fixed = {}
-    for a, i, b, j, w in row.cross:
+    for a, i, b, j, _ in row.cross:
         (pa, i), (pb, j) = sorted(((roles[a], i), (roles[b], j)))
         u, v = tree.links[pa, pb]
         pins[pa][u], pins[pb][v] = i, j
-        fixed[u, v] = w
-    blocks, maps = [], {}
-    for p, make in zip(roles, row.blocks):
-        order = [v for v in cover.parts[p] if v not in pins[p]]
+    order, maps = [], {}
+    for p in roles:
+        part = [v for v in cover.parts[p] if v not in pins[p]]
         for v, i in sorted(pins[p].items(), key=lambda pin: pin[1]):
-            order.insert(i - 1, v)
-        blocks.append((order, make(cover.sizes[p])))
-        maps[p] = {v: i for i, v in enumerate(order, 1)}
-    return _outcome(g, cover, tree, blocks, fixed, 3, row.construction_id,
-                    row.source, maps)
+            part.insert(i - 1, v)
+        order += part
+        maps[p] = {v: i for i, v in enumerate(part, 1)}
+    m = catalog_matrix(cover.sizes, middle, tree.pattern)
+    return _outcome(g, cover, tree, order, m, 3, row.construction_id, row.source, maps)
 
 
 def _catalog(size: int) -> list[tuple[str, np.ndarray]]:
@@ -403,7 +408,9 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
     succeed: with labels 1 and 2 the n >= 2 products must be 2^0 .. 2^(n-1),
     but the vertex with 2^(n-1) has an edge labeled 2 to the vertex with 1.
     s = 4 suffices for every unpinned spanning graph except K2, which has
-    no labeling at all and which construct_labeling rejects.
+    no labeling at all and which construct_labeling rejects. The answer is
+    one n x n matrix in vertex order: the pinned blocks at their parts' rows
+    and columns, the search's labels on the free edges.
     """
     by_size_desc = sorted(range(cover.n_parts), key=lambda p: -cover.sizes[p])
     to_fix: list[int] = []
@@ -445,9 +452,13 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
                 continue
             note = (f"fixed({','.join(name for name, _ in combo)}),s={s}" if combo
                     else f"exhaustive(s={s})")
-            blocks = [(cover.parts[p], mat) for p, (_, mat) in zip(to_fix, combo)]
-            return _outcome(g, cover, tree, blocks, sols[0], s, f"fallback:{note}",
-                            "search-fallback", {})
+            m = np.zeros((g.n_vertices, g.n_vertices), dtype=np.int64)
+            for p, (_, mat) in zip(to_fix, combo):
+                m[np.ix_(cover.parts[p], cover.parts[p])] = mat
+            for (x, y), w in sols[0].items():
+                m[x, y] = m[y, x] = w
+            return _outcome(g, cover, tree, range(g.n_vertices), m, s,
+                            f"fallback:{note}", "search-fallback", {})
     raise FallbackBudgetError("fallback search stages exhausted without a labeling")
 
 
@@ -461,4 +472,4 @@ def construct_labeling(g: Graph, budget: int = DEFAULT_BUDGET) -> ConstructionOu
     cover = clique_cover(g, 3)
     if cover is None:
         raise UnsupportedCoverError("clique cover number exceeds 3")
-    return label_cover(g, cover, budget)
+    return _label(g, cover, budget)

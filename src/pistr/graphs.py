@@ -96,18 +96,6 @@ class Graph:
         u, v = self.ends
         return u * self.n_vertices + v
 
-    def edge_index(self, pairs) -> np.ndarray:
-        """Positions in ``ends`` of the given vertex pairs, each in either
-        order; KeyError for a pair that is not an edge."""
-        n, keys = self.n_vertices, self._keys
-        want = np.array([a * n + b if a < b else b * n + a for a, b in pairs],
-                        dtype=np.int64)
-        pos = keys.searchsorted(want)
-        hit = keys.take(pos, mode="clip") == want if len(keys) else pos < 0
-        if not hit.all():
-            raise KeyError(edge_key(*pairs[int(hit.argmin())]))
-        return pos
-
     @cached_property
     def _roots(self) -> np.ndarray:
         """Each vertex's component label, the smallest vertex of its

@@ -318,6 +318,29 @@ class TestConstructLabeling:
         with pytest.raises(UnsupportedCoverError, match="^clique cover number exceeds 3$"):
             label_cover(g, cover)
 
+    @pytest.mark.parametrize("parts, sizes, fault", [
+        (((0, 1, 2), (4, 5, 6, 7, 8)), (3, 5), "do not partition"),  # vertex 3 left out
+        (((0, 1, 2, 3), (3, 4, 5, 6, 7, 8)), (4, 6), "do not partition"),
+        (((0, 2, 1, 3), (4, 5, 6, 7, 8)), (4, 5), "not each ascending"),
+        (((0, 1, 2, 3), (4, 5, 6, 7, 8)), (4, 4), "sizes do not match"),
+        (((4, 5, 6, 7, 8), (0, 1, 2, 3)), (5, 4), "ordered by size"),
+        (((0, 1, 2, 4), (3, 5, 6, 7, 8)), (4, 5), r"\(0, 1, 2, 4\) is not a clique"),
+    ])
+    def test_cover_must_fit_the_graph(self, parts, sizes, fault):
+        g = cliques_with_edges((4, 5), [(0, 4)])
+        assert label_cover(g, CliqueCover(((0, 1, 2, 3), (4, 5, 6, 7, 8)), (4, 5))).strength == 3
+        with pytest.raises(ValueError, match=fault):
+            label_cover(g, CliqueCover(parts, sizes))
+
+    @pytest.mark.parametrize("sizes", [(9, 4), (9, 8, 7), (6, 4), (5, 5, 4)])
+    def test_unsorted_sizes_rejected(self, sizes):
+        # _lookup matches the rows' ranges in order: (9, 4) would take A+B
+        # as A_9 + B_4, which collides.
+        with pytest.raises(ValueError, match="sorted ascending"):
+            engine.catalog_matrix(sizes)
+        with pytest.raises(ValueError, match="sorted ascending"):
+            theorem_id(sizes)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             construct_labeling(complete_graph(2))
@@ -491,3 +514,99 @@ def test_output_digest_pinned():
     assert rows <= ids, sorted(rows - ids)
     assert sum(i.startswith("fallback:") for i in ids) >= 3
     assert h.hexdigest() == OUTPUT_DIGEST
+
+
+def _row_id(row):
+    return row.construction_id + ("" if row.middle is None else f"@{row.middle}")
+
+
+def _row_sizes(rng, row):
+    """Sorted sizes the catalog resolves to this row: each range at one of
+    its four smallest sizes, drawn until the first fitting row is this one."""
+    while True:
+        sizes = tuple(k if type(k) is int else k.start + rng.randrange(4) for k in row.sizes)
+        if list(sizes) == sorted(sizes) and engine._lookup(sizes, row.middle, row.pattern) is row:
+            return sizes
+
+
+def _placed(rng, row, sizes, extra):
+    """A numbered graph for the row with its cover: cliques of the sizes,
+    tree edges from a middle part (of the row's middle size, with the row's
+    pattern) at random endpoints, extra surplus cross edges, every vertex
+    renumbered at random."""
+    offs = [sum(sizes[:i]) for i in range(len(sizes))]
+    parts = [list(range(o, o + k)) for o, k in zip(offs, sizes)]
+    edges = [e for part in parts for e in itertools.combinations(part, 2)]
+    if len(sizes) > 1:
+        mid = 0 if len(sizes) == 2 else rng.choice(
+            [p for p, k in enumerate(sizes) if row.middle in (None, k)])
+        same = row.pattern != PATTERN_DIFF if row.middle else rng.random() < 0.5
+        hubs = rng.sample(parts[mid], 1 if same or len(sizes) == 2 else 2)
+        for o, hub in zip((o for o in range(len(sizes)) if o != mid), hubs * 2):
+            edges.append((hub, rng.choice(parts[o])))
+    cross = [(u, v) for a, b in itertools.combinations(parts, 2) for u in a for v in b
+             if (u, v) not in edges]
+    edges += rng.sample(cross, min(extra, len(cross)))
+    perm = list(range(sum(sizes)))
+    rng.shuffle(perm)
+    g = Graph.from_edges(len(perm), [(perm[u], perm[v]) for u, v in edges])
+    parts = sorted((sorted(perm[v] for v in part) for part in parts),
+                   key=lambda p: (len(p), p[0]))
+    return g, CliqueCover(tuple(map(tuple, parts)), tuple(map(len, parts)))
+
+
+@pytest.mark.parametrize("row", engine._CATALOG, ids=_row_id)
+def test_labels_agree_with_catalog_matrix(row):
+    # Every edge's label is the entry of catalog_matrix at the rows the
+    # vertex maps give its ends (blocks in role order, the middle part first
+    # on the "+2 edges" rows), or 1 where that entry is 0.
+    rng = random.Random(_row_id(row))
+    for extra in (0, 0, 0, 2, 4):
+        sizes = _row_sizes(rng, row)
+        g, cover = _placed(rng, row, sizes, extra)
+        out = label_cover(g, cover)
+        case = out.case_trace
+        part = {v: p for p, vertices in enumerate(cover.parts) for v in vertices}
+        roles = list(range(cover.n_parts))
+        middle = None
+        if cover.n_parts == 3:
+            (mid,) = set.intersection(*({part[u], part[v]} for u, v in case.tree_edges))
+            middle = cover.sizes[mid]
+            if engine._lookup(cover.sizes, middle, case.pattern).middle is not None:
+                roles.remove(mid)
+                roles.insert(0, mid)
+        if extra == 0:
+            assert case.construction_id == row.construction_id
+            assert row.middle in (None, middle)
+        m = engine.catalog_matrix(cover.sizes, middle, case.pattern)
+        offset = {p: sum(cover.sizes[q] for q in roles[:k]) for k, p in enumerate(roles)}
+        at = {v: offset[p] + i - 1 for p, vmap in case.vertex_maps.items()
+              for v, i in vmap.items()}
+        assert sorted(at.values()) == list(range(g.n_vertices))
+        for (u, v), w in out.labeling.labels.items():
+            assert w == max(m[at[u], at[v]], 1), (case.construction_id, u, v)
+
+
+@pytest.mark.parametrize("sizes, reached", [
+    ((4, 5, 5), {"tilde_matrix", "is_product_irregular"}),
+    ((4, 5, 6), {"named_family", "fixed_matrix", "is_product_irregular"}),
+    ((4, 6, 6), {"named_family", "fixed_matrix", "search_labelings",
+                 "is_product_irregular"}),
+])
+def test_traced_functions_looked_up_at_call_time(monkeypatch, sizes, reached):
+    # The benchmark's traced layers wrap these engine module globals; a
+    # construction must reach them there, not through names bound earlier.
+    calls = collections.Counter()
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("named_family", "fixed_matrix", "tilde_matrix",
+                 "is_product_irregular", "search_labelings"):
+        monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+    g = cliques_with_edges(sizes, [(0, sizes[0]), (0, sizes[0] + sizes[1])])
+    construct_labeling(g)
+    assert set(calls) == reached
