@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -278,31 +279,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _buffered_stdout():
+    """Write through a buffer for the call when stdout's binary layer is the
+    raw stream (python -u, PYTHONUNBUFFERED). The text layer drops the short
+    count of a write that a closing reader cuts off; a buffered writer
+    retries the rest and meets the closed pipe as BrokenPipeError."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        yield
+        return
+    sys.stdout = io.TextIOWrapper(io.BufferedWriter(raw), encoding=out.encoding,
+                                  errors=out.errors)
+    try:
+        yield
+    finally:
+        text, sys.stdout = sys.stdout, out
+        with contextlib.suppress(OSError):  # leave the raw stream open
+            text.detach().detach()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if hasattr(args, "budget"):
-            args.budget = _budget(args.budget)
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:  # the reader closed stdout: stop without a word
-        # Point fd 1 at the null device so that the interpreter's flush at
-        # exit stays quiet; in-process callers may pass a stdout without one.
-        with contextlib.suppress(AttributeError, OSError):
-            fd = sys.stdout.fileno()
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
-        return 2
-    except (ValueError, FallbackBudgetError, OSError) as exc:  # DocumentError is a ValueError
-        print(f"pistr: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # exit 1 means "nothing found", never a crash
-        detail = " ".join(str(exc).splitlines())
-        print(f"pistr: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
-        return 2
+    with _buffered_stdout():
+        try:
+            if hasattr(args, "budget"):
+                args.budget = _budget(args.budget)
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:  # the reader closed stdout: stop without a word
+            # Point fd 1 at the null device so that the interpreter's flush at
+            # exit stays quiet; in-process callers may pass a stdout without one.
+            with contextlib.suppress(AttributeError, OSError):
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            return 2
+        except (ValueError, FallbackBudgetError, OSError) as exc:  # DocumentError is a ValueError
+            print(f"pistr: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # exit 1 means "nothing found", never a crash
+            detail = " ".join(str(exc).splitlines())
+            print(f"pistr: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -87,8 +87,10 @@ def search_labelings(g: Graph, s: int, products: list[int] | None = None,
     (solutions, nodes): with collect_all=False, solutions is a list holding
     at most one label map of g's edges (first found); with collect_all=True
     it maps each realizable degree multiset (sorted value tuple over all
-    vertices) to the first label map realizing it. Raises
-    BudgetExhausted(nodes) when the node budget runs out.
+    vertices) to the first label map realizing it. A leaf keeps only the
+    label tuple of a multiset it is the first to realize, and each of those
+    label maps is built once, after the search. Raises BudgetExhausted(nodes)
+    when the node budget runs out.
     """
     n = g.n_vertices
     free = edge_search_order(g)
@@ -121,17 +123,18 @@ def search_labelings(g: Graph, s: int, products: list[int] | None = None,
     assignment = [0] * depths
     nodes = 0
     found: list[dict[Edge, int]] = []
-    sigs: dict[tuple[int, ...], dict[Edge, int]] = {}
+    sigs: dict[tuple[int, ...], tuple[int, ...]] = {}
     add, discard = seen.add, seen.discard
 
     def leaf() -> bool:
         if not prune and len(set(prod)) != n:
             return False
-        labels = dict(zip(free, assignment))
         if collect_all:
-            sigs.setdefault(tuple(sorted(prod)), labels)
+            key = tuple(sorted(prod))
+            if key not in sigs:
+                sigs[key] = tuple(assignment)
             return False
-        found.append(labels)
+        found.append(dict(zip(free, assignment)))
         return True
 
     def walk(depth: int) -> bool:
@@ -186,7 +189,9 @@ def search_labelings(g: Graph, s: int, products: list[int] | None = None,
         return False
 
     walk(0)
-    return (sigs if collect_all else found), nodes
+    if collect_all:
+        return {key: dict(zip(free, labels)) for key, labels in sigs.items()}, nodes
+    return found, nodes
 
 
 def _by_strength(g: Graph, s_max: int, budget: int, attempt) -> PsResult:
@@ -284,7 +289,7 @@ def ps_exact_disconnected(g: Graph, s_max: int,
     def attempt(s: int, left: int):
         used = 0
         cache: dict[tuple, list[tuple[tuple[int, ...], dict[Edge, int]]]] = {}
-        sigs = []  # per component: (sorted degree values, label map), sorted
+        keys = []  # per component: its key into cache
         try:
             for sub, _ in subs:
                 key = (sub.n_vertices, sub.edges)
@@ -292,14 +297,18 @@ def ps_exact_disconnected(g: Graph, s_max: int,
                     found, nodes = search_labelings(sub, s, budget=left - used,
                                                     collect_all=True)
                     used += nodes
+                    if not found:
+                        return None, used
+                    # (sorted degree values, label map) pairs, sorted
                     cache[key] = sorted(found.items())
-                if not cache[key]:
-                    return None, used
-                sigs.append(cache[key])
-            values = sorted({v for pairs in sigs for t, _ in pairs for v in t})
+                keys.append(key)
+            values = sorted({v for pairs in cache.values() for t, _ in pairs for v in t})
             bit = {v: 1 << i for i, v in enumerate(values)}
-            # the values of one multiset are distinct: their bits sum to its mask
-            masks = [[sum(bit[v] for v in t) for t, _ in pairs] for pairs in sigs]
+            # the values of one multiset are distinct: their bits sum to its
+            # mask, worked out once per distinct component
+            shape_masks = {key: [sum(bit[v] for v in t) for t, _ in pairs]
+                           for key, pairs in cache.items()}
+            masks = [shape_masks[key] for key in keys]
             order = sorted(range(len(subs)), key=lambda i: len(masks[i]))
             choice, nodes = _combine_signatures([masks[i] for i in order], left - used)
             used += nodes
@@ -310,7 +319,7 @@ def ps_exact_disconnected(g: Graph, s_max: int,
         labels: dict[Edge, int] = {}
         for i, pick in zip(order, choice):
             old = subs[i][1]
-            for (u, v), w in sigs[i][pick][1].items():
+            for (u, v), w in cache[keys[i]][pick][1].items():
                 labels[edge_key(old[u], old[v])] = w
         return labels, used
 

@@ -458,17 +458,20 @@ def test_closed_stdout_exits_quietly(tmp_path):
     stderr, also when the output is larger than the pipe buffer."""
     path = tmp_path / "k300.txt"
     path.write_text(emit_graph(complete_graph(300)))
-    # Unbuffered, a write that the closed pipe cuts short returns a short
-    # count, which the text layer drops without an error: no exit code holds.
-    env = src_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen([sys.executable, "-m", "pistr.cli", "construct", str(path)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == 2
-    assert proc.stderr.read() == b""
-    proc.stderr.close()
+    # Unbuffered, stdout's binary layer is the raw stream, whose short
+    # writes the text layer would drop without an error.
+    for unbuffered in (False, True):
+        env = src_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "pistr.cli", "construct", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2, unbuffered
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 def test_closed_stdout_in_process(monkeypatch, capsys):

@@ -1,8 +1,13 @@
+import collections
+import hashlib
+import itertools
+import random
+
 import pytest
 
 from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge, complete_graph,
                           disjoint_union, edge_key)
-from pistr.solver import (BudgetExhausted, component_signatures,
+from pistr.solver import (DEFAULT_BUDGET, BudgetExhausted, component_signatures,
                           edge_search_order, ps_exact, ps_exact_disconnected,
                           search_labelings, verify_k4_characterization)
 from pistr.verifier import extend_with_ones, is_product_irregular
@@ -293,6 +298,48 @@ def test_budget_stop_counts_every_node():
         assert (r.value, r.nodes_explored, r.budget_exhausted) == (None, budget + 1, True)
 
 
+def random_connected_graph(rng, n):
+    """A connected graph on n vertices: a random tree plus random chords."""
+    edges = {edge_key(v, rng.randrange(v)) for v in range(1, n)}
+    edges |= {e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4}
+    return Graph.from_edges(n, sorted(edges))
+
+
+def two_component_unions(count, seed):
+    """count unions of two different connected graphs of order 3 to 5."""
+    rng = random.Random(seed)
+    unions = []
+    while len(unions) < count:
+        a = random_connected_graph(rng, rng.randint(3, 5))
+        b = random_connected_graph(rng, rng.randint(3, 5))
+        if (a.n_vertices, a.edges) != (b.n_vertices, b.edges):
+            budget = rng.choice([DEFAULT_BUDGET, rng.randint(1, 3000)])
+            unions.append((disjoint_union(a, b), budget))
+    return unions
+
+
+# sha256 over the 120 lines "value nodes budget_exhausted certificate-sha256"
+# of ps_exact_disconnected(g, 4, budget) on two_component_unions(120, 15),
+# taken before a leaf kept label tuples instead of label maps.
+DISCONNECTED_DIGEST = "cfc5c63b02632286c10314321b1e1abf4ba6df17f3ef7e5f67b05fbc25e7b370"
+
+
+def test_disconnected_results_pinned():
+    # About a third of the budgets run out, in a component's search or in
+    # the combination; the counts and the node total say what moved.
+    lines, outcomes, nodes = [], collections.Counter(), 0
+    for g, budget in two_component_unions(120, 15):
+        r = ps_exact_disconnected(g, 4, budget=budget)
+        labels = "-" if r.certificate is None else repr(sorted(r.certificate.labels.items()))
+        cert = hashlib.sha256(labels.encode()).hexdigest()
+        lines.append(f"{r.value} {r.nodes_explored} {r.budget_exhausted} {cert}\n")
+        outcomes[r.value, r.budget_exhausted] += 1
+        nodes += r.nodes_explored
+    assert outcomes == {(3, False): 15, (4, False): 48, (None, False): 22, (None, True): 35}
+    assert nodes == 347_749
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == DISCONNECTED_DIGEST
+
+
 def strip(labels, fixed):
     """labels without the fixed edges."""
     return {e: w for e, w in labels.items() if e not in fixed}
@@ -369,6 +416,11 @@ class TestSearchCore:
                     else:
                         want = [strip(sol, fixed) for sol in want]
                     assert search_labelings(*args) == (want, want_nodes)
+        # Clique components realize each multiset at many leaves, so the
+        # first label map per multiset is the one that has to be kept.
+        for g in (complete_graph(4), complete_graph(5), k3_k3_edge()):
+            want = reference_search(g, 3, {}, 10**9, True, True)
+            assert search_labelings(g, 3, collect_all=True) == want
 
     def test_budget_raises(self):
         # The exception carries the node count, one past the budget.
