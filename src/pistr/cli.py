@@ -24,9 +24,9 @@ from . import matrices
 from .engine import (FallbackBudgetError, UnsupportedCoverError,
                      catalog_matrix, construct_labeling)
 from .fileio import DocumentError, emit_graph, parse_graph
-from .graphs import (add_cross_edge, clique_cover, complete_graph,
-                     disjoint_union, edge_key, matrix_to_labeled_graph)
-from .solver import DEFAULT_BUDGET, ps_exact
+from .graphs import (clique_cover, edge_key, is_connected,
+                     matrix_to_labeled_graph)
+from .solver import DEFAULT_BUDGET, ps_exact, ps_exact_disconnected
 from .verifier import is_product_irregular
 
 SCHEMA = 1
@@ -68,34 +68,36 @@ def _matrix_token(token: str) -> np.ndarray | None:
 
 
 def _generate(expr: str, cross: list[tuple[int, int]]) -> str:
+    """The document of a '+' expression: the direct sum of its tokens'
+    matrices, K<n> standing for 1 - I_n when every token is one, and then
+    unlabeled with each --edge u,v set in the sum."""
     tokens = [t.strip() for t in expr.split("+")]
     if not tokens or any(not t for t in tokens):
         raise DocumentError(f"bad expression {expr!r}")
-    if all(t[:1] == "K" and t[1:].isdigit() for t in tokens):
-        g = complete_graph(int(tokens[0][1:]))
-        for t in tokens[1:]:
-            g = disjoint_union(g, complete_graph(int(t[1:])))
-        for u, v in cross:
-            for x in (u, v):
-                if not 1 <= x <= g.n_vertices:
-                    raise DocumentError(f"--edge {u},{v}: vertex {x} outside "
-                                        f"1..{g.n_vertices}")
-            if u == v:
-                raise DocumentError(f"--edge {u},{v}: loop at vertex {u}")
-            if g.has_edge(u - 1, v - 1):
-                raise DocumentError(f"edge {edge_key(u, v)} already present")
-            g = add_cross_edge(g, u - 1, v - 1)
-        return emit_graph(g)
-    if cross:
+    cliques = all(t[:1] == "K" and t[1:].isdigit() for t in tokens)
+    if cross and not cliques:
         raise DocumentError("--edge applies only to K<n> expressions")
     mats = []
     for t in tokens:
-        m = _matrix_token(t)
+        if cliques and int(t[1:]) < 1:
+            raise DocumentError("complete graph needs at least one vertex")
+        m = 1 - np.eye(int(t[1:]), dtype=np.int64) if cliques else _matrix_token(t)
         if m is None:
             raise DocumentError(f"unknown token {t!r} in expression")
         mats.append(m)
-    g, labeling = matrix_to_labeled_graph(matrices.direct_sum(mats))
-    return emit_graph(g, labeling)
+    m = matrices.direct_sum(mats)
+    n = len(m)
+    for u, v in cross:
+        for x in (u, v):
+            if not 1 <= x <= n:
+                raise DocumentError(f"--edge {u},{v}: vertex {x} outside 1..{n}")
+        if u == v:
+            raise DocumentError(f"--edge {u},{v}: loop at vertex {u}")
+        if m[u - 1, v - 1]:
+            raise DocumentError(f"edge {edge_key(u, v)} already present")
+        m[u - 1, v - 1] = m[v - 1, u - 1] = 1
+    g, labeling = matrix_to_labeled_graph(m)
+    return emit_graph(g, None if cliques else labeling)
 
 
 def _read_document(path: str) -> str:
@@ -154,7 +156,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_ps(args) -> int:
     g, _ = parse_graph(_read_document(args.input))
-    result = ps_exact(g, args.s_max, budget=args.budget)
+    solve = ps_exact if is_connected(g) else ps_exact_disconnected
+    result = solve(g, args.s_max, budget=args.budget)
     if args.json:
         _emit_json({
             "command": "ps",

@@ -42,8 +42,6 @@ PATTERN_SAME = "two_edges_same_vertex"
 PATTERN_DIFF = "two_edges_diff_vertices"
 
 _FALLBACK_MAX_FREE_EDGES = 16
-_FALLBACK_COMBO_CAP = 200
-_FALLBACK_SEARCH_BUDGET = 10**7
 
 
 class UnsupportedCoverError(ValueError):
@@ -403,14 +401,16 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
     Cliques too large to search are pinned to catalog blocks (largest first)
     until at most 16 of its edges remain free; the search sees only the free
     edges and each vertex's product of pinned labels. One loop exhausts
-    s = 3, then s = 4, over the first 200 block combinations; with nothing
-    pinned there is one combination, the empty one. No s below 3 can
-    succeed: with labels 1 and 2 the n >= 2 products must be 2^0 .. 2^(n-1),
-    but the vertex with 2^(n-1) has an edge labeled 2 to the vertex with 1.
-    s = 4 suffices for every unpinned spanning graph except K2, which has
-    no labeling at all and which construct_labeling rejects. The answer is
-    one n x n matrix in vertex order: the pinned blocks at their parts' rows
-    and columns, the search's labels on the free edges.
+    s = 3, then s = 4, over every block combination; with nothing pinned
+    there is one combination, the empty one. Each search gets what is left
+    of the one budget, and the first to run out ends the fallback with
+    FallbackBudgetError. No s below 3 can succeed: with labels 1 and 2 the
+    n >= 2 products must be 2^0 .. 2^(n-1), but the vertex with 2^(n-1)
+    has an edge labeled 2 to the vertex with 1. s = 4 suffices for every
+    unpinned spanning graph except K2, which has no labeling at all and
+    which construct_labeling rejects. The answer is one n x n matrix in
+    vertex order: the pinned blocks at their parts' rows and columns, the
+    search's labels on the free edges.
     """
     by_size_desc = sorted(range(cover.n_parts), key=lambda p: -cover.sizes[p])
     to_fix: list[int] = []
@@ -425,9 +425,7 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
         if p not in to_fix:
             edges.update(itertools.combinations(sorted(part), 2))
     free = Graph(g.n_vertices, frozenset(edges))
-    combos = list(itertools.islice(
-        itertools.product(*[_catalog(cover.sizes[p]) for p in to_fix]),
-        _FALLBACK_COMBO_CAP))
+    combos = list(itertools.product(*[_catalog(cover.sizes[p]) for p in to_fix]))
     rows: dict[tuple[int, str], list[int]] = {}  # (part, block) -> row products
     used = 0
     for s in (3, 4):
@@ -439,14 +437,10 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
                 for v, product in zip(cover.parts[p], rows[p, name]):
                     products[v] = product
             try:
-                sols, nodes = search_labelings(
-                    free, s, products, min(budget - used, _FALLBACK_SEARCH_BUDGET))
+                sols, nodes = search_labelings(free, s, products, budget - used)
             except BudgetExhausted as exc:
-                used += exc.args[0]
-                if used >= budget:
-                    raise FallbackBudgetError(
-                        f"fallback budget exhausted after {used} nodes") from None
-                continue
+                raise FallbackBudgetError(
+                    f"fallback budget exhausted after {used + exc.args[0]} nodes") from None
             used += nodes
             if not sols:
                 continue

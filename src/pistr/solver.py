@@ -284,9 +284,11 @@ def ps_exact_disconnected(g: Graph, s_max: int,
     At each s every component's realizable degree multisets (sorted value
     tuples) are collected once per distinct component, then one multiset
     per component is chosen with no value shared."""
-    subs = [induced_subgraph(g, c) for c in connected_components(g)]
+    subs = []  # (component, its vertices in g), split once _by_strength checked g
 
     def attempt(s: int, left: int):
+        if not subs:
+            subs.extend(induced_subgraph(g, c) for c in connected_components(g))
         used = 0
         cache: dict[tuple, list[tuple[tuple[int, ...], dict[Edge, int]]]] = {}
         keys = []  # per component: its key into cache

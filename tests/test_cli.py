@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pistr import cli
+from pistr import cli, engine
 from pistr.cli import main
 from pistr.fileio import emit_graph, parse_graph
 from pistr.graphs import complete_graph
@@ -94,6 +95,53 @@ e 7 8 3
 }
 
 
+_NONE = "e3b0c44298fc1c14"  # the digest of empty stdout
+
+# gen argv -> (exit code, sha16 of stdout, stderr)
+GEN_PINNED = [
+    (["K3+K3", "--edge", "1,4"], 0, "194ee44c6554651d", ""),
+    (["K3+K3", "--edge", "1,2"], 2, _NONE, "pistr: edge (1, 2) already present\n"),
+    (["K3+K3", "--edge", "2,1"], 2, _NONE, "pistr: edge (1, 2) already present\n"),
+    (["K3+K3", "--edge", "1,9"], 2, _NONE, "pistr: --edge 1,9: vertex 9 outside 1..6\n"),
+    (["K3+K3", "--edge", "0,4"], 2, _NONE, "pistr: --edge 0,4: vertex 0 outside 1..6\n"),
+    (["K3+K3", "--edge", "7,2"], 2, _NONE, "pistr: --edge 7,2: vertex 7 outside 1..6\n"),
+    (["K3+K3", "--edge", "3,3"], 2, _NONE, "pistr: --edge 3,3: loop at vertex 3\n"),
+    (["K3+K3", "--edge", "1,4", "--edge", "1,4"], 2, _NONE,
+     "pistr: edge (1, 4) already present\n"),
+    (["K3+K3", "--edge", "1-4"], 2, _NONE, "pistr: --edge expects 'u,v', got '1-4'\n"),
+    (["A4+B9"], 0, "160ae3b6eb6d21e5", ""),
+    (["T5+T5_TILDE"], 0, "c3c64eadabd96fc4", ""),
+    (["tA5+tB5+tC5"], 0, "fcc468705c9c21e4", ""),
+    (["L4"], 0, "070e841fa70cf728", ""),
+    (["LP4"], 0, "f67fc0d6389786ad", ""),
+    (["L7"], 0, "cafc63f77848e819", ""),
+    (["LP7"], 0, "34076238398e2953", ""),
+    (["T"], 0, "9833b00c3837dd4d", ""),
+    (["K44_EDGE_8x8"], 0, "79c8ae26275933c0", ""),
+    (["Q9"], 2, _NONE, "pistr: unknown token 'Q9' in expression\n"),
+    (["k3"], 2, _NONE, "pistr: unknown token 'k3' in expression\n"),
+    (["K3+A4"], 2, _NONE, "pistr: unknown token 'K3' in expression\n"),
+    (["A4+K3"], 2, _NONE, "pistr: unknown token 'K3' in expression\n"),
+    (["A4+B5", "--edge", "1,5"], 2, _NONE, "pistr: --edge applies only to K<n> expressions\n"),
+    (["K3++K3"], 2, _NONE, "pistr: bad expression 'K3++K3'\n"),
+    (["K1"], 0, "6b9289a3b57d843e", ""),
+    (["K0"], 2, _NONE, "pistr: complete graph needs at least one vertex\n"),
+    (["K3+K0"], 2, _NONE, "pistr: complete graph needs at least one vertex\n"),
+    (["K3+K0", "--edge", "1,9"], 2, _NONE, "pistr: complete graph needs at least one vertex\n"),
+    ([" K3 + K3 "], 0, "eb30ee83a41cdf9a", ""),
+    (["K4+K4"], 0, "1a6c7f49e6913db4", ""),
+    (["K4+K7", "--edge", "2,5"], 0, "c5918ba20fc88622", ""),
+    (["K4+K4+K3", "--edge", "1,5", "--edge", "1,9"], 0, "6921c53e8047a028", ""),
+    (["K5+K6+K8", "--edge", "1,6", "--edge", "6,12"], 0, "e64b6f52ea08fc9b", ""),
+    (["K4+K5+K6", *(arg for edge in ["1,5", "2,6", "3,7", "5,10", "6,11", "1,10", "4,15"]
+                    for arg in ("--edge", edge))], 0, "3f7706d2cae533fb", ""),
+]
+
+
+def sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -158,6 +206,20 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen", "A4+B5", "--edge", "1,5")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,code,digest,err", GEN_PINNED)
+    def test_pinned_output(self, capsys, argv, code, digest, err):
+        """Exit code, the first 16 hex digits of stdout's sha256 and stderr,
+        each taken from the builder-based gen that the direct sum replaced."""
+        got_code, out, got_err = run_cli(capsys, "gen", *argv)
+        assert (got_code, sha16(out), got_err) == (code, digest, err)
+
+    def test_large_clique_union_is_fast(self, capsys):
+        # the frozenset builders took over 4 s on this union, with the same bytes
+        with deadline(2):
+            code, out, err = run_cli(capsys, "gen", "K1000+K1000",
+                                     "--edge", "1,1001", "--edge", "2,1002")
+        assert (code, sha16(out), err) == (0, "890a66fa6fff4ef5", "")
+
 
 class TestVerify:
     def test_good_labeling(self, capsys, tmp_path):
@@ -176,6 +238,11 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["schema"] == 1 and payload["ok"] is False
         assert payload["witness"] is not None
+        u, v = payload["witness"]
+        value = payload["degrees"][u - 1]["value"]
+        assert run_cli(capsys, "verify", str(path)) == (
+            1, f"product-irregular: no (vertices {u} and {v} share product degree {value})\n",
+            "")
 
     def test_isolated_vertex_named_from_one(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
@@ -201,6 +268,24 @@ class TestPs:
         payload = json.loads(out)
         assert payload["value"] == 3
         assert payload["certificate"] is not None
+        code, out, err = run_cli(capsys, "ps", str(path), "--s-max", "4")
+        assert (code, err) == (0, "")
+        head, document = out.split("\n", 1)
+        assert head == f"ps = 3  (nodes explored: {payload['nodes_explored']})"
+        assert document == payload["certificate"]
+
+    def test_disjoint_cliques_solved_per_component(self, capsys, tmp_path):
+        # ps_exact alone spends millions of nodes on K5+K5+K4 without an answer
+        _, doc, _ = run_cli(capsys, "gen", "K5+K5+K4")
+        path = tmp_path / "g.txt"
+        path.write_text(doc)
+        with deadline(5):
+            code, out, err = run_cli(capsys, "ps", str(path), "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["value"], payload["budget_exhausted"]) == (3, False)
+        path.write_text(payload["certificate"])
+        assert run_cli(capsys, "verify", str(path)) == (0, "product-irregular: yes\n", "")
 
     def test_not_found_exit_code(self, capsys, tmp_path):
         _, doc, _ = run_cli(capsys, "gen", "K4+K4")
@@ -222,6 +307,17 @@ class TestPs:
         path.write_text("p 2 0\n")
         code, _, err = run_cli(capsys, "ps", str(path))
         assert code == 2
+
+    def test_isolated_edges_rejected_before_the_split(self, capsys, tmp_path):
+        # 8192 components: refused before each is cut out of the edge list
+        n = 1 << 14
+        path = tmp_path / "matching.txt"
+        path.write_text(f"p {n} {n // 2}\n" + "".join(
+            f"e {v} {v + 1}\n" for v in range(1, n, 2)))
+        with deadline(2):
+            code, out, err = run_cli(capsys, "ps", str(path))
+        assert (code, out, err) == (
+            2, "", "pistr: graph has an isolated vertex or isolated edge\n")
 
 
 class TestCoverAndConstruct:
@@ -336,6 +432,10 @@ class TestCoverAndConstruct:
             f"e {i + 1} {(i + 1) % 7 + 1}\n" for i in range(7)))
         code, out, _ = run_cli(capsys, "construct", str(path))
         assert code == 1 and "unsupported" in out
+        code, out, err = run_cli(capsys, "construct", str(path), "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"schema": 1, "command": "construct", "found": False,
+                                   "error": "clique cover number exceeds 3"}
 
     def test_cover_of_a_large_clique(self, capsys, tmp_path):
         n = 1200
@@ -435,6 +535,37 @@ class TestBudget:
         code, out, err = run_cli(capsys, "construct", str(path), "--budget", "0")
         assert (code, out) == (2, "")
         assert err.startswith("pistr: fallback budget exhausted after")
+
+    def test_fallback_spends_exactly_the_command_budget(self, capsys, tmp_path, monkeypatch):
+        # (3,4,4) with both tree edges at vertex 1 of a 4-part: one part is
+        # pinned, and s = 3 is refuted for every block before s = 4 succeeds
+        _, doc, _ = run_cli(capsys, "gen", "K4+K4+K3", "--edge", "1,5", "--edge", "1,9")
+        path = tmp_path / "g.txt"
+        path.write_text(doc)
+        monkeypatch.delenv("PISTR_BUDGET", raising=False)
+        counts = []
+        search = engine.search_labelings
+
+        def counted(*args):
+            sols, nodes = search(*args)
+            counts.append(nodes)
+            return sols, nodes
+
+        monkeypatch.setattr(engine, "search_labelings", counted)
+        code, unbounded, err = run_cli(capsys, "construct", str(path))
+        assert (code, err) == (0, "")
+        assert unbounded.startswith("c strength 4 source search-fallback "
+                                    "case fallback:fixed(B4),s=4\n")
+        assert len(counts) == 4
+        total = sum(counts)
+        assert run_cli(capsys, "construct", str(path), "--budget", str(total)) == (
+            0, unbounded, "")
+        assert run_cli(capsys, "construct", str(path), "--budget", str(total - 1)) == (
+            2, "", f"pistr: fallback budget exhausted after {total} nodes\n")
+        # run out inside the second search: the nodes of both are reported
+        budget = counts[0] + counts[1] // 2
+        assert run_cli(capsys, "construct", str(path), "--budget", str(budget)) == (
+            2, "", f"pistr: fallback budget exhausted after {budget + 1} nodes\n")
 
     def test_process_exit_code(self, tmp_path):
         path = tmp_path / "k3.txt"

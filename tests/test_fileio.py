@@ -455,6 +455,21 @@ class TestArrayParser:
         assert fileio._split_document(text) is not None
         assert assert_reads_as_the_reference(text)
 
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_large_document_duplicate_edge(self, labeled):
+        # canonical in form, so the kernel reads it; its checks find the
+        # duplicate, and the line loop names the line
+        lines = large_document(random.Random(f"duplicate/{labeled}"), labeled).split("\n")
+        u, v = lines[1].split(" ")[1:3]
+        lines[-2] = " ".join(["e", v, u, *lines[-2].split(" ")[3:]])
+        doc = "\n".join(lines)
+        assert fileio._split_document(doc) is not None
+        assert fileio._build(*fileio._split_document(doc)) is None
+        with pytest.raises(DocumentError) as err:
+            parse_graph(doc)
+        assert str(err.value) == f"line {len(lines) - 1}: duplicate edge {v} {u}"
+        assert str(err.value) == reference_parse_error(doc)
+
     def test_label_beyond_int64(self):
         doc = f"p 3 3\ne 1 2 {2**70}\ne 2 3 3\ne 1 3 1\n"
         g, labeling = parse_graph(doc)
