@@ -365,29 +365,15 @@ def _label(g: Graph, cover: CliqueCover, budget: int) -> ConstructionOutcome:
     return _outcome(g, cover, tree, order, m, 3, row.construction_id, row.source, maps)
 
 
-def _catalog(size: int) -> list[tuple[str, np.ndarray]]:
-    """Standalone product-irregular block candidates for a fixed clique."""
-    if size >= 7:
-        return [(f"B{size}", named_family(size, "B")),
-                (f"A{size}", named_family(size, "A")),
-                (f"C{size}", named_family(size, "C"))]
-    if size == 6:
-        return ([(f"{w}6", named_family(6, w)) for w in "BAC"]
-                + [(name, fixed_matrix(name)) for name in
-                   ("T6", "T6_TILDE", "M666_BLOCK1", "M666_BLOCK2",
-                    "M666_BLOCK3", "P6", "T6_MOD_567")])
-    if size == 5:
-        return ([(f"{w}5", named_family(5, w)) for w in "BAC"]
-                + [(name, fixed_matrix(name)) for name in
-                   ("T5", "T5_TILDE", "T5_TILDE_MOD_456")])
-    if size == 4:
-        return [(f"{w}4", named_family(4, w)) for w in "BAC"]
-    raise ValueError(f"no catalog for size {size}")
+# The fixed blocks a pinned part of size n may take after B<n>, A<n>, C<n>.
+_PINNABLE = {5: ("T5", "T5_TILDE", "T5_TILDE_MOD_456"),
+             6: ("T6", "T6_TILDE", "M666_BLOCK1", "M666_BLOCK2", "M666_BLOCK3", "P6",
+                 "T6_MOD_567")}
 
 
 def _row_products(block: np.ndarray) -> list[int]:
     """The product of each row's labels, 2^a * 3^b for a twos and b threes:
-    exact because every _catalog block is over the labels 1..3."""
+    exact because every block the fallback may pin is over the labels 1..3."""
     twos = (block == 2).sum(axis=1).tolist()
     threes = (block == 3).sum(axis=1).tolist()
     return [2**a * 3**b for a, b in zip(twos, threes)]
@@ -398,12 +384,14 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
     """Bounded search for shapes without a catalog row.
 
     The search runs on the spanning graph: the parts plus the tree edges.
-    Cliques too large to search are pinned to catalog blocks (largest first)
-    until at most 16 of its edges remain free; the search sees only the free
-    edges and each vertex's product of pinned labels. One loop exhausts
-    s = 3, then s = 4, over every block combination; with nothing pinned
-    there is one combination, the empty one. Each search gets what is left
-    of the one budget, and the first to run out ends the fallback with
+    Cliques too large to search are pinned (largest first) until at most 16
+    of its edges remain free; the search sees only the free edges and each
+    vertex's product of pinned labels. A pinned part of size n takes B<n>,
+    A<n>, C<n>, then _PINNABLE[n], each block built when a combination of
+    one name per pinned part first needs it. One loop walks
+    (s, combination): s = 3, then s = 4, each over every combination, the
+    empty one when nothing is pinned. Each search gets what is left of the
+    one budget, and the first to run out ends the fallback with
     FallbackBudgetError. No s below 3 can succeed: with labels 1 and 2 the
     n >= 2 products must be 2^0 .. 2^(n-1), but the vertex with 2^(n-1)
     has an edge labeled 2 to the vertex with 1. s = 4 suffices for every
@@ -425,34 +413,37 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
         if p not in to_fix:
             edges.update(itertools.combinations(sorted(part), 2))
     free = Graph(g.n_vertices, frozenset(edges))
-    combos = list(itertools.product(*[_catalog(cover.sizes[p]) for p in to_fix]))
-    rows: dict[tuple[int, str], list[int]] = {}  # (part, block) -> row products
+    names = [(f"B{n}", f"A{n}", f"C{n}", *_PINNABLE.get(n, ()))
+             for n in (cover.sizes[p] for p in to_fix)]
+    # (part, name) -> (block, its row products), built on first use
+    blocks: dict[tuple[int, str], tuple[np.ndarray, list[int]]] = {}
     used = 0
-    for s in (3, 4):
-        for combo in combos:
-            products = [1] * g.n_vertices if combo else None
-            for p, (name, mat) in zip(to_fix, combo):
-                if (p, name) not in rows:
-                    rows[p, name] = _row_products(mat)
-                for v, product in zip(cover.parts[p], rows[p, name]):
-                    products[v] = product
-            try:
-                sols, nodes = search_labelings(free, s, products, budget - used)
-            except BudgetExhausted as exc:
-                raise FallbackBudgetError(
-                    f"fallback budget exhausted after {used + exc.args[0]} nodes") from None
-            used += nodes
-            if not sols:
-                continue
-            note = (f"fixed({','.join(name for name, _ in combo)}),s={s}" if combo
-                    else f"exhaustive(s={s})")
-            m = np.zeros((g.n_vertices, g.n_vertices), dtype=np.int64)
-            for p, (_, mat) in zip(to_fix, combo):
-                m[np.ix_(cover.parts[p], cover.parts[p])] = mat
-            for (x, y), w in sols[0].items():
-                m[x, y] = m[y, x] = w
-            return _outcome(g, cover, tree, range(g.n_vertices), m, s,
-                            f"fallback:{note}", "search-fallback", {})
+    for s, combo in itertools.product((3, 4), itertools.product(*names)):
+        products = [1] * g.n_vertices
+        for p, name in zip(to_fix, combo):
+            if (p, name) not in blocks:
+                n = cover.sizes[p]
+                mat = (fixed_matrix(name) if name in _PINNABLE.get(n, ())
+                       else named_family(n, name[0]))
+                blocks[p, name] = mat, _row_products(mat)
+            for v, product in zip(cover.parts[p], blocks[p, name][1]):
+                products[v] = product
+        try:
+            sols, nodes = search_labelings(free, s, products, budget - used)
+        except BudgetExhausted as exc:
+            raise FallbackBudgetError(
+                f"fallback budget exhausted after {used + exc.args[0]} nodes") from None
+        used += nodes
+        if not sols:
+            continue
+        note = f"fixed({','.join(combo)}),s={s}" if combo else f"exhaustive(s={s})"
+        m = np.zeros((g.n_vertices, g.n_vertices), dtype=np.int64)
+        for p, name in zip(to_fix, combo):
+            m[np.ix_(cover.parts[p], cover.parts[p])] = blocks[p, name][0]
+        for (x, y), w in sols[0].items():
+            m[x, y] = m[y, x] = w
+        return _outcome(g, cover, tree, range(g.n_vertices), m, s,
+                        f"fallback:{note}", "search-fallback", {})
     raise FallbackBudgetError("fallback search stages exhausted without a labeling")
 
 

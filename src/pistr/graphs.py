@@ -306,12 +306,19 @@ def has_isolated_vertex_or_edge(g: Graph) -> bool:
     return bool(np.count_nonzero(by_size[1:3]))  # 2 vertices = 1 edge
 
 
-def induced_subgraph(g: Graph, vertices: list[int]) -> tuple[Graph, list[int]]:
-    """Subgraph on the given vertices, relabeled 0..k-1; returns (sub, old_ids)."""
-    old = sorted(vertices)
-    index = {v: i for i, v in enumerate(old)}
-    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-    return Graph.from_edges(len(old), edges), old
+def component_subgraphs(g: Graph) -> list[tuple[Graph, list[int]]]:
+    """Each component of g as (its graph on 0..k-1, its vertices in g), in
+    the order of connected_components: the edges grouped by component in one
+    stable sort, which keeps them sorted, each vertex renumbered by its rank."""
+    roots, (u, v) = g._roots, g.ends
+    by_root = roots.argsort(kind="stable")  # the vertices component by component
+    rank = np.empty_like(by_root)
+    rank[by_root] = np.arange(g.n_vertices) - roots[by_root].searchsorted(roots[by_root])
+    order = roots[u].argsort(kind="stable")
+    cuts = np.cumsum(np.bincount(roots[u], minlength=g.n_vertices)[np.unique(roots)]).tolist()
+    u, v = rank[u[order]], rank[v[order]]
+    return [(Graph._from_ends(len(comp), u[a:b], v[a:b]), list(comp))
+            for comp, a, b in zip(g.components, [0, *cuts], cuts)]
 
 
 def clique_cover(g: Graph, k_max: int) -> CliqueCover | None:

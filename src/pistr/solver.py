@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import (Edge, EdgeLabeling, Graph, complete_graph,
-                     connected_components, edge_key, has_isolated_vertex_or_edge,
-                     induced_subgraph)
+from .graphs import (Edge, EdgeLabeling, Graph, complete_graph, component_subgraphs,
+                     edge_key, has_isolated_vertex_or_edge, is_connected)
 from .verifier import ProductDegree
 
 DEFAULT_BUDGET = 10**9
@@ -232,7 +231,7 @@ def component_signatures(g_component: Graph, s: int,
     with labels <= s, in sorted order, each with its first labeling."""
     if g_component.n_vertices < 2:
         raise ValueError("component must have at least one edge")
-    if len(connected_components(g_component)) != 1:
+    if not is_connected(g_component):
         raise ValueError("component_signatures needs a connected graph")
     sigs, _ = search_labelings(g_component, s, budget=budget, collect_all=True)
     return [ComponentSignature(tuple(ProductDegree.from_value(v) for v in values),
@@ -288,7 +287,7 @@ def ps_exact_disconnected(g: Graph, s_max: int,
 
     def attempt(s: int, left: int):
         if not subs:
-            subs.extend(induced_subgraph(g, c) for c in connected_components(g))
+            subs.extend(component_subgraphs(g))
         used = 0
         cache: dict[tuple, list[tuple[tuple[int, ...], dict[Edge, int]]]] = {}
         keys = []  # per component: its key into cache

@@ -16,6 +16,7 @@ from pistr.engine import (PATTERN_DIFF, PATTERN_SAME, ConstructionError,
 from pistr.fileio import emit_graph
 from pistr.graphs import (CliqueCover, Graph, add_cross_edge, clique_cover,
                           complete_graph, disjoint_union, edge_key)
+from pistr.matrices import fixed_matrix, named_family
 from pistr.solver import ps_exact
 from pistr.verifier import is_product_irregular
 
@@ -289,13 +290,66 @@ def test_unpinned_fallback_census():
     assert strengths == {3: 84, 4: 8}
 
 
+def record_builds(monkeypatch):
+    """The (name, block) of every block the engine builds from here on, in
+    build order."""
+    built = []
+
+    def family(n, which):
+        built.append((f"{which}{n}", named_family(n, which)))
+        return built[-1][1]
+
+    def fixed(name):
+        built.append((name, fixed_matrix(name)))
+        return built[-1][1]
+
+    monkeypatch.setattr(engine, "named_family", family)
+    monkeypatch.setattr(engine, "fixed_matrix", fixed)
+    return built
+
+
+def pinned_builds(monkeypatch, size):
+    """Every block the fallback may pin on a part of this size, in the order
+    it tries them: (3,4,4) and (3,3,size) pin exactly that part, and a
+    search that never finds a labeling walks every combination at s = 3
+    and at s = 4."""
+    built = record_builds(monkeypatch)
+    monkeypatch.setattr(engine, "search_labelings", lambda *args: ([], 0))
+    sizes = (3, 4, 4) if size == 4 else (3, 3, size)
+    with pytest.raises(FallbackBudgetError, match="stages exhausted"):
+        construct_labeling(cliques_with_edges(sizes, [(0, 3), (0, 3 + sizes[1])]))
+    return built
+
+
 @pytest.mark.parametrize("size", range(4, 13))
-def test_pinned_row_products(size):
+def test_pinned_row_products(monkeypatch, size):
     # The fallback reads a pinned block's row products as 2^a * 3^b, which
     # holds only while every block it may pin is over the labels 1..3.
-    for name, block in engine._catalog(size):
+    for name, block in pinned_builds(monkeypatch, size):
         assert block.min() >= 0 and block.max() <= 3, name
         assert engine._row_products(block) == brute_products(block), name
+
+
+@pytest.mark.parametrize("size, names", [
+    (4, ["B4", "A4", "C4"]),
+    (5, ["B5", "A5", "C5", "T5", "T5_TILDE", "T5_TILDE_MOD_456"]),
+    (6, ["B6", "A6", "C6", "T6", "T6_TILDE", "M666_BLOCK1", "M666_BLOCK2",
+         "M666_BLOCK3", "P6", "T6_MOD_567"]),
+    *((n, [f"B{n}", f"A{n}", f"C{n}"]) for n in range(7, 13)),
+])
+def test_pinned_candidates(monkeypatch, size, names):
+    # Each candidate is built once, although both s = 3 and s = 4 try it.
+    assert [name for name, _ in pinned_builds(monkeypatch, size)] == names
+
+
+def test_pinned_blocks_built_on_first_use(monkeypatch):
+    # (4,6,6) pins both 6-parts, and the sixth combination answers at
+    # s = 3: only the blocks the first six name are built, B6 once per part.
+    built = record_builds(monkeypatch)
+    out = construct_labeling(cliques_with_edges((4, 6, 6), [(0, 4), (0, 10)]))
+    assert out.case_trace.construction_id == "fallback:fixed(B6,M666_BLOCK1),s=3"
+    assert [name for name, _ in built] == ["B6", "B6", "A6", "C6", "T6", "T6_TILDE",
+                                           "M666_BLOCK1"]
 
 
 class TestConstructLabeling:

@@ -6,10 +6,10 @@ import pytest
 
 from pistr.engine import construct_labeling
 from pistr.graphs import (CliqueCover, EdgeLabeling, Graph, add_cross_edge,
-                          clique_cover, complete_graph, connected_components,
-                          disjoint_union, has_isolated_vertex_or_edge,
-                          is_connected, labeled_graph_to_matrix,
-                          matrix_to_labeled_graph)
+                          clique_cover, complete_graph, component_subgraphs,
+                          connected_components, disjoint_union,
+                          has_isolated_vertex_or_edge, is_connected,
+                          labeled_graph_to_matrix, matrix_to_labeled_graph)
 from pistr.graphs import _color_graph, _complement_masks, _two_colour
 from pistr.matrices import fixed_matrix, m_matrix
 from pistr.verifier import is_product_irregular
@@ -106,10 +106,14 @@ class TestBuilders:
             add_cross_edge(g, 0, 1)
         with pytest.raises(ValueError):
             add_cross_edge(g, 2, 2)
+        with pytest.raises(ValueError, match="^endpoint out of range$"):
+            add_cross_edge(g, 0, 3)
 
     def test_graph_invariants(self):
         with pytest.raises(ValueError):
             Graph(3, frozenset({(0, 3)}))
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            Graph(-1, frozenset())
         with pytest.raises(ValueError):
             Graph(3, frozenset({(1, 1)}))
 
@@ -286,6 +290,14 @@ class TestConnectivity:
             assert connected_components(g) == [list(c) for c in want]
             assert is_connected(g) == (len(want) <= 1)
             assert has_isolated_vertex_or_edge(g) == any(len(c) <= 2 for c in want)
+            subs = component_subgraphs(g)
+            assert [old for _, old in subs] == [list(c) for c in want]
+            for sub, old in subs:  # each vertex renumbered by its rank in old
+                index = {v: i for i, v in enumerate(old)}
+                ref = Graph.from_edges(len(old), [(index[u], index[v]) for u, v in g.edges
+                                                  if u in index])
+                assert sub.n_vertices == ref.n_vertices
+                assert all(map(np.array_equal, sub.ends, ref.ends))
 
     def test_shuffled_path_is_one_component(self):
         def keys_of(a, b, n):
@@ -387,6 +399,8 @@ class TestCliqueCover:
             for k_max in range(1, 6):
                 cover = clique_cover(g, k_max)
                 assert (cover is None) == (least > k_max), (bits, k_max)
+        with pytest.raises(ValueError, match="^k_max must be >= 1$"):
+            clique_cover(complete_graph(3), 0)
 
     def test_even_cycle_complement_in_time(self):
         # cover number 2; the backtracking 2-colouring took 24 s on this

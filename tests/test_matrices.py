@@ -56,6 +56,8 @@ class TestFamilies:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             named_family(5, "D")
+        with pytest.raises(ValueError, match="^unknown family 'D', expected A, B or C$"):
+            tilde_matrix(5, "D")
 
     @pytest.mark.parametrize("triple", [(1, 2, 3), (2, 3, 5), (3, 4, 5), (5, 6, 7)])
     def test_coprime_triples_are_irregular(self, triple):
@@ -89,6 +91,8 @@ class TestRowProfile:
                 assert sum(row_profile(n, i).counts) == n - 1
 
     def test_out_of_range(self):
+        with pytest.raises(ValueError, match="^row_profile needs n >= 4$"):
+            row_profile(3, 1)
         with pytest.raises(ValueError):
             row_profile(7, 0)
         with pytest.raises(ValueError):
@@ -153,6 +157,8 @@ class TestDirectSumAndInjections:
     def test_singleton_identity(self):
         t = fixed_matrix("T")
         assert np.array_equal(direct_sum([t]), t)
+        with pytest.raises(ValueError, match="^direct_sum needs at least one matrix$"):
+            direct_sum([])
 
     def test_block_layout(self):
         m = direct_sum([named_family(4, "A"), named_family(5, "B")])

@@ -12,7 +12,7 @@ from pistr.solver import (DEFAULT_BUDGET, BudgetExhausted, component_signatures,
                           search_labelings, verify_k4_characterization)
 from pistr.verifier import extend_with_ones, is_product_irregular
 
-from conftest import random_graph_no_isolates
+from conftest import deadline, random_graph_no_isolates
 
 
 def reference_search(g, s, fixed, budget, prune, collect_all):
@@ -168,6 +168,11 @@ class TestPsExact:
         assert r1.nodes_explored == r2.nodes_explored
 
     def test_rejects_isolated_vertices_and_edges(self):
+        with pytest.raises(ValueError, match="^graph too small: product degrees need "
+                                             "incident edges$"):
+            ps_exact(complete_graph(1), 3)
+        with pytest.raises(ValueError, match="^s_max must be >= 1$"):
+            ps_exact(complete_graph(3), 0)
         with pytest.raises(ValueError):
             ps_exact(complete_graph(2), 3)
         with pytest.raises(ValueError):
@@ -225,6 +230,8 @@ class TestComponentSignatures:
         with pytest.raises(ValueError):
             component_signatures(disjoint_union(complete_graph(3),
                                                 complete_graph(3)), 3)
+        with pytest.raises(ValueError, match="^component must have at least one edge$"):
+            component_signatures(complete_graph(1), 3)
 
 
 class TestDisconnectedSolver:
@@ -253,6 +260,16 @@ class TestDisconnectedSolver:
         assert r.value == 3
         assert is_product_irregular(r.certificate).ok
         assert max(r.certificate.labels.values()) <= 3
+
+    def test_many_components_split_in_one_pass(self):
+        # 4,000 disjoint triangles: no labeling up to 4, refuted by one
+        # search per distinct component, so the split must not cost
+        # components x edges.
+        g = Graph.from_edges(12000, [(3 * i + a, 3 * i + b) for i in range(4000)
+                                     for a, b in ((0, 1), (0, 2), (1, 2))])
+        with deadline(2):
+            r = ps_exact_disconnected(g, 4)
+        assert (r.value, r.nodes_explored, r.budget_exhausted) == (None, 162, False)
 
     def test_budget_surfaces(self):
         g = disjoint_union(complete_graph(4), complete_graph(4))

@@ -26,6 +26,8 @@ class TestProductDegree:
     def test_label_one_is_empty(self):
         assert ProductDegree.from_value(1).factors == ()
         assert ProductDegree.from_value(1).value == 1
+        with pytest.raises(ValueError, match="^labels must be positive$"):
+            ProductDegree.from_value(0)
 
     def test_pair_collapse(self):
         # labels 2, 3, 2 at one vertex: exponents 2 of 2 and 1 of 3
@@ -180,6 +182,9 @@ class TestInvariances:
             if not missing:
                 continue
             extended = extend_with_ones(labeling, missing[:2])
+            u, v = max(g.edges)
+            with pytest.raises(ValueError, match=rf"^edge \({u}, {v}\) already present$"):
+                extend_with_ones(labeling, [(v, u)])
             before = is_product_irregular(labeling)
             after = is_product_irregular(extended)
             assert before.ok == after.ok
