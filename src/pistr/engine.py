@@ -33,7 +33,7 @@ import numpy as np
 from .graphs import (CliqueCover, Edge, EdgeLabeling, Graph, clique_cover,
                      edge_key, has_isolated_vertex_or_edge, is_connected)
 from .matrices import direct_sum, fixed_matrix, named_family, tilde_matrix
-from .solver import DEFAULT_BUDGET, BudgetExhausted, search_labelings
+from .solver import DEFAULT_BUDGET, BudgetExhausted, SearchPlan, search_labelings
 from .verifier import is_product_irregular
 
 PATTERN_NONE = "none"
@@ -390,11 +390,12 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
     A<n>, C<n>, then _PINNABLE[n], each block built when a combination of
     one name per pinned part first needs it. One loop walks
     (s, combination): s = 3, then s = 4, each over every combination, the
-    empty one when nothing is pinned. Each search gets what is left of the
-    one budget, and the first to run out ends the fallback with
-    FallbackBudgetError. No s below 3 can succeed: with labels 1 and 2 the
-    n >= 2 products must be 2^0 .. 2^(n-1), but the vertex with 2^(n-1)
-    has an edge labeled 2 to the vertex with 1. s = 4 suffices for every
+    empty one when nothing is pinned. Every search runs on one SearchPlan
+    of the free edges and gets what is left of the one budget; the first
+    to run out ends the fallback with FallbackBudgetError. No s below 3
+    can succeed: with labels 1 and 2 the n >= 2 products must be 2^0 ..
+    2^(n-1), but the vertex with 2^(n-1) has an edge labeled 2 to the
+    vertex with 1. s = 4 suffices for every
     unpinned spanning graph except K2, which has no labeling at all and
     which construct_labeling rejects. The answer is one n x n matrix in
     vertex order: the pinned blocks at their parts' rows and columns, the
@@ -412,7 +413,7 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
     for p, part in enumerate(cover.parts):
         if p not in to_fix:
             edges.update(itertools.combinations(sorted(part), 2))
-    free = Graph(g.n_vertices, frozenset(edges))
+    plan = SearchPlan.of(Graph(g.n_vertices, frozenset(edges)))
     names = [(f"B{n}", f"A{n}", f"C{n}", *_PINNABLE.get(n, ()))
              for n in (cover.sizes[p] for p in to_fix)]
     # (part, name) -> (block, its row products), built on first use
@@ -429,7 +430,7 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
             for v, product in zip(cover.parts[p], blocks[p, name][1]):
                 products[v] = product
         try:
-            sols, nodes = search_labelings(free, s, products, budget - used)
+            sols, nodes = search_labelings(plan, s, products, budget - used)
         except BudgetExhausted as exc:
             raise FallbackBudgetError(
                 f"fallback budget exhausted after {used + exc.args[0]} nodes") from None

@@ -123,11 +123,14 @@ def _build(n: int, a: np.ndarray, b: np.ndarray, labels: np.ndarray | None):
                    or labels is not None and labels.min() < 1):
         return None
     keys = u * n + v - (n + 1)  # of the 0-based pair
-    order = keys.argsort()
-    keys = keys[order]
+    if labels is None:
+        keys.sort()
+    else:  # the labels follow their edges
+        order = keys.argsort()
+        keys, labels = keys[order], labels[order]
     if np.count_nonzero(keys[1:] == keys[:-1]):
         return None
-    return _assemble(n, keys, None if labels is None else labels[order])
+    return _assemble(n, keys, labels)
 
 
 def _assemble(n: int, keys: np.ndarray, labels: np.ndarray | None):

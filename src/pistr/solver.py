@@ -11,6 +11,7 @@ choosing pairwise-disjoint multisets.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .graphs import (Edge, EdgeLabeling, Graph, complete_graph, component_subgraphs,
@@ -76,47 +77,92 @@ def edge_search_order(g: Graph) -> list[Edge]:
     return sorted(g.edges, key=place)
 
 
-def search_labelings(g: Graph, s: int, products: list[int] | None = None,
+@dataclass(frozen=True)
+class SearchPlan:
+    """What a search of one graph needs at every strength and every set of
+    fixed products: its edges in search order, each depth's step, and the
+    vertices with no edge in it.
+
+    Step d is the edge (a, b) at depth d and how many of a and b it
+    finishes (takes their last edge), a first when it finishes one. The
+    free edges come in a fixed order, so that is known before the search.
+    """
+
+    n_vertices: int
+    edges: tuple[Edge, ...]
+    steps: tuple[tuple[int, int, int], ...]
+    idle: tuple[int, ...]
+
+    @classmethod
+    def of(cls, g: Graph) -> "SearchPlan":
+        order = edge_search_order(g)
+        rem = [0] * g.n_vertices
+        for u, v in order:
+            rem[u] += 1
+            rem[v] += 1
+        idle = tuple(v for v in range(g.n_vertices) if not rem[v])
+        steps = []
+        for u, v in order:
+            rem[u] -= 1
+            rem[v] -= 1
+            finished = (rem[u] == 0) + (rem[v] == 0)
+            steps.append((v, u, 1) if finished == 1 and rem[v] == 0 else (u, v, finished))
+        return cls(g.n_vertices, tuple(order), tuple(steps), idle)
+
+
+class Signatures(Mapping):
+    """Collect mode's answer: each realizable degree multiset (sorted value
+    tuple over all vertices) with the first label tuple that realizes it,
+    over the plan's edge order. Reading a multiset builds its label map."""
+
+    def __init__(self, order: tuple[Edge, ...],
+                 tuples: dict[tuple[int, ...], tuple[int, ...]]):
+        self.order, self.tuples = order, tuples
+
+    def __getitem__(self, key: tuple[int, ...]) -> dict[Edge, int]:
+        return dict(zip(self.order, self.tuples[key]))
+
+    def __iter__(self):
+        return iter(self.tuples)
+
+    def __len__(self) -> int:
+        return len(self.tuples)
+
+
+def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None = None,
                      budget: int = DEFAULT_BUDGET, prune: bool = True,
                      collect_all: bool = False):
     """Core DFS over labelings of the edges of g with labels 1..s.
 
+    g may be given as its SearchPlan, so that calls on one graph build it
+    once.
     ``products`` holds each vertex's product of labels fixed outside g; a
     vertex with no edge in g is then finished before the search. Returns
     (solutions, nodes): with collect_all=False, solutions is a list holding
     at most one label map of g's edges (first found); with collect_all=True
-    it maps each realizable degree multiset (sorted value tuple over all
-    vertices) to the first label map realizing it. A leaf keeps only the
-    label tuple of a multiset it is the first to realize, and each of those
-    label maps is built once, after the search. Raises BudgetExhausted(nodes)
-    when the node budget runs out.
-    """
-    n = g.n_vertices
-    free = edge_search_order(g)
-    prod = [1] * n if products is None else list(products)
-    rem = [0] * n
-    for u, v in free:
-        rem[u] += 1
-        rem[v] += 1
+    it is the Signatures of g: each realizable degree multiset with its
+    first label tuple, whose label map is built only when it is read.
 
+    A node is one label tried at one edge. Each loop over the labels of an
+    edge counts its tries when it ends: s, or w when label w leads to a
+    labeling. The budget is checked there, so a search whose count passes
+    the budget raises BudgetExhausted(budget + 1), the count at which a
+    check on every try would have stopped, after at most depth x s more
+    tries than that check would have made.
+    """
+    plan = g if isinstance(g, SearchPlan) else SearchPlan.of(g)
+    n, order, steps = plan.n_vertices, plan.edges, plan.steps
+    if not prune:  # no step finishes a vertex
+        steps = tuple((a, b, 0) for a, b, _ in steps)
+    prod = [1] * n if products is None else list(products)
     seen: set[int] = set()
     if prune and products is not None:
-        for v in range(n):
-            if rem[v] == 0:  # every edge of v is fixed outside g
-                if prod[v] in seen:
-                    return ({} if collect_all else []), 0
-                seen.add(prod[v])
+        for v in plan.idle:  # every edge of v is fixed outside g
+            if prod[v] in seen:
+                return (Signatures(order, {}) if collect_all else []), 0
+            seen.add(prod[v])
 
-    # The free edges come in a fixed order, so whether an edge is the last
-    # free edge of its endpoints is known before the search: step d is the
-    # edge (a, b) at depth d and how many of a and b it finishes, a first
-    # when it finishes one. Without pruning no step finishes a vertex.
-    steps: list[tuple[int, int, int]] = []
-    for u, v in free:
-        rem[u] -= 1
-        rem[v] -= 1
-        finished = (rem[u] == 0) + (rem[v] == 0) if prune else 0
-        steps.append((v, u, 1) if finished == 1 and rem[v] == 0 else (u, v, finished))
+    budget = max(budget, 0)  # a negative budget stops where 0 does
     depths = len(steps)
     weights = range(1, s + 1)
     assignment = [0] * depths
@@ -133,12 +179,16 @@ def search_labelings(g: Graph, s: int, products: list[int] | None = None,
             if key not in sigs:
                 sigs[key] = tuple(assignment)
             return False
-        found.append(dict(zip(free, assignment)))
+        found.append(dict(zip(order, assignment)))
         return True
 
-    def walk(depth: int) -> bool:
+    def walk(depth: int, steps=steps, prod=prod, seen=seen, add=add, discard=discard,
+             assignment=assignment, weights=weights) -> bool:
         # One loop per kind of step. A finished vertex's product must be
         # new, and it stays in seen while the search is below this step.
+        # A step finishing two vertices of equal products fails at every
+        # label without a loop. The defaults make the search's state fast
+        # locals.
         nonlocal nodes
         if depth == depths:
             return leaf()
@@ -147,18 +197,12 @@ def search_labelings(g: Graph, s: int, products: list[int] | None = None,
         deeper = depth + 1
         if not finished:
             for w in weights:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExhausted(nodes)
                 prod[a], prod[b] = pa0 * w, pb0 * w
                 assignment[depth] = w
                 if walk(deeper):
                     return True
         elif finished == 1:
             for w in weights:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExhausted(nodes)
                 pa = pa0 * w
                 if pa in seen:
                     continue
@@ -168,13 +212,10 @@ def search_labelings(g: Graph, s: int, products: list[int] | None = None,
                 if walk(deeper):
                     return True
                 discard(pa)
-        else:
+        elif pa0 != pb0:
             for w in weights:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExhausted(nodes)
                 pa, pb = pa0 * w, pb0 * w
-                if pa in seen or pb in seen or pa == pb:
+                if pa in seen or pb in seen:
                     continue
                 prod[a], prod[b] = pa, pb
                 add(pa)
@@ -185,18 +226,25 @@ def search_labelings(g: Graph, s: int, products: list[int] | None = None,
                 discard(pa)
                 discard(pb)
         prod[a], prod[b] = pa0, pb0
+        nodes += s
+        if nodes > budget:
+            raise BudgetExhausted(budget + 1)
         return False
 
-    walk(0)
+    if walk(0):
+        # the loops on the path to the labeling tried labels 1..w each
+        nodes += sum(assignment)
+        if nodes > budget:
+            raise BudgetExhausted(budget + 1)
     if collect_all:
-        return {key: dict(zip(free, labels)) for key, labels in sigs.items()}, nodes
+        return Signatures(order, sigs), nodes
     return found, nodes
 
 
 def _by_strength(g: Graph, s_max: int, budget: int, attempt) -> PsResult:
     """The smallest s <= s_max at which attempt(s, budget left) returns a
     label map of g's edges, not None, with the nodes it explored; a search
-    that runs out raises BudgetExhausted with every node of the attempt."""
+    that runs out raises BudgetExhausted(budget left + 1)."""
     if g.n_vertices < 2:
         raise ValueError("graph too small: product degrees need incident edges")
     if has_isolated_vertex_or_edge(g):
@@ -218,8 +266,10 @@ def _by_strength(g: Graph, s_max: int, budget: int, attempt) -> PsResult:
 def ps_exact(g: Graph, s_max: int, budget: int = DEFAULT_BUDGET,
              prune: bool = True) -> PsResult:
     """Smallest s <= s_max admitting a product-irregular labeling of g."""
+    plan = SearchPlan.of(g)
+
     def attempt(s: int, left: int):
-        found, nodes = search_labelings(g, s, budget=left, prune=prune)
+        found, nodes = search_labelings(plan, s, budget=left, prune=prune)
         return (found[0] if found else None), nodes
 
     return _by_strength(g, s_max, budget, attempt)
@@ -283,34 +333,37 @@ def ps_exact_disconnected(g: Graph, s_max: int,
     At each s every component's realizable degree multisets (sorted value
     tuples) are collected once per distinct component, then one multiset
     per component is chosen with no value shared."""
-    subs = []  # (component, its vertices in g), split once _by_strength checked g
+    comps = []  # per component: its key into plans, its vertices in g
+    plans: dict[tuple, SearchPlan] = {}  # per distinct (vertex count, edges)
 
     def attempt(s: int, left: int):
-        if not subs:
-            subs.extend(component_subgraphs(g))
-        used = 0
-        cache: dict[tuple, list[tuple[tuple[int, ...], dict[Edge, int]]]] = {}
-        keys = []  # per component: its key into cache
-        try:
-            for sub, _ in subs:
+        if not comps:  # split once _by_strength checked g
+            for sub, old in component_subgraphs(g):
                 key = (sub.n_vertices, sub.edges)
+                if key not in plans:
+                    plans[key] = SearchPlan.of(sub)
+                comps.append((key, old))
+        used = 0
+        # per distinct component: its (sorted degree values, label tuple)
+        # pairs, sorted
+        cache: dict[tuple, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+        try:
+            for key, _ in comps:
                 if key not in cache:
-                    found, nodes = search_labelings(sub, s, budget=left - used,
+                    found, nodes = search_labelings(plans[key], s, budget=left - used,
                                                     collect_all=True)
                     used += nodes
                     if not found:
                         return None, used
-                    # (sorted degree values, label map) pairs, sorted
-                    cache[key] = sorted(found.items())
-                keys.append(key)
+                    cache[key] = sorted(found.tuples.items())
             values = sorted({v for pairs in cache.values() for t, _ in pairs for v in t})
             bit = {v: 1 << i for i, v in enumerate(values)}
             # the values of one multiset are distinct: their bits sum to its
             # mask, worked out once per distinct component
             shape_masks = {key: [sum(bit[v] for v in t) for t, _ in pairs]
                            for key, pairs in cache.items()}
-            masks = [shape_masks[key] for key in keys]
-            order = sorted(range(len(subs)), key=lambda i: len(masks[i]))
+            masks = [shape_masks[key] for key, _ in comps]
+            order = sorted(range(len(comps)), key=lambda i: len(masks[i]))
             choice, nodes = _combine_signatures([masks[i] for i in order], left - used)
             used += nodes
         except BudgetExhausted as exc:
@@ -319,8 +372,8 @@ def ps_exact_disconnected(g: Graph, s_max: int,
             return None, used
         labels: dict[Edge, int] = {}
         for i, pick in zip(order, choice):
-            old = subs[i][1]
-            for (u, v), w in cache[keys[i]][pick][1].items():
+            key, old = comps[i]
+            for (u, v), w in zip(plans[key].edges, cache[key][pick][1]):
                 labels[edge_key(old[u], old[v])] = w
         return labels, used
 

@@ -11,7 +11,9 @@ converts a weighted adjacency matrix to its labeled graph and calls it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -19,28 +21,94 @@ from .graphs import EdgeLabeling, Graph, matrix_to_labeled_graph
 
 _factor_cache: dict[int, tuple[tuple[int, int], ...]] = {1: ()}
 
+_TRIAL = 1 << 10  # factors below this are found by trial division
+# Strong probable primes to the 13 prime bases 2..41 are prime below
+# 3317044064679887385961981, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
 
 def factorize(v: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of v >= 1 as sorted (prime, exponent) pairs."""
+    """Prime factorization of v >= 1 as sorted (prime, exponent) pairs.
+
+    Factors below 2^10 are divided out; what remains is either prime
+    (Miller-Rabin) or split by Pollard-Brent rho until every part is.
+    """
     if v < 1:
         raise ValueError("labels must be positive")
     cached = _factor_cache.get(v)
     if cached is not None:
         return cached
-    rest, d, out = v, 2, []
-    while d * d <= rest:
-        if rest % d == 0:
-            e = 0
-            while rest % d == 0:
-                rest //= d
-                e += 1
-            out.append((d, e))
+    counts: dict[int, int] = {}
+    rest, d = v, 2
+    while d < _TRIAL and d * d <= rest:
+        while rest % d == 0:
+            rest //= d
+            counts[d] = counts.get(d, 0) + 1
         d += 1 if d == 2 else 2
-    if rest > 1:
-        out.append((rest, 1))
-    result = tuple(out)
+    parts = [rest] if rest > 1 else []
+    while parts:  # each part > 1 and free of factors below _TRIAL
+        part = parts.pop()
+        if _is_prime(part):
+            counts[part] = counts.get(part, 0) + 1
+        else:
+            d = _rho_divisor(part)
+            parts += (d, part // d)
+    result = tuple(sorted(counts.items()))
     _factor_cache[v] = result
     return result
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of n > 1 with no factor below _TRIAL. A Miller-Rabin
+    witness proves n composite; passing every base proves it prime below
+    _MR_EXACT_BELOW, and above it trial division decides."""
+    if n < _TRIAL * _TRIAL:
+        return True
+    odd, twos = n - 1, 0
+    while not odd & 1:
+        odd >>= 1
+        twos += 1
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return n < _MR_EXACT_BELOW or all(n % d for d in range(_TRIAL + 1, isqrt(n) + 1, 2))
+
+
+def _rho_divisor(n: int) -> int:
+    """A divisor 1 < d < n of a composite n with no factor below _TRIAL:
+    Pollard's rho with Brent's cycle search, the differences multiplied
+    together between gcds (Brent, BIT 1980)."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step from its start one at a time
+            g, y = 1, saved
+            while g == 1:
+                y = (y * y + c) % n
+                g = gcd(abs(x - y), n)
+        if g != n:
+            return g
 
 
 @dataclass(frozen=True)
@@ -86,6 +154,13 @@ def _report(degrees: list[ProductDegree]) -> IrregularityReport:
     return IrregularityReport(witness is None, witness, tuple(degrees))
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a, ascending: the least, then each one
+    above its predecessor in sorted order."""
+    ordered = np.sort(a)
+    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+
+
 def is_product_irregular(labeling: EdgeLabeling) -> IrregularityReport:
     """All vertices must have pairwise distinct product degrees.
 
@@ -97,7 +172,7 @@ def is_product_irregular(labeling: EdgeLabeling) -> IrregularityReport:
     g = labeling.graph
     n = g.n_vertices
     u, v = g.ends
-    values = np.array(sorted(set(labeling.values.tolist())), dtype=labeling.values.dtype)
+    values = _distinct(labeling.values)
     at = values.searchsorted(labeling.values) * n
     size = len(values) * n
     counts = (np.bincount(at + u, minlength=size)

@@ -251,6 +251,15 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "pistr: vertex 4 is isolated; product degree undefined\n"
 
+    def test_mersenne_prime_label(self, capsys, tmp_path):
+        # a 19-digit prime label is factorized without dividing up to its root
+        path = tmp_path / "g.txt"
+        path.write_text("p 3 3\ne 1 2 2305843009213693951\ne 2 3 3\ne 1 3 1\n")
+        with deadline(2):
+            code, out, err = run_cli(capsys, "verify", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["degrees"][0]["factors"] == [[2305843009213693951, 1]]
+
     def test_unlabeled_rejected(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("p 3 3\ne 1 2\ne 1 3\ne 2 3\n")

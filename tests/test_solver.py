@@ -315,6 +315,39 @@ def test_budget_stop_counts_every_node():
         assert (r.value, r.nodes_explored, r.budget_exhausted) == (None, budget + 1, True)
 
 
+def sweep_graphs():
+    """Clique shapes with many equal products, then 20 seeded random graphs."""
+    graphs = [(f"K{n}", complete_graph(n)) for n in (4, 5, 6)]
+    graphs += [("K3+K4+e", add_cross_edge(clique_union(3, 4), 0, 3)),
+               ("K4+K4", clique_union(4, 4))]
+    rng = random.Random(4242)
+    graphs += [(f"random {i}", random_graph_no_isolates(rng, n_min=4, n_max=7, max_edges=9))
+               for i in range(20)]
+    return graphs
+
+
+@pytest.mark.parametrize("solve", [ps_exact, ps_exact_disconnected])
+def test_budget_sweep(solve):
+    # A search counts a loop's tries when the loop ends, so it notices a
+    # spent budget late; it must still stop exactly when the unbudgeted run
+    # explores more than the budget, and report budget + 1 like a check on
+    # every try.
+    rng = random.Random(77)
+    for name, g in sweep_graphs():
+        # ps_exact_disconnected collects 13M nodes of K6 signatures at s = 3
+        s_max = 2 if (solve, name) == (ps_exact_disconnected, "K6") else 4
+        full = solve(g, s_max)
+        n = full.nodes_explored
+        assert n > 0 and not full.budget_exhausted, name
+        for budget in [0, 1, n - 1, n, *(rng.randrange(n) for _ in range(10))]:
+            r = solve(g, s_max, budget=budget)
+            if budget >= n:
+                assert r == full, (name, budget)
+            else:
+                assert (r.value, r.certificate, r.nodes_explored, r.budget_exhausted) == (
+                    None, None, budget + 1, True), (name, budget)
+
+
 def random_connected_graph(rng, n):
     """A connected graph on n vertices: a random tree plus random chords."""
     edges = {edge_key(v, rng.randrange(v)) for v in range(1, n)}

@@ -3,12 +3,13 @@ import pytest
 
 from pistr.graphs import (EdgeLabeling, Graph, complete_graph,
                           labeled_graph_to_matrix, matrix_to_labeled_graph)
+from pistr import verifier
 from pistr.engine import catalog_matrix
 from pistr.matrices import direct_sum, fixed_matrix, m_matrix, named_family
-from pistr.verifier import (ProductDegree, check_matrix, extend_with_ones,
+from pistr.verifier import (ProductDegree, check_matrix, extend_with_ones, factorize,
                             is_product_irregular)
 
-from conftest import (brute_products, brute_witness, permute_graph,
+from conftest import (brute_products, brute_witness, deadline, permute_graph,
                       random_graph_no_isolates, random_labeling)
 
 
@@ -36,6 +37,43 @@ class TestProductDegree:
         d = is_product_irregular(labeling).degrees[0]
         assert d.factors == ((2, 2), (3, 1))
         assert d.value == 12
+
+
+def trial_division(v):
+    """(prime, exponent) pairs of v by dividing by every d up to its root."""
+    rest, d, out = v, 2, []
+    while d * d <= rest:
+        e = 0
+        while rest % d == 0:
+            rest //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return tuple(out) + (((rest, 1),) if rest > 1 else ())
+
+
+class TestFactorize:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_factor_cache", {1: ()})
+
+    def test_matches_trial_division_up_to_1e5(self):
+        assert all(factorize(v) == trial_division(v) for v in range(1, 10**5 + 1))
+
+    def test_two_31_bit_primes(self):
+        # no factor below 2^10: Miller-Rabin says composite, rho splits it
+        p, q = 2147483629, 2147483647
+        with deadline(2):
+            assert factorize(p * q) == ((p, 1), (q, 1))
+            assert factorize(q * q * 12) == ((2, 2), (3, 1), (q, 2))
+
+    def test_large_primes(self):
+        with deadline(2):
+            assert factorize(2**61 - 1) == ((2**61 - 1, 1),)
+            # prime, and past the bound 3.2e23 of the 12 bases 2..37
+            assert factorize(10**24 + 7) == ((10**24 + 7, 1),)
+            assert factorize((2**31 - 1) * (2**61 - 1)) == ((2**31 - 1, 1), (2**61 - 1, 1))
 
 
 class TestProductDegreeOfVertices:
@@ -72,6 +110,16 @@ class TestIrregularity:
         assert not report.ok
         u, v = report.witness
         assert report.degrees[u] == report.degrees[v]
+
+    def test_labels_beyond_int64(self):
+        # the labels are an object array; vertices 1 and 2 share 2^70 * 3
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        labeling = EdgeLabeling.make(g, {(0, 1): 2**70, (1, 2): 3, (0, 2): 2**70,
+                                         (2, 3): 1})
+        assert labeling.values.dtype == object
+        report = is_product_irregular(labeling)
+        assert [d.value for d in report.degrees] == [2**140, 2**70 * 3, 2**70 * 3, 1]
+        assert (report.ok, report.witness) == (False, (1, 2))
 
     def test_k2_always_fails(self):
         g = complete_graph(2)
