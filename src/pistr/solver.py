@@ -6,6 +6,17 @@ as two finished vertices share a product degree. Disconnected graphs can
 instead be solved per component: each component contributes the set of
 product-degree multisets it can realize, and components are combined by
 choosing pairwise-disjoint multisets.
+
+At s <= 2 no graph with an edge has a labeling (two vertices of equal
+degree in the graph of edges labeled 2 share a product), so those levels
+only count nodes. On a graph with m - n >= MEMO_SURPLUS and no fixed
+products the count comes from a memo keyed by one packed int (the depth,
+the products of the vertices begun and not finished, the bitmask of seen
+products), node for node the walk's count. Against the walk at s = 2 on
+400 seeded connected random graphs of 8 to 10 vertices (2 CPUs, Python
+3.11) the memo was faster on 24 of 50 graphs at m - n = 8, 29 of 41 at 9,
+47 of 52 at 10 and all 41 at 12; K8 went from 4.75 s to 0.11 s. Stored
+states <= loops run <= nodes counted <= budget.
 """
 
 from __future__ import annotations
@@ -19,6 +30,9 @@ from .graphs import (Edge, EdgeLabeling, Graph, complete_graph, component_subgra
 from .verifier import ProductDegree
 
 DEFAULT_BUDGET = 10**9
+# Edges minus vertices from which search_labelings counts s <= 2 by memo:
+# below it the walk measured faster.
+MEMO_SURPLUS = 9
 
 
 class BudgetExhausted(Exception):
@@ -149,9 +163,16 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     the budget raises BudgetExhausted(budget + 1), the count at which a
     check on every try would have stopped, after at most depth x s more
     tries than that check would have made.
+
+    At s <= 2 no labeling exists; with no products, pruning on and
+    m - n >= MEMO_SURPLUS that search's count is computed by memo, not
+    walked (_refuted_count).
     """
     plan = g if isinstance(g, SearchPlan) else SearchPlan.of(g)
     n, order, steps = plan.n_vertices, plan.edges, plan.steps
+    budget = max(budget, 0)  # a negative budget stops where 0 does
+    if s <= 2 and products is None and prune and len(order) - n >= MEMO_SURPLUS:
+        return (Signatures(order, {}) if collect_all else []), _refuted_count(plan, s, budget)
     if not prune:  # no step finishes a vertex
         steps = tuple((a, b, 0) for a, b, _ in steps)
     prod = [1] * n if products is None else list(products)
@@ -162,7 +183,6 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
                 return (Signatures(order, {}) if collect_all else []), 0
             seen.add(prod[v])
 
-    budget = max(budget, 0)  # a negative budget stops where 0 does
     depths = len(steps)
     weights = range(1, s + 1)
     assignment = [0] * depths
@@ -239,6 +259,88 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     if collect_all:
         return Signatures(order, sigs), nodes
     return found, nodes
+
+
+def _refuted_count(plan: SearchPlan, s: int, budget: int) -> int:
+    """search_labelings' node count on plan at s <= 2 with no products.
+
+    No labeling exists there: a vertex's product is 2^d, d its number of
+    edges labeled 2, and the graph of those edges on the n >= 2 vertices
+    with an edge has two vertices of equal degree, which share a product.
+    The walk never reaches a leaf and only counts. Where a step has just
+    finished a vertex, the count of the subtree below is stored under one
+    packed int: the seen products as a bitmask (powers of two, so their OR
+    is their sum), the products of the vertices with edges both above and
+    below, and the depth. A memo hit adds that count; loops add s when they
+    end, as the walk does. The running count only grows, so the check
+    after every addition raises BudgetExhausted(budget + 1) just when the
+    walk would. Each stored state ends one loop run that passed its check,
+    so states stored <= loops run <= nodes counted <= budget.
+    """
+    steps, n, depths = plan.steps, plan.n_vertices, len(plan.steps)
+    deg = [0] * n
+    for a, b, _ in steps:
+        deg[a] += 1
+        deg[b] += 1
+    left, opens = deg[:], []  # per depth: the vertices begun and not finished
+    for a, b, _ in steps:
+        opens.append(tuple(v for v in range(n) if 0 < left[v] < deg[v]))
+        left[a] -= 1
+        left[b] -= 1
+    prod = [1] * n
+    weights = range(1, s + 1)
+    memo: dict[int, int] = {}
+    nodes = 0
+
+    def enter(depth: int, seen: int) -> None:
+        # The subtree below a step that finished a vertex: its count from
+        # the memo, or walked and stored.
+        nonlocal nodes
+        key = seen
+        for v in opens[depth]:
+            key = key << n | prod[v]
+        key = key * depths + depth
+        known = memo.get(key)
+        if known is None:
+            start = nodes
+            walk(depth, seen)
+            memo[key] = nodes - start
+        else:
+            nodes += known
+            if nodes > budget:
+                raise BudgetExhausted(budget + 1)
+
+    def walk(depth: int, seen: int) -> None:
+        # search_labelings' loops, with seen as a bitmask
+        nonlocal nodes
+        a, b, finished = steps[depth]
+        pa0, pb0 = prod[a], prod[b]
+        deeper = depth + 1
+        if not finished:
+            for w in weights:
+                prod[a], prod[b] = pa0 * w, pb0 * w
+                walk(deeper, seen)
+        elif finished == 1:
+            for w in weights:
+                pa = pa0 * w
+                if pa & seen:
+                    continue
+                prod[a], prod[b] = pa, pb0 * w
+                enter(deeper, seen | pa)
+        elif pa0 != pb0:
+            for w in weights:
+                pa, pb = pa0 * w, pb0 * w
+                if (pa | pb) & seen:
+                    continue
+                prod[a], prod[b] = pa, pb
+                enter(deeper, seen | pa | pb)
+        prod[a], prod[b] = pa0, pb0
+        nodes += s
+        if nodes > budget:
+            raise BudgetExhausted(budget + 1)
+
+    walk(0, 0)
+    return nodes
 
 
 def _by_strength(g: Graph, s_max: int, budget: int, attempt) -> PsResult:

@@ -296,6 +296,23 @@ class TestPs:
         path.write_text(payload["certificate"])
         assert run_cli(capsys, "verify", str(path)) == (0, "product-irregular: yes\n", "")
 
+    def test_k9_answers_in_seconds(self, capsys, tmp_path, monkeypatch):
+        # 15 nodes at s = 1, 1,664,904,926 at s = 2 and 86 at s = 3: the
+        # refutation of s = 2 is counted by memo, so both runs end fast.
+        monkeypatch.delenv("PISTR_BUDGET", raising=False)
+        _, doc, _ = run_cli(capsys, "gen", "K9")
+        path = tmp_path / "g.txt"
+        path.write_text(doc)
+        with deadline(10):
+            code, out, err = run_cli(capsys, "ps", str(path), "--budget", "2000000000")
+        head, document = out.split("\n", 1)
+        assert (code, head, err) == (0, "ps = 3  (nodes explored: 1664905027)", "")
+        with deadline(5):
+            code, out, err = run_cli(capsys, "ps", str(path))
+        assert (code, out, err) == (2, "budget exhausted after 1000000001 nodes\n", "")
+        path.write_text(document)
+        assert run_cli(capsys, "verify", str(path)) == (0, "product-irregular: yes\n", "")
+
     def test_not_found_exit_code(self, capsys, tmp_path):
         _, doc, _ = run_cli(capsys, "gen", "K4+K4")
         path = tmp_path / "g.txt"

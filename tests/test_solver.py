@@ -290,6 +290,7 @@ def clique_union(*sizes):
     (ps_exact_disconnected, (5, 5, 4), 3, 67_260),
     (ps_exact, (4, 4), 4, 83_541),
     (ps_exact, (7,), 3, 483_757),
+    (ps_exact, (8,), 3, 21_908_591),
 ])
 def test_node_counts_pinned(solve, sizes, value, nodes):
     # DFS nodes at s_max = 4 as the benchmark reports them: a change to the
@@ -346,6 +347,36 @@ def test_budget_sweep(solve):
             else:
                 assert (r.value, r.certificate, r.nodes_explored, r.budget_exhausted) == (
                     None, None, budget + 1, True), (name, budget)
+
+
+def connected_graph_with_surplus(rng, n, surplus):
+    """A connected graph on n vertices with n + surplus edges: a random tree
+    plus random chords."""
+    edges = {edge_key(v, rng.randrange(v)) for v in range(1, n)}
+    chords = [e for e in itertools.combinations(range(n), 2) if e not in edges]
+    edges.update(rng.sample(chords, surplus + 1))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def test_counted_refutation_matches_the_reference():
+    # At s <= 2 a graph with m - n >= 9 is counted by memo, not walked: no
+    # labeling exists there, and the count and every budget stop must be
+    # the reference search's.
+    rng = random.Random(919)
+    graphs = [complete_graph(6), complete_graph(7)]
+    graphs += [connected_graph_with_surplus(rng, rng.randint(8, 10), surplus)
+               for surplus in (9, 10, 11, 12) for _ in range(2)]
+    for g in graphs:
+        assert len(g.edges) - g.n_vertices >= 9
+        for s in (1, 2):
+            for collect_all in (False, True):
+                want = reference_search(g, s, {}, 10**9, True, collect_all)
+                assert want == (({} if collect_all else []), want[1])
+                assert search_labelings(g, s, collect_all=collect_all) == want
+            for budget in sorted(rng.sample(range(want[1]), min(10, want[1]))):
+                with pytest.raises(BudgetExhausted) as got:
+                    search_labelings(g, s, budget=budget)
+                assert got.value.args == (budget + 1,)
 
 
 def random_connected_graph(rng, n):
