@@ -9,14 +9,15 @@ choosing pairwise-disjoint multisets.
 
 At s <= 2 no graph with an edge has a labeling (two vertices of equal
 degree in the graph of edges labeled 2 share a product), so those levels
-only count nodes. On a graph with m - n >= MEMO_SURPLUS and no fixed
-products the count comes from a memo keyed by one packed int (the depth,
-the products of the vertices begun and not finished, the bitmask of seen
-products), node for node the walk's count. Against the walk at s = 2 on
-400 seeded connected random graphs of 8 to 10 vertices (2 CPUs, Python
-3.11) the memo was faster on 24 of 50 graphs at m - n = 8, 29 of 41 at 9,
-47 of 52 at 10 and all 41 at 12; K8 went from 4.75 s to 0.11 s. Stored
-states <= loops run <= nodes counted <= budget.
+only count nodes. With no fixed products and pruning on, the count is one
+forward pass over the depths (_frontier_count): each distinct state (the
+exponents of the vertices' products, the seen exponents) with the number
+of paths that reach it, node for node the walk's count. The widest depth
+of K5 to K9 holds 72, 450, 2,588, 18,540 and 144,334 states; K8's s = 2
+count (21,908,526 nodes) takes 35 to 50 ms on 2 CPUs under Python 3.11.
+A depth wider than FRONTIER_CAP states stops the pass, and the count
+starts again from zero on a memo of refuted subtrees (_refuted_count), so
+K9 and larger cliques take the memo and memory stays bounded.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from .graphs import (Edge, EdgeLabeling, Graph, complete_graph, component_subgra
 from .verifier import ProductDegree
 
 DEFAULT_BUDGET = 10**9
-# Edges minus vertices from which search_labelings counts s <= 2 by memo:
-# below it the walk measured faster.
-MEMO_SURPLUS = 9
+# Most distinct states a depth of _frontier_count may hold; past it the
+# s <= 2 count goes to the memo (K8's widest depth holds 18,540, K9's
+# 144,334).
+FRONTIER_CAP = 2**16
 
 
 class BudgetExhausted(Exception):
@@ -164,15 +166,19 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     check on every try would have stopped, after at most depth x s more
     tries than that check would have made.
 
-    At s <= 2 no labeling exists; with no products, pruning on and
-    m - n >= MEMO_SURPLUS that search's count is computed by memo, not
-    walked (_refuted_count).
+    At s <= 2 no labeling of a graph with an edge exists. With
+    1 <= s <= 2, no products, pruning on and at least one edge, the count
+    is computed, not walked: by _frontier_count, or by _refuted_count when
+    a depth holds more than FRONTIER_CAP states.
     """
     plan = g if isinstance(g, SearchPlan) else SearchPlan.of(g)
     n, order, steps = plan.n_vertices, plan.edges, plan.steps
     budget = max(budget, 0)  # a negative budget stops where 0 does
-    if s <= 2 and products is None and prune and len(order) - n >= MEMO_SURPLUS:
-        return (Signatures(order, {}) if collect_all else []), _refuted_count(plan, s, budget)
+    if 1 <= s <= 2 and products is None and prune and order:
+        nodes = _frontier_count(plan, s, budget)
+        if nodes is None:  # a depth held more than FRONTIER_CAP states
+            nodes = _refuted_count(plan, s, budget)
+        return (Signatures(order, {}) if collect_all else []), nodes
     if not prune:  # no step finishes a vertex
         steps = tuple((a, b, 0) for a, b, _ in steps)
     prod = [1] * n if products is None else list(products)
@@ -261,8 +267,77 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     return found, nodes
 
 
+def _frontier_count(plan: SearchPlan, s: int, budget: int) -> int | None:
+    """search_labelings' node count on plan at 1 <= s <= 2 with no
+    products, by one pass over the depths; None as soon as a depth holds
+    more than FRONTIER_CAP states.
+
+    The walk runs one loop per path that reaches a depth, and each loop
+    adds s. The pass keeps, per depth, each distinct state with the number
+    of paths that reach it; paths with one state have equal subtrees. A
+    state is one packed int: the exponent d of each vertex's product 2^d
+    in a field of n.bit_length() bits (cleared when the vertex finishes),
+    and above the fields the bitmask of seen exponents. At each depth the
+    count grows by s times the paths and the budget is checked: the count
+    only grows, so it passes the budget just when the walk's count does.
+    """
+    n = plan.n_vertices
+    width = n.bit_length()  # an exponent is at most the vertex's degree < n
+    field = (1 << width) - 1
+    top = n * width  # exponent e is seen when bit top + e is set
+    two = s == 2
+    frontier = {0: 1}
+    nodes = 0
+    for a, b, finished in plan.steps:
+        nodes += s * sum(frontier.values())
+        if nodes > budget:
+            raise BudgetExhausted(budget + 1)
+        if len(frontier) > FRONTIER_CAP:
+            return None
+        deeper: dict[int, int] = {}
+        get = deeper.get
+        sa, sb = a * width, b * width
+        # One loop per kind of step, as in the walk; label 2 adds 1 to the
+        # exponents of a and b.
+        if not finished:
+            up = (1 << sa) + (1 << sb)
+            for st, k in frontier.items():
+                deeper[st] = get(st, 0) + k
+                if two:
+                    st += up
+                    deeper[st] = get(st, 0) + k
+        elif finished == 1:
+            up = 1 << sb
+            for st, k in frontier.items():
+                e = st >> sa & field
+                bit = 1 << top + e
+                st -= e << sa
+                if not st & bit:
+                    t = st | bit
+                    deeper[t] = get(t, 0) + k
+                if two and not st & bit << 1:
+                    t = (st | bit << 1) + up
+                    deeper[t] = get(t, 0) + k
+        else:
+            for st, k in frontier.items():
+                ea, eb = st >> sa & field, st >> sb & field
+                if ea == eb:
+                    continue
+                bits = 1 << top + ea | 1 << top + eb
+                st -= (ea << sa) + (eb << sb)
+                if not st & bits:
+                    t = st | bits
+                    deeper[t] = get(t, 0) + k
+                if two and not st & bits << 1:
+                    t = st | bits << 1
+                    deeper[t] = get(t, 0) + k
+        frontier = deeper
+    return nodes
+
+
 def _refuted_count(plan: SearchPlan, s: int, budget: int) -> int:
-    """search_labelings' node count on plan at s <= 2 with no products.
+    """search_labelings' node count on plan at s <= 2 with no products,
+    where a depth of _frontier_count holds more than FRONTIER_CAP states.
 
     No labeling exists there: a vertex's product is 2^d, d its number of
     edges labeled 2, and the graph of those edges on the n >= 2 vertices

@@ -2,12 +2,14 @@ import collections
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from pistr import solver
 from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge, complete_graph,
                           disjoint_union, edge_key)
-from pistr.solver import (DEFAULT_BUDGET, BudgetExhausted, component_signatures,
+from pistr.solver import (DEFAULT_BUDGET, BudgetExhausted, SearchPlan, component_signatures,
                           edge_search_order, ps_exact, ps_exact_disconnected,
                           search_labelings, verify_k4_characterization)
 from pistr.verifier import extend_with_ones, is_product_irregular
@@ -359,7 +361,7 @@ def connected_graph_with_surplus(rng, n, surplus):
 
 
 def test_counted_refutation_matches_the_reference():
-    # At s <= 2 a graph with m - n >= 9 is counted by memo, not walked: no
+    # At s <= 2 a graph with m - n >= 9 is counted, not walked: no
     # labeling exists there, and the count and every budget stop must be
     # the reference search's.
     rng = random.Random(919)
@@ -377,6 +379,74 @@ def test_counted_refutation_matches_the_reference():
                 with pytest.raises(BudgetExhausted) as got:
                     search_labelings(g, s, budget=budget)
                 assert got.value.args == (budget + 1,)
+
+
+def test_counts_match_the_reference_at_every_surplus(monkeypatch):
+    # The s <= 2 count of a connected graph, at every m - n from 0 to 12,
+    # in find and collect mode, and every budget stop must be the reference
+    # search's. With FRONTIER_CAP at 1 every s = 2 count overflows the
+    # forward pass and comes from the memo.
+    rng = random.Random(2020)
+    cases = []
+    for surplus in range(13):
+        for _ in range(2):
+            g = connected_graph_with_surplus(rng, rng.randint(6 if surplus <= 9 else 7, 8),
+                                             surplus)
+            assert len(g.edges) - g.n_vertices == surplus
+            for s in (1, 2):
+                want = {collect_all: reference_search(g, s, {}, 10**9, True, collect_all)
+                        for collect_all in (False, True)}
+                n = want[False][1]
+                assert want == {False: ([], n), True: ({}, n)}
+                budgets = sorted({*rng.sample(range(n), min(5, n)), n - 1, n})
+                cases.append((g, s, want, budgets))
+    for cap in (solver.FRONTIER_CAP, 1):
+        monkeypatch.setattr(solver, "FRONTIER_CAP", cap)
+        for g, s, want, budgets in cases:
+            if cap == 1 and s == 2:
+                assert solver._frontier_count(SearchPlan.of(g), s, DEFAULT_BUDGET) is None
+            for collect_all in (False, True):
+                assert search_labelings(g, s, collect_all=collect_all) == want[collect_all]
+            for budget in budgets:
+                if budget >= want[False][1]:
+                    assert search_labelings(g, s, budget=budget) == want[False]
+                    continue
+                with pytest.raises(BudgetExhausted) as got:
+                    search_labelings(g, s, budget=budget)
+                assert got.value.args == (budget + 1,)
+
+
+def test_edge_cases_keep_the_walks_answers():
+    # An edgeless graph has its one empty labeling at every s after no
+    # node; K3 has none, after no node at s = 0.
+    empty = Graph(3, frozenset())
+    for s in (0, 1, 2):
+        assert search_labelings(empty, s) == ([{}], 0)
+        assert search_labelings(empty, s, collect_all=True) == ({(1, 1, 1): {}}, 0)
+    k3 = complete_graph(3)
+    assert [search_labelings(k3, s) for s in (0, 1, 2)] == [([], 0), ([], 3), ([], 14)]
+
+
+def test_large_clique_count_is_fast_and_bounded():
+    # K12's s = 2 count passes the budget. Its forward pass overflows
+    # FRONTIER_CAP and the memo stops at the budget (1.2 s on 2 CPUs).
+    k12 = complete_graph(12)
+    with deadline(5):
+        with pytest.raises(BudgetExhausted) as got:
+            search_labelings(k12, 2)
+    assert got.value.args == (DEFAULT_BUDGET + 1,)
+    # Two depths live at once, of at most FRONTIER_CAP states and twice
+    # that; a state is an int key, an int count and a dict slot, under
+    # 128 bytes. Measured: 7.0 MiB.
+    tracemalloc.start()
+    try:
+        with deadline(30), pytest.raises(BudgetExhausted) as got:
+            search_labelings(k12, 2, budget=10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.value.args == (10**8 + 1,)
+    assert peak < 3 * solver.FRONTIER_CAP * 128
 
 
 def random_connected_graph(rng, n):
