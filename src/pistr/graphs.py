@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -252,14 +253,20 @@ def add_cross_edge(g: Graph, u: int, v: int) -> Graph:
 
 
 def validate_weighted_adjacency(m: np.ndarray) -> np.ndarray:
-    """Check the weighted-adjacency invariants; return m as an int array."""
+    """Check the weighted-adjacency invariants; return m as an int64 array,
+    or as label_array does when an entry does not fit int64."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.issubdtype(m.dtype, np.integer):
+    if m.dtype == object or m.dtype == np.uint64:  # entries may pass 2^63 - 1
+        if not all(isinstance(x, Integral) for x in m.flat):
+            raise ValueError("matrix entries must be integers")
+        m = label_array(m.tolist()).reshape(m.shape)
+    elif not np.issubdtype(m.dtype, np.integer):
         if not np.all(m == m.astype(np.int64)):
             raise ValueError("matrix entries must be integers")
-        m = m.astype(np.int64)
+    if m.dtype != object:
+        m = m.astype(np.int64, copy=False)
     if np.any(np.diagonal(m) != 0):
         raise ValueError("diagonal must be zero")
     if np.any(m < 0):
@@ -278,14 +285,14 @@ def matrix_to_labeled_graph(m: np.ndarray) -> tuple[Graph, EdgeLabeling]:
     keys = np.flatnonzero(np.triu(m > 0, 1)).astype(np.int64, copy=False)
     u, v = np.divmod(keys, max(n, 1))
     g = Graph._from_ends(n, u, v, keys)
-    labels = m[u, v].astype(np.int64, copy=False)
+    labels = m[u, v]
     return g, EdgeLabeling._from_values(g, labels, int(labels.max(initial=1)))
 
 
 def labeled_graph_to_matrix(labeling: EdgeLabeling) -> np.ndarray:
     """Weighted adjacency matrix of a labeled graph."""
     n = labeling.graph.n_vertices
-    m = np.zeros((n, n), dtype=np.int64)
+    m = np.zeros((n, n), dtype=labeling.values.dtype)
     u, v = labeling.graph.ends
     m[u, v] = m[v, u] = labeling.values
     return m

@@ -23,7 +23,6 @@ K9 and larger cliques take the memo and memory stays bounded.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .graphs import (Edge, EdgeLabeling, Graph, complete_graph, component_subgraphs,
@@ -126,25 +125,6 @@ class SearchPlan:
         return cls(g.n_vertices, tuple(order), tuple(steps), idle)
 
 
-class Signatures(Mapping):
-    """Collect mode's answer: each realizable degree multiset (sorted value
-    tuple over all vertices) with the first label tuple that realizes it,
-    over the plan's edge order. Reading a multiset builds its label map."""
-
-    def __init__(self, order: tuple[Edge, ...],
-                 tuples: dict[tuple[int, ...], tuple[int, ...]]):
-        self.order, self.tuples = order, tuples
-
-    def __getitem__(self, key: tuple[int, ...]) -> dict[Edge, int]:
-        return dict(zip(self.order, self.tuples[key]))
-
-    def __iter__(self):
-        return iter(self.tuples)
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-
 def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None = None,
                      budget: int = DEFAULT_BUDGET, prune: bool = True,
                      collect_all: bool = False):
@@ -156,8 +136,9 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     vertex with no edge in g is then finished before the search. Returns
     (solutions, nodes): with collect_all=False, solutions is a list holding
     at most one label map of g's edges (first found); with collect_all=True
-    it is the Signatures of g: each realizable degree multiset with its
-    first label tuple, whose label map is built only when it is read.
+    it is a dict from each realizable degree multiset (sorted value tuple
+    over all vertices) to the first label tuple that realizes it, in the
+    order of the plan's edges.
 
     A node is one label tried at one edge. Each loop over the labels of an
     edge counts its tries when it ends: s, or w when label w leads to a
@@ -178,7 +159,7 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
         nodes = _frontier_count(plan, s, budget)
         if nodes is None:  # a depth held more than FRONTIER_CAP states
             nodes = _refuted_count(plan, s, budget)
-        return (Signatures(order, {}) if collect_all else []), nodes
+        return ({} if collect_all else []), nodes
     if not prune:  # no step finishes a vertex
         steps = tuple((a, b, 0) for a, b, _ in steps)
     prod = [1] * n if products is None else list(products)
@@ -186,7 +167,7 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     if prune and products is not None:
         for v in plan.idle:  # every edge of v is fixed outside g
             if prod[v] in seen:
-                return (Signatures(order, {}) if collect_all else []), 0
+                return ({} if collect_all else []), 0
             seen.add(prod[v])
 
     depths = len(steps)
@@ -262,9 +243,7 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
         nodes += sum(assignment)
         if nodes > budget:
             raise BudgetExhausted(budget + 1)
-    if collect_all:
-        return Signatures(order, sigs), nodes
-    return found, nodes
+    return (sigs if collect_all else found), nodes
 
 
 def _frontier_count(plan: SearchPlan, s: int, budget: int) -> int | None:
@@ -460,10 +439,11 @@ def component_signatures(g_component: Graph, s: int,
         raise ValueError("component must have at least one edge")
     if not is_connected(g_component):
         raise ValueError("component_signatures needs a connected graph")
-    sigs, _ = search_labelings(g_component, s, budget=budget, collect_all=True)
+    plan = SearchPlan.of(g_component)
+    sigs, _ = search_labelings(plan, s, budget=budget, collect_all=True)
     return [ComponentSignature(tuple(ProductDegree.from_value(v) for v in values),
-                               EdgeLabeling(g_component, sigs[values], s))
-            for values in sorted(sigs)]
+                               EdgeLabeling(g_component, dict(zip(plan.edges, labels)), s))
+            for values, labels in sorted(sigs.items())]
 
 
 def _combine_signatures(per_component: list[list[int]],
@@ -532,7 +512,7 @@ def ps_exact_disconnected(g: Graph, s_max: int,
                     used += nodes
                     if not found:
                         return None, used
-                    cache[key] = sorted(found.tuples.items())
+                    cache[key] = sorted(found.items())
             values = sorted({v for pairs in cache.values() for t, _ in pairs for v in t})
             bit = {v: 1 << i for i, v in enumerate(values)}
             # the values of one multiset are distinct: their bits sum to its

@@ -19,8 +19,6 @@ import numpy as np
 
 from .graphs import EdgeLabeling, Graph, matrix_to_labeled_graph
 
-_factor_cache: dict[int, tuple[tuple[int, int], ...]] = {1: ()}
-
 _TRIAL = 1 << 10  # factors below this are found by trial division
 # Strong probable primes to the 13 prime bases 2..41 are prime below
 # 3317044064679887385961981, the least strong pseudoprime to all of them
@@ -37,9 +35,6 @@ def factorize(v: int) -> tuple[tuple[int, int], ...]:
     """
     if v < 1:
         raise ValueError("labels must be positive")
-    cached = _factor_cache.get(v)
-    if cached is not None:
-        return cached
     counts: dict[int, int] = {}
     rest, d = v, 2
     while d < _TRIAL and d * d <= rest:
@@ -55,9 +50,7 @@ def factorize(v: int) -> tuple[tuple[int, int], ...]:
         else:
             d = _rho_divisor(part)
             parts += (d, part // d)
-    result = tuple(sorted(counts.items()))
-    _factor_cache[v] = result
-    return result
+    return tuple(sorted(counts.items()))
 
 
 def _is_prime(n: int) -> bool:

@@ -422,7 +422,7 @@ def test_edge_cases_keep_the_walks_answers():
     empty = Graph(3, frozenset())
     for s in (0, 1, 2):
         assert search_labelings(empty, s) == ([{}], 0)
-        assert search_labelings(empty, s, collect_all=True) == ({(1, 1, 1): {}}, 0)
+        assert search_labelings(empty, s, collect_all=True) == ({(1, 1, 1): ()}, 0)
     k3 = complete_graph(3)
     assert [search_labelings(k3, s) for s in (0, 1, 2)] == [([], 0), ([], 3), ([], 14)]
 
@@ -496,6 +496,12 @@ def strip(labels, fixed):
     return {e: w for e, w in labels.items() if e not in fixed}
 
 
+def label_maps(g, sigs):
+    """Collect mode's label tuples of g as label maps of g's edges."""
+    edges = SearchPlan.of(g).edges
+    return {k: dict(zip(edges, labels)) for k, labels in sigs.items()}
+
+
 def free_graph_and_products(g, fixed):
     """g without the fixed edges, and each vertex's product of fixed labels."""
     products = [1] * g.n_vertices
@@ -562,16 +568,19 @@ class TestSearchCore:
                             search_labelings(*args)
                         assert got.value.args == exc.args
                         continue
+                    got, nodes = search_labelings(*args)
                     if collect_all:
                         want = {k: strip(sol, fixed) for k, sol in want.items()}
+                        got = label_maps(free, got)
                     else:
                         want = [strip(sol, fixed) for sol in want]
-                    assert search_labelings(*args) == (want, want_nodes)
+                    assert (got, nodes) == (want, want_nodes)
         # Clique components realize each multiset at many leaves, so the
-        # first label map per multiset is the one that has to be kept.
+        # first label tuple per multiset is the one that has to be kept.
         for g in (complete_graph(4), complete_graph(5), k3_k3_edge()):
-            want = reference_search(g, 3, {}, 10**9, True, True)
-            assert search_labelings(g, 3, collect_all=True) == want
+            want, want_nodes = reference_search(g, 3, {}, 10**9, True, True)
+            got, nodes = search_labelings(g, 3, collect_all=True)
+            assert (label_maps(g, got), nodes) == (want, want_nodes)
 
     def test_budget_raises(self):
         # The exception carries the node count, one past the budget.

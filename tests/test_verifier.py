@@ -3,7 +3,6 @@ import pytest
 
 from pistr.graphs import (EdgeLabeling, Graph, complete_graph,
                           labeled_graph_to_matrix, matrix_to_labeled_graph)
-from pistr import verifier
 from pistr.engine import catalog_matrix
 from pistr.matrices import direct_sum, fixed_matrix, m_matrix, named_family
 from pistr.verifier import (ProductDegree, check_matrix, extend_with_ones, factorize,
@@ -54,10 +53,6 @@ def trial_division(v):
 
 
 class TestFactorize:
-    @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(verifier, "_factor_cache", {1: ()})
-
     def test_matches_trial_division_up_to_1e5(self):
         assert all(factorize(v) == trial_division(v) for v in range(1, 10**5 + 1))
 
@@ -197,10 +192,26 @@ class TestCheckMatrix:
         np.array([[0, -1], [-1, 0]]),                  # negative
         np.array([[0, 1.5], [1.5, 0]]),                # not integral
         np.array([[1, 1], [1, 0]]),                    # loop
+        np.array([[0, 1.5], [1.5, 0]], dtype=object),  # not an integer
+        np.array([[0, None], [None, 0]], dtype=object),
+        np.array([[0, "1"], ["1", 0]], dtype=object),
     ])
     def test_malformed_rejected(self, m):
         with pytest.raises(ValueError):
             check_matrix(m)
+
+    def test_object_matrix_beyond_int64(self):
+        # An object matrix of Python ints keeps labels past 2^63 exact,
+        # and the matrix comes back from its labeling unchanged.
+        for w in (2**70, 2**63, 2**64 - 1):
+            m = np.array([[0, w, 1], [w, 0, 3], [1, 3, 0]], dtype=object)
+            assert_matches_brute(check_matrix(m), m)
+            _, labeling = matrix_to_labeled_graph(m)
+            assert labeling.strength == w
+            back = labeled_graph_to_matrix(labeling)
+            assert back.tolist() == m.tolist()
+        m = np.array([[0, 2**64 - 1], [2**64 - 1, 0]], dtype=np.uint64)
+        assert matrix_to_labeled_graph(m)[1].values.tolist() == [2**64 - 1]
 
     def test_exact_at_scale(self):
         report = check_matrix(m_matrix(60, 3, 3, 3))
