@@ -313,6 +313,21 @@ def has_isolated_vertex_or_edge(g: Graph) -> bool:
     return bool(np.count_nonzero(by_size[1:3]))  # 2 vertices = 1 edge
 
 
+def closed_twin_classes(n_vertices: int, edges: Iterable[Edge]) -> list[list[int]]:
+    """The classes of closed twins with at least two vertices: vertices with
+    equal closed neighbourhoods N[v] = N(v) + v, so pairwise adjacent, and
+    any permutation of a class is an automorphism. Each class ascending, in
+    the order of its smallest vertex."""
+    closed = [[v] for v in range(n_vertices)]
+    for u, v in edges:
+        closed[u].append(v)
+        closed[v].append(u)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v, members in enumerate(closed):
+        classes.setdefault(tuple(sorted(members)), []).append(v)
+    return [c for c in classes.values() if len(c) > 1]
+
+
 def component_subgraphs(g: Graph) -> list[tuple[Graph, list[int]]]:
     """Each component of g as (its graph on 0..k-1, its vertices in g), in
     the order of connected_components: the edges grouped by component in one

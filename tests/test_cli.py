@@ -296,6 +296,21 @@ class TestPs:
         path.write_text(payload["certificate"])
         assert run_cli(capsys, "verify", str(path)) == (0, "product-irregular: yes\n", "")
 
+    def test_k6_k3_collects_k6_in_seconds(self, capsys, tmp_path):
+        # K6's multisets at s = 3 are collected one labeling per orbit of
+        # its closed twins: 1,488,325 nodes in all, 13,006,696 unbroken.
+        _, doc, _ = run_cli(capsys, "gen", "K6+K3")
+        path = tmp_path / "g.txt"
+        path.write_text(doc)
+        with deadline(5):
+            code, out, err = run_cli(capsys, "ps", str(path), "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["value"], payload["nodes_explored"], payload["budget_exhausted"]) == (
+            3, 1_488_325, False)
+        path.write_text(payload["certificate"])
+        assert run_cli(capsys, "verify", str(path)) == (0, "product-irregular: yes\n", "")
+
     def test_k9_answers_in_seconds(self, capsys, tmp_path, monkeypatch):
         # 15 nodes at s = 1, 1,664,904,926 at s = 2 and 86 at s = 3: the
         # refutation of s = 2 is counted by memo, so both runs end fast.

@@ -7,8 +7,9 @@ import tracemalloc
 import pytest
 
 from pistr import solver
-from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge, complete_graph,
-                          disjoint_union, edge_key)
+from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge, closed_twin_classes,
+                          complete_graph, disjoint_union, edge_key,
+                          has_isolated_vertex_or_edge)
 from pistr.solver import (DEFAULT_BUDGET, BudgetExhausted, SearchPlan, component_signatures,
                           edge_search_order, ps_exact, ps_exact_disconnected,
                           search_labelings, verify_k4_characterization)
@@ -17,11 +18,25 @@ from pistr.verifier import extend_with_ones, is_product_irregular
 from conftest import deadline, random_graph_no_isolates
 
 
-def reference_search(g, s, fixed, budget, prune, collect_all):
+def reference_search(g, s, fixed, budget, prune, collect_all, break_twins=False):
     """The labeling search as first written: one loop for every depth, the
-    vertices' remaining free edges counted down and up as it goes."""
+    vertices' remaining free edges counted down and up as it goes. With
+    break_twins, a vertex that finishes must take a larger product than
+    each of its closed twins (equal sets of neighbours and itself) that
+    finished before it, u before v on an edge that finishes both."""
     n = g.n_vertices
     free = edge_search_order(Graph(n, g.edges.difference(fixed)))
+    closed = [{v} for v in range(n)]
+    for u, v in g.edges:
+        closed[u].add(v)
+        closed[v].add(u)
+    twins = [[y for y in range(n) if y != x and closed[y] == closed[x]] if break_twins else []
+             for x in range(n)]
+    done = set()  # the vertices finished on the current path
+
+    def above_twins(x):
+        return all(prod[y] < prod[x] for y in twins[x] if y in done)
+
     prod, pinned, rem = [1] * n, [False] * n, [0] * n
     for (u, v), w in fixed.items():
         prod[u] *= w
@@ -66,22 +81,27 @@ def reference_search(g, s, fixed, budget, prune, collect_all):
             prod[u], prod[v] = pu, pv
             if prune:
                 if u_done:
-                    if pu in seen:
+                    if pu in seen or not above_twins(u):
                         continue
                     seen.add(pu)
+                    done.add(u)
                 if v_done:
-                    if pv in seen:
+                    if pv in seen or not above_twins(v):
                         if u_done:
                             seen.discard(pu)
+                            done.discard(u)
                         continue
                     seen.add(pv)
+                    done.add(v)
             assignment[depth] = w
             stop = walk(depth + 1)
             if prune:
                 if v_done:
                     seen.discard(pv)
+                    done.discard(v)
                 if u_done:
                     seen.discard(pu)
+                    done.discard(u)
             if stop:
                 return True
         prod[u], prod[v] = pu0, pv0
@@ -264,14 +284,48 @@ class TestDisconnectedSolver:
         assert max(r.certificate.labels.values()) <= 3
 
     def test_many_components_split_in_one_pass(self):
-        # 4,000 disjoint triangles: no labeling up to 4, refuted by one
-        # search per distinct component, so the split must not cost
-        # components x edges.
+        # 4,000 disjoint triangles: no labeling up to 4, s = 1 and 2 refuted
+        # by one count per distinct component and s = 3 and 4 by the degree
+        # count, so the split must not cost components x edges.
         g = Graph.from_edges(12000, [(3 * i + a, 3 * i + b) for i in range(4000)
                                      for a, b in ((0, 1), (0, 2), (1, 2))])
         with deadline(2):
             r = ps_exact_disconnected(g, 4)
-        assert (r.value, r.nodes_explored, r.budget_exhausted) == (None, 162, False)
+        assert (r.value, r.nodes_explored, r.budget_exhausted) == (None, 17, False)
+
+    def test_degree_count_refutes_before_any_search(self):
+        # 400 disjoint triangles: 1,200 vertices of degree 2 and 517
+        # products of two labels from 1..40, so the degree count refutes
+        # every level from 3 to 40 after 0 nodes; s = 1 and 2 count 3 and
+        # 14 nodes. Searched, the levels spend the whole budget.
+        g = Graph.from_edges(1200, [(3 * i + a, 3 * i + b) for i in range(400)
+                                    for a, b in ((0, 1), (0, 2), (1, 2))])
+        with deadline(2):
+            r = ps_exact_disconnected(g, 40)
+        assert (r.value, r.nodes_explored, r.budget_exhausted) == (None, 17, False)
+        assert solver._degree_count_bound(g, 100) == 62
+        # Two disjoint paths of two edges have four vertices of degree 1
+        # and three labels at s = 3: refuted after 0 nodes with pruning on,
+        # searched with prune=False, and the answer is the same.
+        paths = Graph.from_edges(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
+        assert solver._degree_count_bound(paths, 6) == 4
+        assert ps_exact(paths, 3).nodes_explored == ps_exact(paths, 2).nodes_explored
+        assert (ps_exact(paths, 3, prune=False).nodes_explored
+                > ps_exact(paths, 2, prune=False).nodes_explored)
+        assert ps_exact(paths, 5).value == ps_exact(paths, 5, prune=False).value == 5
+
+    def test_combine_keeps_no_frame_per_component(self):
+        # One single-choice component per level, all disjoint: the search
+        # goes 1,500 levels down, past the default recursion limit.
+        per_component = [[1 << i] for i in range(1500)]
+        assert solver._combine_signatures(per_component, DEFAULT_BUDGET) == ([0] * 1500, 1500)
+        with pytest.raises(BudgetExhausted) as got:
+            solver._combine_signatures(per_component, 1499)
+        assert got.value.args == (1500,)
+        # the last component clashes with every choice: each level above
+        # fails once, and the memo stops the retries
+        per_component[-1] = [(1 << 1499) - 1]
+        assert solver._combine_signatures(per_component, DEFAULT_BUDGET) == (None, 1500)
 
     def test_budget_surfaces(self):
         g = disjoint_union(complete_graph(4), complete_graph(4))
@@ -287,10 +341,10 @@ def clique_union(*sizes):
 
 
 @pytest.mark.parametrize("solve, sizes, value, nodes", [
-    (ps_exact_disconnected, (4, 4), 4, 6_179),
-    (ps_exact_disconnected, (5, 5), 3, 66_226),
-    (ps_exact_disconnected, (5, 5, 4), 3, 67_260),
-    (ps_exact, (4, 4), 4, 83_541),
+    (ps_exact_disconnected, (4, 4), 4, 4_090),
+    (ps_exact_disconnected, (5, 5), 3, 22_378),
+    (ps_exact_disconnected, (5, 5, 4), 3, 23_115),
+    (ps_exact, (4, 4), 4, 3_564),
     (ps_exact, (7,), 3, 483_757),
     (ps_exact, (8,), 3, 21_908_591),
 ])
@@ -349,6 +403,54 @@ def test_budget_sweep(solve):
             else:
                 assert (r.value, r.certificate, r.nodes_explored, r.budget_exhausted) == (
                     None, None, budget + 1, True), (name, budget)
+
+
+def twin_rich_graph(rng):
+    """A graph full of closed twins: each vertex of a random graph on 2 to
+    4 vertices blown up into a clique of one to three vertices, two cliques
+    joined completely where the small graph has an edge."""
+    k = rng.randint(2, 4)
+    base = Graph.from_edges(k, [(u, v) for u, v in itertools.combinations(range(k), 2)
+                                if v == u + 1 or rng.random() < 0.5])
+    sizes = [rng.randint(1, 3) for _ in range(k)]
+    start = list(itertools.accumulate(sizes, initial=0))
+    edges = [e for i in range(k)
+             for e in itertools.combinations(range(start[i], start[i + 1]), 2)]
+    edges += [(x, y) for u, v in base.edges
+              for x in range(start[u], start[u + 1]) for y in range(start[v], start[v + 1])]
+    return Graph.from_edges(start[-1], edges)
+
+
+def test_twin_rule_keeps_every_multiset_and_value():
+    # The search without products lets closed twins finish only with
+    # increasing products: one labeling of each orbit under permutations
+    # of twins. Collect mode must still find every multiset that the
+    # unbroken search does (products of 1 fix nothing here, but turn the
+    # rule off), each realized by its label tuple, and ps_exact must give
+    # prune=False's values.
+    rng = random.Random(2218)
+    graphs = [clique_union(3, 3), clique_union(4, 3), clique_union(3, 3, 3),
+              complete_graph(5), k3_k3_edge()]
+    while len(graphs) < 25:
+        g = twin_rich_graph(rng)
+        if (g.n_edges <= 9 and not has_isolated_vertex_or_edge(g) and g not in graphs
+                and closed_twin_classes(g.n_vertices, g.edges)):
+            graphs.append(g)
+    for g in graphs:
+        plan = SearchPlan.of(g)
+        assert any(kind > 2 for _, _, kind in plan.twins[0])  # the rule acts
+        for s in (3, 4):
+            broken, _ = search_labelings(plan, s, collect_all=True)
+            whole, _ = search_labelings(plan, s, [1] * g.n_vertices, collect_all=True)
+            assert broken.keys() == whole.keys()
+            for key, labels in broken.items():
+                prod = [1] * g.n_vertices
+                for (u, v), w in zip(plan.edges, labels):
+                    prod[u] *= w
+                    prod[v] *= w
+                assert tuple(sorted(prod)) == key
+        if g.n_edges <= 9:
+            assert ps_exact(g, 4).value == ps_exact(g, 4, prune=False).value
 
 
 def connected_graph_with_surplus(rng, n, surplus):
@@ -471,8 +573,9 @@ def two_component_unions(count, seed):
 
 # sha256 over the 120 lines "value nodes budget_exhausted certificate-sha256"
 # of ps_exact_disconnected(g, 4, budget) on two_component_unions(120, 15),
-# taken before a leaf kept label tuples instead of label maps.
-DISCONNECTED_DIGEST = "cfc5c63b02632286c10314321b1e1abf4ba6df17f3ef7e5f67b05fbc25e7b370"
+# taken when closed twins came to finish in increasing order and the degree
+# count to refute levels before their search.
+DISCONNECTED_DIGEST = "0c00bc821360a4e014e62bfd45a6eb94e0a8de45272f9ea73b7db185c3de7c89"
 
 
 def test_disconnected_results_pinned():
@@ -487,7 +590,7 @@ def test_disconnected_results_pinned():
         outcomes[r.value, r.budget_exhausted] += 1
         nodes += r.nodes_explored
     assert outcomes == {(3, False): 15, (4, False): 48, (None, False): 22, (None, True): 35}
-    assert nodes == 347_749
+    assert nodes == 309_665
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == DISCONNECTED_DIGEST
 
 
@@ -550,7 +653,10 @@ class TestSearchCore:
         # the reference search's, so certificates, fallback labelings and
         # the node counts the budgets are spent by all stay put. The
         # search gets g without the fixed edges plus their products; the
-        # reference labels the fixed edges too.
+        # reference labels the fixed edges too. With nothing fixed the
+        # search also runs without products, where at s >= 3 closed twins
+        # finish in increasing order, against the reference with its own
+        # twin rule; the s = 2 count stays the unbroken walk's.
         for _ in range(40):
             g = random_graph_no_isolates(rng, n_min=4, n_max=7, max_edges=11)
             edges = sorted(g.edges)
@@ -559,28 +665,33 @@ class TestSearchCore:
             for s in (2, 3):
                 for prune, collect_all in ((True, False), (True, True), (False, False)):
                     budget = rng.choice([10**9, rng.randint(1, 400)])
-                    args = (free, s, products, budget, prune, collect_all)
-                    try:
-                        want, want_nodes = reference_search(g, s, fixed, budget, prune,
-                                                            collect_all)
-                    except BudgetExhausted as exc:
-                        with pytest.raises(BudgetExhausted) as got:
-                            search_labelings(*args)
-                        assert got.value.args == exc.args
-                        continue
-                    got, nodes = search_labelings(*args)
-                    if collect_all:
-                        want = {k: strip(sol, fixed) for k, sol in want.items()}
-                        got = label_maps(free, got)
-                    else:
-                        want = [strip(sol, fixed) for sol in want]
-                    assert (got, nodes) == (want, want_nodes)
+                    for given in (products, None) if not fixed else (products,):
+                        args = (free, s, given, budget, prune, collect_all)
+                        try:
+                            want, want_nodes = reference_search(g, s, fixed, budget, prune,
+                                                                collect_all,
+                                                                given is None and s >= 3)
+                        except BudgetExhausted as exc:
+                            with pytest.raises(BudgetExhausted) as got:
+                                search_labelings(*args)
+                            assert got.value.args == exc.args
+                            continue
+                        got, nodes = search_labelings(*args)
+                        if collect_all:
+                            want = {k: strip(sol, fixed) for k, sol in want.items()}
+                            got = label_maps(free, got)
+                        else:
+                            want = [strip(sol, fixed) for sol in want]
+                        assert (got, nodes) == (want, want_nodes)
         # Clique components realize each multiset at many leaves, so the
-        # first label tuple per multiset is the one that has to be kept.
-        for g in (complete_graph(4), complete_graph(5), k3_k3_edge()):
-            want, want_nodes = reference_search(g, 3, {}, 10**9, True, True)
+        # first label tuple per multiset is the one that has to be kept;
+        # nearly all of their vertices are closed twins.
+        for g in (complete_graph(4), complete_graph(5), k3_k3_edge(), clique_union(4, 4)):
+            want, want_nodes = reference_search(g, 3, {}, 10**9, True, True, True)
             got, nodes = search_labelings(g, 3, collect_all=True)
             assert (label_maps(g, got), nodes) == (want, want_nodes)
+            assert search_labelings(g, 3) == reference_search(g, 3, {}, 10**9, True, False,
+                                                              True)
 
     def test_budget_raises(self):
         # The exception carries the node count, one past the budget.
