@@ -37,7 +37,7 @@ for sig in sigs[:5]:
     print(f"  {sig.degree_values}")
 print(f"  ... {len(sigs)} distinct degree multisets in total")
 
-print("\nps(K_5 + K_5 + K_4) via signature combination:")
+print("\nps(K_5 + K_5 + K_4) one component at a time:")
 g = disjoint_union(disjoint_union(complete_graph(5), complete_graph(5)),
                    complete_graph(4))
 r = ps_exact_disconnected(g, 4)

@@ -337,7 +337,10 @@ def component_subgraphs(g: Graph) -> list[tuple[Graph, list[int]]]:
     rank = np.empty_like(by_root)
     rank[by_root] = np.arange(g.n_vertices) - roots[by_root].searchsorted(roots[by_root])
     order = roots[u].argsort(kind="stable")
-    cuts = np.cumsum(np.bincount(roots[u], minlength=g.n_vertices)[np.unique(roots)]).tolist()
+    # a root is the smallest vertex of its component, so the roots are the
+    # vertices that are their own root (np.unique would import numpy.ma)
+    heads = np.flatnonzero(roots == np.arange(g.n_vertices))
+    cuts = np.cumsum(np.bincount(roots[u], minlength=g.n_vertices)[heads]).tolist()
     u, v = rank[u[order]], rank[v[order]]
     return [(Graph._from_ends(len(comp), u[a:b], v[a:b]), list(comp))
             for comp, a, b in zip(g.components, [0, *cuts], cuts)]

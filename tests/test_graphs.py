@@ -1,5 +1,8 @@
 import collections
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +293,10 @@ class TestConnectivity:
             assert connected_components(g) == [list(c) for c in want]
             assert is_connected(g) == (len(want) <= 1)
             assert has_isolated_vertex_or_edge(g) == any(len(c) <= 2 for c in want)
+            # the split cuts at the vertices that are their own root: the
+            # smallest vertex of each component
+            heads = np.flatnonzero(g._roots == np.arange(n)).tolist()
+            assert heads == np.unique(g._roots).tolist() == [c[0] for c in want]
             subs = component_subgraphs(g)
             assert [old for _, old in subs] == [list(c) for c in want]
             for sub, old in subs:  # each vertex renumbered by its rank in old
@@ -298,6 +305,18 @@ class TestConnectivity:
                                                   if u in index])
                 assert sub.n_vertices == ref.n_vertices
                 assert all(map(np.array_equal, sub.ends, ref.ends))
+
+    def test_split_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on first use under NumPy 2; the split
+        # of an exact search must not pay for that import.
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from pistr.graphs import complete_graph, component_subgraphs, disjoint_union; "
+                "component_subgraphs(disjoint_union(complete_graph(4), complete_graph(3))); "
+                "print('numpy.ma' in sys.modules)")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "False\n"
 
     def test_shuffled_path_is_one_component(self):
         def keys_of(a, b, n):

@@ -9,13 +9,13 @@ import pytest
 from pistr import solver
 from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge, closed_twin_classes,
                           complete_graph, disjoint_union, edge_key,
-                          has_isolated_vertex_or_edge)
+                          has_isolated_vertex_or_edge, labeled_graph_to_matrix)
 from pistr.solver import (DEFAULT_BUDGET, BudgetExhausted, SearchPlan, component_signatures,
                           edge_search_order, ps_exact, ps_exact_disconnected,
                           search_labelings, verify_k4_characterization)
 from pistr.verifier import extend_with_ones, is_product_irregular
 
-from conftest import deadline, random_graph_no_isolates
+from conftest import brute_products, deadline, permute_graph, random_graph_no_isolates
 
 
 def reference_search(g, s, fixed, budget, prune, collect_all, break_twins=False):
@@ -315,17 +315,41 @@ class TestDisconnectedSolver:
         assert ps_exact(paths, 5).value == ps_exact(paths, 5, prune=False).value == 5
 
     def test_combine_keeps_no_frame_per_component(self):
-        # One single-choice component per level, all disjoint: the search
-        # goes 1,500 levels down, past the default recursion limit.
-        per_component = [[1 << i] for i in range(1500)]
-        assert solver._combine_signatures(per_component, DEFAULT_BUDGET) == ([0] * 1500, 1500)
+        # One single-choice collected level per component, all disjoint:
+        # the loop goes 1,500 levels down, past the default recursion limit.
+        levels = [[((1000 + i,), (i,))] for i in range(1500)]
+        assert solver._combine_levels(levels, 3, DEFAULT_BUDGET) == (
+            [(i,) for i in range(1500)], 1500)
         with pytest.raises(BudgetExhausted) as got:
-            solver._combine_signatures(per_component, 1499)
+            solver._combine_levels(levels, 3, 1499)
         assert got.value.args == (1500,)
-        # the last component clashes with every choice: each level above
-        # fails once, and the memo stops the retries
-        per_component[-1] = [(1 << 1499) - 1]
-        assert solver._combine_signatures(per_component, DEFAULT_BUDGET) == (None, 1500)
+        # the last level clashes with every choice: each level above fails
+        # once, and the memo stops the retries
+        levels[-1] = [(tuple(range(1000, 2499)), ())]
+        assert solver._combine_levels(levels, 3, DEFAULT_BUDGET) == (None, 1500)
+        # Two searched triangles, one halfway down in collect mode and one
+        # last in find mode, each against the values taken above it.
+        k3 = SearchPlan.of(complete_graph(3))
+        levels[-1] = [((999,), ())]
+        levels[750:750] = [k3]
+        levels.append(k3)
+        picks, nodes = solver._combine_levels(levels, 5, DEFAULT_BUDGET)
+        above = list(range(1000, 1750))
+        middle, middle_nodes = search_labelings(k3, 5, collect_all=True, taken=above)
+        first = min(middle)
+        last, last_nodes = search_labelings(k3, 5, taken=[*above, *first, *range(1750, 2499), 999])
+        assert picks == [*((i,) for i in range(750)), middle[first],
+                         *((i,) for i in range(750, 1499)), (), tuple(last[0].values())]
+        assert nodes == 1500 + middle_nodes + last_nodes
+        # At s = 3 a triangle has one multiset, {2, 3, 6}: the last triangle
+        # fails against the middle one's, and so does every level back to
+        # the top, each once.
+        middle, middle_nodes = search_labelings(k3, 3, collect_all=True, taken=above)
+        last, last_nodes = search_labelings(k3, 3, taken=[*above, 2, 3, 6,
+                                                          *range(1750, 2499), 999])
+        assert list(middle) == [(2, 3, 6)] and last == []
+        assert solver._combine_levels(levels, 3, DEFAULT_BUDGET) == (
+            None, 1500 + middle_nodes + last_nodes)
 
     def test_budget_surfaces(self):
         g = disjoint_union(complete_graph(4), complete_graph(4))
@@ -343,7 +367,7 @@ def clique_union(*sizes):
 @pytest.mark.parametrize("solve, sizes, value, nodes", [
     (ps_exact_disconnected, (4, 4), 4, 4_090),
     (ps_exact_disconnected, (5, 5), 3, 22_378),
-    (ps_exact_disconnected, (5, 5, 4), 3, 23_115),
+    (ps_exact_disconnected, (5, 5, 4), 3, 23_114),
     (ps_exact, (4, 4), 4, 3_564),
     (ps_exact, (7,), 3, 483_757),
     (ps_exact, (8,), 3, 21_908_591),
@@ -391,13 +415,11 @@ def test_budget_sweep(solve):
     # every try.
     rng = random.Random(77)
     for name, g in sweep_graphs():
-        # ps_exact_disconnected collects 13M nodes of K6 signatures at s = 3
-        s_max = 2 if (solve, name) == (ps_exact_disconnected, "K6") else 4
-        full = solve(g, s_max)
+        full = solve(g, 4)
         n = full.nodes_explored
         assert n > 0 and not full.budget_exhausted, name
         for budget in [0, 1, n - 1, n, *(rng.randrange(n) for _ in range(10))]:
-            r = solve(g, s_max, budget=budget)
+            r = solve(g, 4, budget=budget)
             if budget >= n:
                 assert r == full, (name, budget)
             else:
@@ -573,14 +595,15 @@ def two_component_unions(count, seed):
 
 # sha256 over the 120 lines "value nodes budget_exhausted certificate-sha256"
 # of ps_exact_disconnected(g, 4, budget) on two_component_unions(120, 15),
-# taken when closed twins came to finish in increasing order and the degree
-# count to refute levels before their search.
-DISCONNECTED_DIGEST = "0c00bc821360a4e014e62bfd45a6eb94e0a8de45272f9ea73b7db185c3de7c89"
+# taken when the smaller component came to be collected and the larger one
+# searched against each of its multisets.
+DISCONNECTED_DIGEST = "8d1b5c0e684228365daded58bd8e22220e45c5d42ca7555d7bc7f24731249112"
 
 
 def test_disconnected_results_pinned():
-    # About a third of the budgets run out, in a component's search or in
-    # the combination; the counts and the node total say what moved.
+    # About a tenth of the budgets run out, in the smaller component's
+    # collection or in the larger one's searches; the counts and the node
+    # total say what moved.
     lines, outcomes, nodes = [], collections.Counter(), 0
     for g, budget in two_component_unions(120, 15):
         r = ps_exact_disconnected(g, 4, budget=budget)
@@ -589,9 +612,70 @@ def test_disconnected_results_pinned():
         lines.append(f"{r.value} {r.nodes_explored} {r.budget_exhausted} {cert}\n")
         outcomes[r.value, r.budget_exhausted] += 1
         nodes += r.nodes_explored
-    assert outcomes == {(3, False): 15, (4, False): 48, (None, False): 22, (None, True): 35}
-    assert nodes == 309_665
+    assert outcomes == {(3, False): 24, (4, False): 62, (None, False): 21, (None, True): 13}
+    assert nodes == 77_973
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == DISCONNECTED_DIGEST
+
+
+def mixed_unions(count, seed):
+    """count unions of 2 to 4 connected graphs of order 3 to 5 with no
+    vertex of degree 1 and at most 12 vertices in all, some shapes repeated
+    and some not, with their vertices renumbered at random."""
+    rng = random.Random(seed)
+
+    def shape():
+        while True:
+            g = random_connected_graph(rng, rng.randint(3, 5))
+            if min(collections.Counter(v for e in g.edges for v in e).values()) >= 2:
+                return g
+
+    unions = []
+    while len(unions) < count:
+        shapes = [shape() for _ in range(rng.randint(2, 4))]
+        for i in range(1, len(shapes)):
+            if rng.random() < 0.5:
+                shapes[i] = shapes[rng.randrange(i)]
+        if sum(h.n_vertices for h in shapes) > 12:
+            continue
+        rng.shuffle(shapes)
+        g = shapes[0]
+        for h in shapes[1:]:
+            g = disjoint_union(g, h)
+        unions.append(permute_graph(rng, g)[0])
+    return unions
+
+
+def test_mixed_unions_agree_with_the_whole_search():
+    # Repeated shapes are collected and single ones searched against the
+    # values taken above them: the value must be ps_exact's, and the
+    # unpruned oracle's where it is cheap; a certificate must give every
+    # vertex its own product.
+    kinds = collections.Counter()
+    for g in mixed_unions(40, 2323):
+        r = ps_exact_disconnected(g, 4)
+        assert not r.budget_exhausted
+        assert r.value == ps_exact(g, 4).value
+        if g.n_edges <= 8:
+            assert r.value == ps_exact(g, 4, prune=False).value
+        if r.found:
+            products = brute_products(labeled_graph_to_matrix(r.certificate))
+            assert len(set(products)) == g.n_vertices
+            assert max(r.certificate.labels.values()) <= r.value
+        kinds[r.value] += 1
+    assert kinds == {3: 8, 4: 15, None: 17}
+
+
+def test_repeated_cliques_keep_the_collections_cost():
+    # Collected once per strength, the repeated triangles cost no more
+    # than collecting them did; searched one at a time, they took 16.9M.
+    with deadline(10):
+        r = ps_exact_disconnected(clique_union(*[3] * 8), 8)
+    assert (r.value, r.budget_exhausted) == (None, False)
+    assert r.nodes_explored <= 2_932_656
+    for sizes, s_max, value in (([4] * 6, 8, 5), ([5] * 3, 6, 3)):
+        r = ps_exact_disconnected(clique_union(*sizes), s_max)
+        assert r.value == value
+        assert is_product_irregular(r.certificate).ok
 
 
 def strip(labels, fixed):
@@ -692,6 +776,24 @@ class TestSearchCore:
             assert (label_maps(g, got), nodes) == (want, want_nodes)
             assert search_labelings(g, 3) == reference_search(g, 3, {}, 10**9, True, False,
                                                               True)
+
+    def test_taken_products_are_avoided(self, rng):
+        # With products taken, collect mode finds exactly the multisets of
+        # the search without them that share no value with them, and find
+        # mode a labeling whenever one of those exists.
+        for _ in range(30):
+            g = random_graph_no_isolates(rng, n_min=3, n_max=6, max_edges=8)
+            plan = SearchPlan.of(g)
+            for s in (3, 4):
+                every, _ = search_labelings(plan, s, collect_all=True)
+                taken = set(rng.sample(range(1, 2 * s * s), rng.randint(1, 6)))
+                got, _ = search_labelings(plan, s, collect_all=True, taken=taken)
+                assert got.keys() == {key for key in every if taken.isdisjoint(key)}
+                found, _ = search_labelings(plan, s, taken=taken)
+                assert bool(found) == bool(got)
+                if found:
+                    report = is_product_irregular(EdgeLabeling(g, found[0], s))
+                    assert report.ok and taken.isdisjoint(d.value for d in report.degrees)
 
     def test_budget_raises(self):
         # The exception carries the node count, one past the budget.
