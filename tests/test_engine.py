@@ -1,14 +1,16 @@
 import collections
 import dataclasses
 import hashlib
+import io
 import itertools
 import random
 import re
+import sys
 from math import comb
 
 import pytest
 
-from pistr import engine
+from pistr import engine, fileio
 from pistr.cli import main
 from pistr.engine import (PATTERN_DIFF, PATTERN_SAME, ConstructionError,
                           FallbackBudgetError, UnsupportedCoverError, _choose_tree,
@@ -568,6 +570,33 @@ def test_output_digest_pinned():
     assert rows <= ids, sorted(rows - ids)
     assert sum(i.startswith("fallback:") for i in ids) >= 3
     assert h.hexdigest() == OUTPUT_DIGEST
+
+
+# sha256 of what construct --json prints on _construct_json_inputs(), taken
+# before the document's JSON string was written by emit_graph itself; any
+# change to a byte of the output, the document included, changes it.
+CONSTRUCT_JSON_DIGEST = "b2cac31c032408f971fb299b8d7de04dec5040061dcaf756ab0e4b709b7d811a"
+
+
+def _construct_json_inputs() -> list[str]:
+    """The documents of the _digest_inputs() graphs, then one 3 x 120
+    planted cover: short ones for the line loop, long ones for the kernel."""
+    graphs = [g for g, _ in _digest_inputs()]
+    graphs.append(planted_cover_graph(random.Random(120), (120, 120, 120), 2))
+    return [emit_graph(g) for g in graphs]
+
+
+def test_construct_json_digest_pinned(monkeypatch, capsys):
+    docs = _construct_json_inputs()
+    assert min(map(len, docs)) < fileio.KERNEL_MIN_CHARS <= max(map(len, docs))
+    h = hashlib.sha256()
+    for doc in docs:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        assert main(["construct", "-", "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        h.update(out.encode())
+    assert h.hexdigest() == CONSTRUCT_JSON_DIGEST
 
 
 def _row_id(row):
