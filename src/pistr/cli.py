@@ -107,9 +107,14 @@ def _read_document(path: str) -> str:
         return fh.read()
 
 
-def _emit_json(payload: dict):
-    payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(payload, indent=2))
+def _emit_json(payload: dict, document: str | None = None):
+    """Print the payload as indented JSON; a document, already the body of
+    a JSON string, goes in last under "document" without a second escape."""
+    text = json.dumps({"schema": SCHEMA, **payload}, indent=2)
+    if document is None:
+        print(text)
+    else:  # text ends with "\n}"
+        print(f'{text[:-2]},\n  "document": "{document}"\n}}')
 
 
 def _degree_json(degrees) -> list[dict]:
@@ -226,8 +231,7 @@ def _cmd_construct(args) -> int:
                 "construction_id": outcome.case_trace.construction_id,
                 "tree_edges": [[u + 1, v + 1] for u, v in outcome.case_trace.tree_edges],
             },
-            "document": emit_graph(g, outcome.labeling),
-        })
+        }, document=emit_graph(g, outcome.labeling, line_end="\\n"))
     else:
         print(f"c strength {outcome.strength} source {outcome.source} "
               f"case {outcome.case_trace.construction_id}")

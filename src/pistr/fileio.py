@@ -9,9 +9,11 @@ A document of at least KERNEL_MIN_CHARS characters in the canonical form,
 the one emit_graph writes, is read by one byte kernel over the text as a
 uint8 array: a header "p n m", then m lines all "e u v" or all "e u v w",
 each field ASCII digits (at most 18) after exactly one space, newline line
-ends with the last one optional. The kernel counts the delimiters, checks
-them and each line's "e" by position, and reads each field as a sum of its
-digits times powers of ten. Every other document (a short one, comments,
+ends with the last one optional. The kernel finds the delimiters and works
+on them as 1-D columns, the c-th delimiter of every line: it checks each
+delimiter, each gap between two of them and each line's "e" by position,
+then reads a column's fields as a sum of their digits times powers of ten,
+one gather per digit place. Every other document (a short one, comments,
 blank lines, tabs, CRLF, a longer field, any fault) goes through the line
 loop, the reference reader, which reads it or raises the message of its
 first fault. The kernel's endpoint arrays then pass the range, loop,
@@ -21,7 +23,9 @@ line by line.
 emit_graph writes every document through byte tables: each vertex id and
 each distinct label is spelled once, as one fixed-size item (numpy.void),
 and the edge lines are the rows of one structured array, each field filled
-by one flat gather from its table.
+by one flat gather from its table. The line end is one more field, so the
+same tables write a document as the body of a JSON string: each line end a
+backslash and an "n", and nothing else to escape.
 """
 
 from __future__ import annotations
@@ -39,17 +43,16 @@ MAX_VERTICES = 1 << 20
 # Shorter documents go to the line loop. Its cost grows by about 1.4 us a
 # line, the kernel's by far less, but the kernel and _build make some 45
 # NumPy calls per document. Timed inside cli.main on the construct workload's
-# documents (2 vCPUs, Python 3.11, NumPy 2.4), interleaved with the parent
-# commit, the line loop took 16 us less than the kernel at 500-600
-# characters, the same at 600-700 and 47 us more at 800-1000.
+# documents of seeds 201-212 (2 vCPUs, Python 3.11, NumPy 2.4), best of 7,
+# the line loop took 9 us less than the column kernel at 450-550
+# characters, 2-3 us more at 600-700 and 16 us more at 800-850. The grid
+# kernel before it crossed over at the same length (6-10 us less, 0-2 us
+# more, 14 us more, timed interleaved with it).
 KERNEL_MIN_CHARS = 650
 
 _DIGITS = 18  # the longest field the kernel reads: 10**18 - 1 fits int64
 _POW10 = 10 ** np.arange(_DIGITS, dtype=np.int64)
 _E, _SPACE, _NEWLINE, _ZERO = b"e \n0"  # byte values
-# The delimiter bytes of an edge line, by their count: unlabeled, labeled.
-_DELIMITERS = {3: np.array([_SPACE, _SPACE, _NEWLINE], np.uint8),
-               4: np.array([_SPACE, _SPACE, _SPACE, _NEWLINE], np.uint8)}
 
 
 class DocumentError(ValueError):
@@ -85,33 +88,40 @@ def _split_document(text: str):
     body = np.frombuffer(data, np.uint8)[cut + 1:]
     if not m:  # the header must be the whole document
         return None if len(body) else (n, *np.zeros((2, 0), np.int64), None)
-    # Row i of grid: the delimiters of line i, its spaces then its "\n".
     # Each line must be "e", then fields of 1 to 18 digits, each after one
-    # space: the delimiters are spaces and a line end in that order, each
-    # "e" is the one byte between the previous line end and its line's
-    # first space, and every other byte is a digit of some field.
+    # space. Column c, delims[c::width], holds the c-th delimiter of every
+    # line: spaces in the first columns, "\n" in the last (with "\n" in the
+    # last, m * (width - 1) spaces in the body fill the others). steps[i] is
+    # one more than the bytes between delimiters i and i + 1: the digits of
+    # a field within a line, and 2 across a line end, around the next "e".
+    # Every byte that is neither a delimiter nor an "e" is a digit.
     delims = np.flatnonzero(body <= _SPACE)  # also any control byte
     width, extra = divmod(len(delims), m)
-    if extra or width not in _DELIMITERS:
+    if extra or width not in (3, 4):
         return None
-    grid = delims.reshape(m, width)
-    field_ends = grid[:, 1:]
-    lengths = field_ends - grid[:, :-1] - 1  # digits per field
-    longest = lengths.max()
-    if (lengths.min() < 1 or longest > _DIGITS
-            or np.count_nonzero(body[grid] != _DELIMITERS[width])
-            or grid[0, 0] != 1 or np.count_nonzero(grid[1:, 0] - grid[:-1, -1] != 2)
-            or np.count_nonzero(body[grid[:, 0] - 1] != _E)
-            or np.count_nonzero(body - _ZERO < 10) != lengths.sum()):
+    steps = np.diff(delims)
+    if (delims[0] != 1 or steps.min() < 2 or steps.max() > _DIGITS + 1
+            or np.count_nonzero(steps[width - 1::width] != 2)
+            or np.count_nonzero(body.take(delims[width - 1::width]) != _NEWLINE)
+            or np.count_nonzero(body == _SPACE) != m * (width - 1)
+            or np.count_nonzero(body.take(delims[::width] - 1) != _E)
+            or np.count_nonzero(body - _ZERO < 10) != len(body) - len(delims) - m):
         return None
-    values = (body.take(field_ends - 1) - _ZERO).astype(np.int64)  # the units
-    for place in range(1, longest):  # then the tens, hundreds, ...
-        # a field shorter than this reaches back before its space, possibly
-        # before the body; clip keeps the index valid, the mask drops it
-        digit = body.take(field_ends - (place + 1), mode="clip") - _ZERO
-        digit[lengths <= place] = 0
-        values += digit * _POW10[place]
-    return n, values[:, 0], values[:, 1], values[:, 2] if width == 4 else None
+    columns = []
+    for c in range(1, width):  # field c - 1 ends at the delimiter of column c
+        ends, step = delims[c::width], steps[c - 1::width]
+        value = (body.take(ends - 1) & 15).astype(np.int64)  # the units
+        for place in range(1, int(step.max()) - 1):  # the tens, hundreds, ...
+            # byte & 15 is the value of a digit and 0 for the space before
+            # a field. A field shorter than place reaches back further,
+            # possibly before the body: clip keeps the index valid, and the
+            # mask drops the byte.
+            digit = body.take(ends - (place + 1), mode="clip") & 15
+            if place >= step.min():  # some field is shorter than place
+                digit[step <= place] = 0
+            value += digit * _POW10[place]
+        columns.append(value)
+    return n, columns[0], columns[1], columns[2] if width == 4 else None
 
 
 def _build(n: int, a: np.ndarray, b: np.ndarray, labels: np.ndarray | None):
@@ -204,16 +214,20 @@ def _read_lines(text: str) -> tuple[Graph, EdgeLabeling | None]:
                      label_array([labels[e] for e in keys]) if n_labeled else None)
 
 
-def emit_graph(g: Graph, labeling: EdgeLabeling | None = None) -> str:
-    """The document of g (and its labels), edges in sorted order."""
+def emit_graph(g: Graph, labeling: EdgeLabeling | None = None,
+               line_end: str = "\n") -> str:
+    """The document of g (and its labels), edges in sorted order, each line
+    ended by line_end. A backslash and an "n" as line_end give the body of
+    the document's JSON string."""
     if labeling is not None and labeling.graph is not g and labeling.graph != g:
         raise ValueError("the labeling is not a labeling of this graph")
-    header = f"p {g.n_vertices} {g.n_edges}\n"
+    header = f"p {g.n_vertices} {g.n_edges}{line_end}"
     u, v = g.ends
     if not len(u):
         return header
-    # Row k: "e", " u", " v", [" w"] and "\n" of edge k, each spelling one
-    # fixed-size field padded with zero bytes, which the last step drops.
+    # Row k: "e", " u", " v", [" w"] and the line end of edge k, each
+    # spelling one fixed-size field padded with zero bytes, which the last
+    # step drops.
     ids = _spellings(g.n_vertices)[1:]
     fields = [(ids, u), (ids, v)]
     if labeling is not None:
@@ -225,11 +239,14 @@ def emit_graph(g: Graph, labeling: EdgeLabeling | None = None) -> str:
             distinct, inverse = np.unique(values, return_inverse=True)
             fields.append((_spelled(distinct), inverse))
     spelled = [(f"f{k}", table.dtype) for k, (table, _) in enumerate(fields)]
-    rows = np.empty(len(u), [("e", np.uint8), *spelled, ("end", np.uint8)])
-    rows["e"], rows["end"] = _E, _NEWLINE
+    end_fields = [(f"end{i}", np.uint8) for i in range(len(line_end))]
+    rows = np.empty(len(u), [("e", np.uint8), *spelled, *end_fields])
+    rows["e"] = _E
+    for (name, _), byte in zip(end_fields, line_end.encode("ascii")):
+        rows[name] = byte
     for (name, _), (table, index) in zip(spelled, fields):
         rows[name] = table.take(index)
-    return header + rows.tobytes().translate(None, b"\0").decode("ascii")
+    return header + rows.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _spelled(values: np.ndarray) -> np.ndarray:

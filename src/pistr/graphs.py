@@ -364,8 +364,10 @@ def clique_cover(g: Graph, k_max: int) -> CliqueCover | None:
     if g.n_edges < k_max * q * (q - 1) // 2 + r * q:
         return None
     comp_adj = _complement_masks(g)
+    order = _order(comp_adj)  # one order for every k
     for k in range(1, k_max + 1):
-        classes = _two_colour(comp_adj) if k == 2 else _color_graph(comp_adj, k)
+        classes = (_two_colour(comp_adj, order) if k == 2
+                   else _color_graph(comp_adj, k, order))
         if classes is not None:
             parts = sorted((tuple(_bits(mask)) for mask in classes if mask),
                            key=lambda p: (len(p), p[0]))
@@ -399,14 +401,13 @@ def _complement_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _color_graph(adj_masks: list[int], k: int) -> list[int] | None:
+def _color_graph(adj_masks: list[int], k: int, order: list[int]) -> list[int] | None:
     """Proper k-coloring as color-class bitmasks, or None. Exact backtracking
     without recursion, trying colors in the same order as a recursive search:
-    the vertex at each depth takes the first fitting color from ``first`` on;
-    when none fits, the search backs up one depth and resumes after the color
-    chosen there."""
+    the vertex at each depth of ``order`` (_order of the masks) takes the
+    first fitting color from ``first`` on; when none fits, the search backs
+    up one depth and resumes after the color chosen there."""
     n = len(adj_masks)
-    order = _order(adj_masks)
     classes = [0] * k
     color = [0] * n  # color[i] is the color of order[i] while depth > i
     bumped = [False] * n  # whether that color opened a new class
@@ -439,19 +440,21 @@ def _color_graph(adj_masks: list[int], k: int) -> list[int] | None:
 
 
 def _order(adj_masks: list[int]) -> list[int]:
-    """The vertices by descending degree, then id: the colourings' order."""
-    return sorted(range(len(adj_masks)), key=lambda v: (-adj_masks[v].bit_count(), v))
+    """The vertices by descending degree, then id: the colourings' order.
+    The sort is stable, so vertices of equal degree keep ascending ids."""
+    minus_degree = [-mask.bit_count() for mask in adj_masks]
+    return sorted(range(len(adj_masks)), key=minus_degree.__getitem__)
 
 
-def _two_colour(adj_masks: list[int]) -> list[int] | None:
-    """The classes _color_graph(adj_masks, 2) returns, or None: breadth
-    first from each component's first vertex in _order, on side 0, each
-    layer on the other side from the last; an edge inside a side is an odd
-    cycle. Side 0 for those vertices is the least colouring in that order,
-    the one the backtracking finds first."""
+def _two_colour(adj_masks: list[int], order: list[int]) -> list[int] | None:
+    """The classes _color_graph(adj_masks, 2, order) returns, or None:
+    breadth first from each component's first vertex in order, on side 0,
+    each layer on the other side from the last; an edge inside a side is an
+    odd cycle. Side 0 for those vertices is the least colouring in that
+    order, the one the backtracking finds first."""
     sides = [0, 0]
     todo = (1 << len(adj_masks)) - 1
-    for start in _order(adj_masks):
+    for start in order:
         frontier, side = todo & 1 << start, 0
         while frontier:
             sides[side] |= frontier

@@ -12,7 +12,8 @@ converts a weighted adjacency matrix to its labeled graph and calls it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, isqrt
 
 import numpy as np
@@ -125,26 +126,49 @@ class ProductDegree:
         return f"ProductDegree({self.value})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrregularityReport:
-    """Verdict plus per-vertex degrees; witness is the smallest colliding pair."""
+    """Verdict plus per-vertex degrees; witness is the smallest colliding
+    pair. degrees is built from the exponent rows (one per vertex, one
+    column per prime) when it is first read. Reports are equal when their
+    verdicts, witnesses and degrees are."""
 
     ok: bool
     witness: tuple[int, int] | None
-    degrees: tuple[ProductDegree, ...]
+    _primes: list[int] = field(repr=False)
+    _exponents: np.ndarray = field(repr=False)
+
+    @cached_property
+    def degrees(self) -> tuple[ProductDegree, ...]:
+        primes = self._primes
+        return tuple(ProductDegree(tuple((p, e) for p, e in zip(primes, row) if e))
+                     for row in self._exponents.tolist())
+
+    def _key(self):
+        return self.ok, self.witness, self.degrees
+
+    def __eq__(self, other):
+        if not isinstance(other, IrregularityReport):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-def _report(degrees: list[ProductDegree]) -> IrregularityReport:
-    groups: dict[tuple, list[int]] = {}
-    for v, d in enumerate(degrees):
-        groups.setdefault(d.factors, []).append(v)
-    witness = None
-    for members in groups.values():
-        if len(members) > 1:
-            pair = (members[0], members[1])
-            if witness is None or pair < witness:
-                witness = pair
-    return IrregularityReport(witness is None, witness, tuple(degrees))
+def _witness(exponents: np.ndarray) -> tuple[int, int] | None:
+    """The smallest pair u < v of equal rows, or None. The rows are sorted
+    stably, so each run of equal rows lists its vertices ascending: of the
+    vertices with an equal row after them, the least is u, and v follows it."""
+    n, width = exponents.shape
+    order = (np.lexsort(exponents.T[::-1]) if width
+             else np.arange(n))  # every row is empty: all rows are equal
+    ranked = exponents[order]
+    same = np.flatnonzero((ranked[1:] == ranked[:-1]).all(axis=1))
+    if not len(same):
+        return None
+    first = same[order[same].argmin()]
+    return int(order[first]), int(order[first + 1])
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -160,7 +184,8 @@ def is_product_irregular(labeling: EdgeLabeling) -> IrregularityReport:
     A bincount over each end of the edges counts, per label value, how many
     edges with that label meet each vertex; each label value is factorized once,
     and one product of the counts with the values' exponents gives every
-    vertex's exponent per prime.
+    vertex's exponent per prime. Those rows, sorted, give the verdict and
+    the witness; the report builds the factored degrees only when read.
     """
     g = labeling.graph
     n = g.n_vertices
@@ -175,12 +200,13 @@ def is_product_irregular(labeling: EdgeLabeling) -> IrregularityReport:
     # one column per prime, then a column of ones that counts the edges
     exponents = np.array([[f.get(p, 0) for p in primes] + [1] for f in factors],
                          dtype=np.int64).reshape(len(values), len(primes) + 1)
-    rows = (counts.T @ exponents).tolist()
-    for x, row in enumerate(rows):
-        if not row[-1]:
-            raise ValueError(f"vertex {x} is isolated; product degree undefined")
-    return _report([ProductDegree(tuple((p, e) for p, e in zip(primes, row) if e))
-                    for row in rows])
+    rows = counts.T @ exponents
+    isolated = np.flatnonzero(rows[:, -1] == 0)
+    if len(isolated):
+        raise ValueError(f"vertex {isolated[0]} is isolated; product degree undefined")
+    rows = rows[:, :-1]
+    witness = _witness(rows)
+    return IrregularityReport(witness is None, witness, primes, rows)
 
 
 def check_matrix(m: np.ndarray) -> IrregularityReport:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -167,6 +168,8 @@ class TestEmit:
                 public, {e: rng.choice(labels) for e in public.edges})
             doc = emit_graph(public, labeling)
             assert doc == render(public, labeling)
+            # with a backslash and "n" as line end: the JSON string's body
+            assert emit_graph(public, labeling, "\\n") == json.dumps(doc)[1:-1]
             parsed, parsed_labeling = parse_graph(doc)  # array-backed
             assert emit_graph(parsed, parsed_labeling) == doc
 

@@ -13,7 +13,7 @@ from pistr.graphs import (CliqueCover, EdgeLabeling, Graph, add_cross_edge,
                           connected_components, disjoint_union,
                           has_isolated_vertex_or_edge, is_connected,
                           labeled_graph_to_matrix, matrix_to_labeled_graph)
-from pistr.graphs import _color_graph, _complement_masks, _two_colour
+from pistr.graphs import _color_graph, _complement_masks, _order, _two_colour
 from pistr.matrices import fixed_matrix, m_matrix
 from pistr.verifier import is_product_irregular
 
@@ -441,8 +441,9 @@ class TestCliqueCover:
         for _ in range(60):
             g = random_graph_no_isolates(rng, n_min=4, n_max=11)
             masks = _complement_masks(g)
+            order = _order(masks)
             for k in range(1, 5):
-                assert _color_graph(masks, k) == recursive_color_graph(masks, k)
+                assert _color_graph(masks, k, order) == recursive_color_graph(masks, k)
 
     def test_two_colour_check_agrees_with_the_search(self, rng):
         # clique_cover takes two parts from _two_colour instead of
@@ -475,8 +476,9 @@ class TestCliqueCover:
                 mask_sets.append(masks)
         verdicts = collections.Counter()
         for masks in mask_sets:
-            classes = _two_colour(masks)
-            assert classes == _color_graph(masks, 2), masks
+            order = _order(masks)
+            classes = _two_colour(masks, order)
+            assert classes == _color_graph(masks, 2, order), masks
             verdicts[classes is not None] += 1
         assert min(verdicts[True], verdicts[False]) > 100, verdicts
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pistr.graphs import (EdgeLabeling, Graph, complete_graph,
+from pistr.graphs import (EdgeLabeling, Graph, complete_graph, disjoint_union,
                           labeled_graph_to_matrix, matrix_to_labeled_graph)
 from pistr.engine import catalog_matrix
 from pistr.matrices import direct_sum, fixed_matrix, m_matrix, named_family
@@ -158,6 +158,50 @@ class TestIrregularity:
             assert_matches_brute(check_matrix(m), m)
             verdicts.add(is_product_irregular(labeling).ok)
         assert verdicts == {True, False}
+
+    def test_several_colliding_groups_match_brute(self, rng):
+        # Two to four copies of one labeled graph, the vertices shuffled:
+        # each vertex collides with its copies, so several groups collide at
+        # once, and the witness must be the smallest pair over all of them.
+        # A third of the labelings take labels from 2^63 on (object arrays).
+        # The verdict is read before the degrees, which are built on demand.
+        several = 0
+        for trial in range(60):
+            g = random_graph_no_isolates(rng, n_min=3, n_max=6)
+            labels = random_labeling(rng, g, s=rng.choice((3, 6)))
+            if trial % 3 == 0:
+                labels = {e: w << rng.choice((63, 70)) for e, w in labels.items()}
+            copies = rng.randint(2, 4)
+            union = g
+            for _ in range(copies - 1):
+                union = disjoint_union(union, g)
+            n = g.n_vertices
+            union_labels = {(u + k * n, v + k * n): w for k in range(copies)
+                            for (u, v), w in labels.items()}
+            h, _, h_labels = permute_graph(rng, union, union_labels)
+            labeling = EdgeLabeling.make(h, h_labels)
+            assert (labeling.values.dtype == object) == (trial % 3 == 0)
+            m = labeled_graph_to_matrix(labeling)
+            products = brute_products(m)
+            several += len(set(products)) > 1
+            report = is_product_irregular(labeling)
+            assert (report.ok, report.witness) == (False, brute_witness(products))
+            assert [d.value for d in report.degrees] == products
+            assert_matches_brute(check_matrix(m), m)
+        assert several >= 50
+
+    def test_reports_compare_by_verdict_witness_and_degrees(self, rng):
+        for _ in range(40):
+            g = random_graph_no_isolates(rng, n_min=4, n_max=8)
+            labels = random_labeling(rng, g, s=4)
+            first = is_product_irregular(EdgeLabeling.make(g, labels))
+            again = is_product_irregular(EdgeLabeling.make(g, dict(labels)))
+            assert first == again and hash(first) == hash(again)
+            assert first == check_matrix(labeled_graph_to_matrix(EdgeLabeling.make(g, labels)))
+            e = rng.choice(sorted(labels))
+            changed = is_product_irregular(EdgeLabeling.make(g, {**labels, e: labels[e] % 4 + 1}))
+            assert first != changed  # the two ends of e change degree
+            assert first != (first.ok, first.witness, first.degrees)
 
 
 class TestCheckMatrix:
