@@ -60,10 +60,11 @@ def _matrix_token(token: str) -> np.ndarray | None:
         return matrices.named_family(int(tail), head)
     if head == "t" and token[1:2] in "ABC" and token[2:].isdigit():
         return matrices.tilde_matrix(int(token[2:]), token[1])
+    # L<n> and LP<n> give one part size n; the catalog takes sizes sorted
     if token.startswith("LP") and token[2:].isdigit():
-        return catalog_matrix((1, int(token[2:])))
+        return catalog_matrix(tuple(sorted((1, int(token[2:])))))
     if head == "L" and tail.isdigit():
-        return catalog_matrix((2, int(tail)))
+        return catalog_matrix(tuple(sorted((2, int(tail)))))
     return None
 
 

@@ -4,17 +4,19 @@ The search iterates strengths s = 1, 2, ... and for each s explores edge
 labelings in an order that completes one vertex at a time, pruning as soon
 as two finished vertices share a product degree.
 
-At s <= 2 no graph with an edge has a labeling (two vertices of equal
-degree in the graph of edges labeled 2 share a product), so those levels
-only count nodes. With no fixed products and pruning on, the count is one
-forward pass over the depths (_frontier_count): each distinct state (the
-exponents of the vertices' products, the seen exponents) with the number
-of paths that reach it, node for node the walk's count. The widest depth
-of K5 to K9 holds 72, 450, 2,588, 18,540 and 144,334 states; K8's s = 2
-count (21,908,526 nodes) takes 35 to 50 ms on 2 CPUs under Python 3.11.
-A depth wider than FRONTIER_CAP states stops the pass, and the count
-starts again from zero on a memo of refuted subtrees (_refuted_count), so
-K9 and larger cliques take the memo and memory stays bounded.
+At s <= 2 no graph on two or more vertices has a labeling: a vertex's
+product is 2^d, d its number of edges labeled 2, and the graph of those
+edges has two vertices of equal degree, which share a product. So those
+levels only count nodes. With no fixed products and pruning on, the count
+is one forward pass over the depths (_frontier_count): each distinct state
+(the exponents of the vertices' products, the seen exponents) with the
+number of paths that reach it, node for node the walk's count. The widest
+depth of K5 to K9 holds 72, 450, 2,588, 18,540 and 144,334 states; K8's
+s = 2 count (21,908,526 nodes) takes 35 to 50 ms on 2 CPUs under Python
+3.11. At the first depth wider than FRONTIER_CAP states the pass stops,
+and the lemma refutes the level with the nodes counted up to there, as
+_degree_count_bound refutes levels with no search: K9 and larger cliques
+go on to s = 3 with memory bounded.
 
 From s = 3 on, with no fixed products and pruning on, the search breaks
 the symmetry of closed twins (vertices with equal closed neighbourhoods):
@@ -54,9 +56,9 @@ from .graphs import (Edge, EdgeLabeling, Graph, closed_twin_classes, complete_gr
 from .verifier import ProductDegree
 
 DEFAULT_BUDGET = 10**9
-# Most distinct states a depth of _frontier_count may hold; past it the
-# s <= 2 count goes to the memo (K8's widest depth holds 18,540, K9's
-# 144,334).
+# Most distinct states a depth of _frontier_count may hold; a wider depth
+# ends the s <= 2 count there, so it also decides which s <= 2 levels are
+# counted in full (K8's widest depth holds 18,540, K9's 144,334).
 FRONTIER_CAP = 2**16
 
 
@@ -217,8 +219,12 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
 
     At s <= 2 no labeling of a graph with an edge exists. With
     1 <= s <= 2, no products, nothing taken, pruning on and at least one
-    edge, the count is computed, not walked: by _frontier_count, or by
-    _refuted_count when a depth holds more than FRONTIER_CAP states.
+    edge, the count is computed, not walked, by _frontier_count: the
+    walk's count, or where a depth holds more than FRONTIER_CAP states,
+    the part of it up to that depth.
+
+    The walk recurses once per edge; ValueError when g has too many edges
+    for Python's recursion limit.
 
     With no products and pruning on, the walk takes the plan's twins:
     a vertex that finishes after one of its closed twins must take a
@@ -232,10 +238,7 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     budget = max(budget, 0)  # a negative budget stops where 0 does
     seen = set(taken)
     if 1 <= s <= 2 and products is None and prune and order and not seen:
-        nodes = _frontier_count(plan, s, budget)
-        if nodes is None:  # a depth held more than FRONTIER_CAP states
-            nodes = _refuted_count(plan, s, budget)
-        return ({} if collect_all else []), nodes
+        return ({} if collect_all else []), _frontier_count(plan, s, budget)
     bounds = None  # per depth, the twins that kinds 3 and 4 must pass
     if not prune:  # no step finishes a vertex
         steps = tuple((a, b, 0) for a, b, _ in steps)
@@ -342,7 +345,12 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
             raise BudgetExhausted(budget + 1)
         return False
 
-    if walk(0):
+    try:
+        done = walk(0)
+    except RecursionError:
+        raise ValueError(f"graph has {depths} edges, too many for the recursive "
+                         "search") from None
+    if done:
         # the loops on the path to the labeling tried labels 1..w each
         nodes += sum(assignment)
         if nodes > budget:
@@ -350,10 +358,10 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     return (sigs if collect_all else found), nodes
 
 
-def _frontier_count(plan: SearchPlan, s: int, budget: int) -> int | None:
+def _frontier_count(plan: SearchPlan, s: int, budget: int) -> int:
     """search_labelings' node count on plan at 1 <= s <= 2 with no
-    products, by one pass over the depths; None as soon as a depth holds
-    more than FRONTIER_CAP states.
+    products, by one pass over the depths; at the first depth that holds
+    more than FRONTIER_CAP states, the count up to and including it.
 
     The walk runs one loop per path that reaches a depth, and each loop
     adds s. The pass keeps, per depth, each distinct state with the number
@@ -375,8 +383,8 @@ def _frontier_count(plan: SearchPlan, s: int, budget: int) -> int | None:
         nodes += s * sum(frontier.values())
         if nodes > budget:
             raise BudgetExhausted(budget + 1)
-        if len(frontier) > FRONTIER_CAP:
-            return None
+        if len(frontier) > FRONTIER_CAP:  # no labeling: stop counting
+            return nodes
         deeper: dict[int, int] = {}
         get = deeper.get
         sa, sb = a * width, b * width
@@ -415,89 +423,6 @@ def _frontier_count(plan: SearchPlan, s: int, budget: int) -> int | None:
                     t = st | bits << 1
                     deeper[t] = get(t, 0) + k
         frontier = deeper
-    return nodes
-
-
-def _refuted_count(plan: SearchPlan, s: int, budget: int) -> int:
-    """search_labelings' node count on plan at s <= 2 with no products,
-    where a depth of _frontier_count holds more than FRONTIER_CAP states.
-
-    No labeling exists there: a vertex's product is 2^d, d its number of
-    edges labeled 2, and the graph of those edges on the n >= 2 vertices
-    with an edge has two vertices of equal degree, which share a product.
-    The walk never reaches a leaf and only counts. Where a step has just
-    finished a vertex, the count of the subtree below is stored under one
-    packed int: the seen products as a bitmask (powers of two, so their OR
-    is their sum), the products of the vertices with edges both above and
-    below, and the depth. A memo hit adds that count; loops add s when they
-    end, as the walk does. The running count only grows, so the check
-    after every addition raises BudgetExhausted(budget + 1) just when the
-    walk would. Each stored state ends one loop run that passed its check,
-    so states stored <= loops run <= nodes counted <= budget.
-    """
-    steps, n, depths = plan.steps, plan.n_vertices, len(plan.steps)
-    deg = [0] * n
-    for a, b, _ in steps:
-        deg[a] += 1
-        deg[b] += 1
-    left, opens = deg[:], []  # per depth: the vertices begun and not finished
-    for a, b, _ in steps:
-        opens.append(tuple(v for v in range(n) if 0 < left[v] < deg[v]))
-        left[a] -= 1
-        left[b] -= 1
-    prod = [1] * n
-    weights = range(1, s + 1)
-    memo: dict[int, int] = {}
-    nodes = 0
-
-    def enter(depth: int, seen: int) -> None:
-        # The subtree below a step that finished a vertex: its count from
-        # the memo, or walked and stored.
-        nonlocal nodes
-        key = seen
-        for v in opens[depth]:
-            key = key << n | prod[v]
-        key = key * depths + depth
-        known = memo.get(key)
-        if known is None:
-            start = nodes
-            walk(depth, seen)
-            memo[key] = nodes - start
-        else:
-            nodes += known
-            if nodes > budget:
-                raise BudgetExhausted(budget + 1)
-
-    def walk(depth: int, seen: int) -> None:
-        # search_labelings' loops, with seen as a bitmask
-        nonlocal nodes
-        a, b, finished = steps[depth]
-        pa0, pb0 = prod[a], prod[b]
-        deeper = depth + 1
-        if not finished:
-            for w in weights:
-                prod[a], prod[b] = pa0 * w, pb0 * w
-                walk(deeper, seen)
-        elif finished == 1:
-            for w in weights:
-                pa = pa0 * w
-                if pa & seen:
-                    continue
-                prod[a], prod[b] = pa, pb0 * w
-                enter(deeper, seen | pa)
-        elif pa0 != pb0:
-            for w in weights:
-                pa, pb = pa0 * w, pb0 * w
-                if (pa | pb) & seen:
-                    continue
-                prod[a], prod[b] = pa, pb
-                enter(deeper, seen | pa | pb)
-        prod[a], prod[b] = pa0, pb0
-        nodes += s
-        if nodes > budget:
-            raise BudgetExhausted(budget + 1)
-
-    walk(0, 0)
     return nodes
 
 

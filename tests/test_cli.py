@@ -135,6 +135,11 @@ GEN_PINNED = [
     (["K5+K6+K8", "--edge", "1,6", "--edge", "6,12"], 0, "e64b6f52ea08fc9b", ""),
     (["K4+K5+K6", *(arg for edge in ["1,5", "2,6", "3,7", "5,10", "6,11", "1,10", "4,15"]
                     for arg in ("--edge", edge))], 0, "3f7706d2cae533fb", ""),
+    # L<n> and LP<n> name one part size: a row the catalog lacks is named by
+    # its sorted sizes
+    (["L0"], 2, _NONE, "pistr: no catalog row for sizes (0, 2)\n"),
+    (["L1"], 2, _NONE, "pistr: no catalog row for sizes (1, 2)\n"),
+    (["LP0"], 2, _NONE, "pistr: no catalog row for sizes (0, 1)\n"),
 ]
 
 
@@ -313,21 +318,27 @@ class TestPs:
         assert run_cli(capsys, "verify", str(path)) == (0, "product-irregular: yes\n", "")
 
     def test_k9_answers_in_seconds(self, capsys, tmp_path, monkeypatch):
-        # 15 nodes at s = 1, 1,664,904,926 at s = 2 and 86 at s = 3: the
-        # refutation of s = 2 is counted by memo, so both runs end fast.
+        # K9: 15 nodes at s = 1, 3,329,438 at s = 2 and 86 at s = 3. The
+        # count of s = 2 stops at its first depth wider than FRONTIER_CAP
+        # states (no labeling exists there), so K9 and K30 reach s = 3
+        # well inside the default budget.
         monkeypatch.delenv("PISTR_BUDGET", raising=False)
-        _, doc, _ = run_cli(capsys, "gen", "K9")
         path = tmp_path / "g.txt"
-        path.write_text(doc)
-        with deadline(10):
-            code, out, err = run_cli(capsys, "ps", str(path), "--budget", "2000000000")
-        head, document = out.split("\n", 1)
-        assert (code, head, err) == (0, "ps = 3  (nodes explored: 1664905027)", "")
-        with deadline(5):
-            code, out, err = run_cli(capsys, "ps", str(path))
-        assert (code, out, err) == (2, "budget exhausted after 1000000001 nodes\n", "")
-        path.write_text(document)
-        assert run_cli(capsys, "verify", str(path)) == (0, "product-irregular: yes\n", "")
+        for expr, budget, nodes in (("K9", "2000000000", 3329539), ("K9", None, 3329539),
+                                    ("K30", None, 544454)):
+            path.write_text(run_cli(capsys, "gen", expr)[1])
+            with deadline(2):
+                code, out, err = run_cli(capsys, "ps", str(path),
+                                         *(("--budget", budget) if budget else ()))
+            head, document = out.split("\n", 1)
+            assert (code, head, err) == (0, f"ps = 3  (nodes explored: {nodes})", ""), expr
+            path.write_text(document)
+            assert run_cli(capsys, "verify", str(path)) == (0, "product-irregular: yes\n", "")
+        # K46's walk at s = 3 is deeper than Python's recursion limit
+        path.write_text(run_cli(capsys, "gen", "K46")[1])
+        with deadline(2):
+            assert run_cli(capsys, "ps", str(path)) == (
+                2, "", "pistr: graph has 1035 edges, too many for the recursive search\n")
 
     def test_not_found_exit_code(self, capsys, tmp_path):
         _, doc, _ = run_cli(capsys, "gen", "K4+K4")

@@ -201,6 +201,14 @@ class TestPsExact:
             ps_exact(disjoint_union(complete_graph(1), complete_graph(4)), 3)
         # a star is fine: no isolated vertex, no isolated edge
         assert ps_exact(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), 3).found
+        # K46's s = 3 walk is deeper than the recursion limit: a ValueError
+        # that names its edges, not a RecursionError
+        too_deep = "^graph has 1035 edges, too many for the recursive search$"
+        for solve, g in ((ps_exact, complete_graph(46)),
+                         (ps_exact_disconnected, disjoint_union(complete_graph(46),
+                                                                complete_graph(3)))):
+            with deadline(2), pytest.raises(ValueError, match=too_deep):
+                solve(g, 4)
 
     def test_unpruned_agrees_on_small_graphs(self, rng):
         for _ in range(15):
@@ -232,6 +240,9 @@ class TestComponentSignatures:
     def test_k2_has_no_signatures(self):
         assert component_signatures(complete_graph(2), 3) == []
         assert component_signatures(complete_graph(2), 5) == []
+        # nor K9 at s = 2: its count overflows FRONTIER_CAP and stops there
+        with deadline(2):
+            assert component_signatures(complete_graph(9), 2) == []
 
     def test_k3_contains_the_triangle_signature(self):
         sigs = component_signatures(complete_graph(3), 3)
@@ -505,11 +516,10 @@ def test_counted_refutation_matches_the_reference():
                 assert got.value.args == (budget + 1,)
 
 
-def test_counts_match_the_reference_at_every_surplus(monkeypatch):
+def test_counts_match_the_reference_at_every_surplus():
     # The s <= 2 count of a connected graph, at every m - n from 0 to 12,
     # in find and collect mode, and every budget stop must be the reference
-    # search's. With FRONTIER_CAP at 1 every s = 2 count overflows the
-    # forward pass and comes from the memo.
+    # search's.
     rng = random.Random(2020)
     cases = []
     for surplus in range(13):
@@ -524,20 +534,16 @@ def test_counts_match_the_reference_at_every_surplus(monkeypatch):
                 assert want == {False: ([], n), True: ({}, n)}
                 budgets = sorted({*rng.sample(range(n), min(5, n)), n - 1, n})
                 cases.append((g, s, want, budgets))
-    for cap in (solver.FRONTIER_CAP, 1):
-        monkeypatch.setattr(solver, "FRONTIER_CAP", cap)
-        for g, s, want, budgets in cases:
-            if cap == 1 and s == 2:
-                assert solver._frontier_count(SearchPlan.of(g), s, DEFAULT_BUDGET) is None
-            for collect_all in (False, True):
-                assert search_labelings(g, s, collect_all=collect_all) == want[collect_all]
-            for budget in budgets:
-                if budget >= want[False][1]:
-                    assert search_labelings(g, s, budget=budget) == want[False]
-                    continue
-                with pytest.raises(BudgetExhausted) as got:
-                    search_labelings(g, s, budget=budget)
-                assert got.value.args == (budget + 1,)
+    for g, s, want, budgets in cases:
+        for collect_all in (False, True):
+            assert search_labelings(g, s, collect_all=collect_all) == want[collect_all]
+        for budget in budgets:
+            if budget >= want[False][1]:
+                assert search_labelings(g, s, budget=budget) == want[False]
+                continue
+            with pytest.raises(BudgetExhausted) as got:
+                search_labelings(g, s, budget=budget)
+            assert got.value.args == (budget + 1,)
 
 
 def test_edge_cases_keep_the_walks_answers():
@@ -552,25 +558,24 @@ def test_edge_cases_keep_the_walks_answers():
 
 
 def test_large_clique_count_is_fast_and_bounded():
-    # K12's s = 2 count passes the budget. Its forward pass overflows
-    # FRONTIER_CAP and the memo stops at the budget (1.2 s on 2 CPUs).
-    k12 = complete_graph(12)
-    with deadline(5):
-        with pytest.raises(BudgetExhausted) as got:
-            search_labelings(k12, 2)
-    assert got.value.args == (DEFAULT_BUDGET + 1,)
+    # The s = 2 count of a large clique stops at the first depth wider than
+    # FRONTIER_CAP states, with no labeling: depth 17, where the 2^17
+    # labelings of the edges above reach 2^17 states, after 2 x (2^18 - 1)
+    # nodes.
     # Two depths live at once, of at most FRONTIER_CAP states and twice
-    # that; a state is an int key, an int count and a dict slot, under
-    # 128 bytes. Measured: 7.0 MiB.
-    tracemalloc.start()
-    try:
-        with deadline(30), pytest.raises(BudgetExhausted) as got:
-            search_labelings(k12, 2, budget=10**8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got.value.args == (10**8 + 1,)
-    assert peak < 3 * solver.FRONTIER_CAP * 128
+    # that; a state is an int key, an int count and a dict slot, under 128
+    # bytes. Measured: 7.0, 14.6 and 14.8 MiB.
+    for n in (12, 46, 80):
+        g = complete_graph(n)
+        tracemalloc.start()
+        try:
+            with deadline(2):
+                found, nodes = search_labelings(g, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (found, nodes) == ([], 524286), n
+        assert peak < 3 * solver.FRONTIER_CAP * 128, n
 
 
 def random_connected_graph(rng, n):
