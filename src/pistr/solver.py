@@ -32,14 +32,18 @@ degree <= k than there are products of k labels from 1..s.
 
 Disconnected graphs can instead be solved one component at a time
 (ps_exact_disconnected), in one loop over levels, one per component,
-fewest edges first. A shape that occurs more than once is collected: the
-product-degree multisets it can realize are listed once per strength,
-and each of its levels picks one that shares no value with the levels
-above. A shape that occurs once is searched against the values those
-levels took, in collect mode, or in find mode at the last level. Each
-level remembers the sets of taken values it failed with. K6+K3 takes 113
-nodes this way, where collecting K6 took 1,488,325; eight triangles still
-cost what collecting them did.
+fewest edges first. The last level is searched in find mode against the
+values the levels above it took. Above it, a shape that occurs once is
+searched against them in collect mode; a shape that occurs more than once
+has the product-degree multisets it can realize collected, and each of
+its levels picks one that shares no value with the levels above, in
+increasing index order along the levels of that shape. The collection is
+lazy: it stops after 1, 2, 4, ... new multisets, and a longer one is made
+only when every combination of the shorter ones failed. Each level
+remembers the sets of taken values (and the first index) it failed with.
+K6+K3 takes 113 nodes this way, where collecting K6 took 1,488,325; K7+K7
+takes 148 nodes at s = 3, where collecting K7 took 237M, and eight
+triangles up to s = 8 take 406,648, where collecting took 2,932,656.
 """
 
 from __future__ import annotations
@@ -193,7 +197,8 @@ class SearchPlan:
 
 def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None = None,
                      budget: int = DEFAULT_BUDGET, prune: bool = True,
-                     collect_all: bool = False, taken: Iterable[int] = ()):
+                     collect_all: bool = False, taken: Iterable[int] = (),
+                     stop_after: int | None = None):
     """Core DFS over labelings of the edges of g with labels 1..s.
 
     g may be given as its SearchPlan, so that calls on one graph build it
@@ -210,9 +215,15 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     vertex of g may finish with one of them. It seeds the set of seen
     products, so a labeling found or collected avoids them.
 
+    ``stop_after`` stops collect mode at its stop_after-th new multiset:
+    the dict then holds the first stop_after entries of the whole
+    collection, in the order found, with the same label tuples. The
+    stopped path's loops count their tries as find mode's do when it
+    stops at a labeling, so the count never exceeds the whole run's.
+
     A node is one label tried at one edge. Each loop over the labels of an
     edge counts its tries when it ends: s, or w when label w leads to a
-    labeling. The budget is checked there, so a search whose count passes
+    labeling or to collect mode's stop. The budget is checked there, so a search whose count passes
     the budget raises BudgetExhausted(budget + 1), the count at which a
     check on every try would have stopped, after at most depth x s more
     tries than that check would have made.
@@ -266,6 +277,7 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
             key = tuple(sorted(prod))
             if key not in sigs:
                 sigs[key] = tuple(assignment)
+                return len(sigs) == stop_after
             return False
         found.append(dict(zip(order, assignment)))
         return True
@@ -511,8 +523,8 @@ def component_signatures(g_component: Graph, s: int,
             for values, labels in sorted(sigs.items())]
 
 
-def _combine_levels(levels: list, s: int,
-                    budget: int) -> tuple[list[tuple[int, ...]] | None, int]:
+def _combine_levels(levels: list, s: int, budget: int,
+                    searched: dict | None = None) -> tuple[list[tuple[int, ...]] | None, int]:
     """One labeling per level, no product shared between two levels: the
     label tuple of each level in order, or None when there is none, and
     the nodes explored.
@@ -521,20 +533,29 @@ def _combine_levels(levels: list, s: int,
     given as its realizable multisets, (sorted degree values, label tuple)
     pairs, in one list that the levels of one shape share; it picks a
     multiset disjoint from the values taken above it, one node per
-    multiset tried. A searched level is given as its SearchPlan and runs
-    search_labelings against the values taken above it: in collect mode,
-    to pick among the multisets found as a collected level does, or in
-    find mode when it is the last level.
+    multiset tried. A collected level right below one with the same list
+    picks past that level's pick: levels of one shape are interchangeable,
+    so their picks may go in increasing index order. A searched level is
+    given as its SearchPlan and runs search_labelings against the values
+    taken above it: in collect mode, to pick among the multisets found as
+    a collected level does, or in find mode when it is the last level.
+    A collected list may be the first entries of a stopped collection
+    (search_labelings' stop_after): ps_exact_disconnected calls again with
+    longer lists when every combination failed. ``searched``, when given,
+    keeps each searched level's result per set of taken values across
+    those calls, so each is searched once.
 
     The taken values are one bitmask, a bit per distinct value. A level
-    entered with a mask that failed there before backs up at once, with no
-    node and no search, so a refutation costs what a level-by-level merge
-    of distinct masks would. The path is kept in lists, not in Python
-    frames, so any number of levels fits: level i holds the mask acc[i] of
-    the values chosen above it and tries its options from index i_next on.
+    entered with a (mask, start) pair, start its first index, that failed
+    there before backs up at once, with no node and no search, so a
+    refutation costs what a level-by-level merge of distinct masks would. The path is kept in
+    lists, not in Python frames, so any number of levels fits: level i
+    holds the mask acc[i] of the values chosen above it and tries its
+    options from index i_next on, starting at start[i].
     """
     k = len(levels)
     budget = max(budget, 0)  # a negative budget stops where 0 does
+    searched = {} if searched is None else searched
     bit: dict[int, int] = {}  # each value's bit, given when first met
 
     def masks_of(pairs) -> list[int]:
@@ -550,27 +571,34 @@ def _combine_levels(levels: list, s: int,
     # level's are set each time it is entered, before they are read
     pairs = list(levels)
     masks = [shared.get(id(lv)) for lv in levels]
-    failed: list[set[int]] = [set() for _ in range(k)]
+    # per level, whether it picks past the level above: the same collected list
+    follows = [i > 0 and lv is levels[i - 1] and id(lv) in collected
+               for i, lv in enumerate(levels)] + [False]
+    failed: list[set[tuple[int, int]]] = [set() for _ in range(k)]
     choice = [0] * k
+    start = [0] * (k + 1)
     acc = [0] * (k + 1)
     nodes = 0
     level, i_next = 0, 0
     try:
         while level < k:
             here, taken = masks[level], acc[level]
-            if i_next == 0 and taken in failed[level]:
-                here = ()  # entered with a mask that failed before
+            if i_next == start[level] and (taken, i_next) in failed[level]:
+                here = ()  # entered with a mask and start that failed before
             elif isinstance(levels[level], SearchPlan):
                 if i_next == 0:  # all it finds avoids the taken values
-                    last = level == k - 1
-                    found, used = search_labelings(
-                        levels[level], s, budget=budget - nodes, collect_all=not last,
-                        taken=[v for i in range(level) for v in pairs[i][choice[i]][0]])
-                    nodes += used
-                    # in find mode, the labeling (if any) with no values:
-                    # no level below needs them
-                    pairs[level] = ([((), tuple(labels.values())) for labels in found] if last
-                                    else sorted(found.items()))
+                    values = [v for i in range(level) for v in pairs[i][choice[i]][0]]
+                    key = level, frozenset(values)
+                    if key not in searched:
+                        last = level == k - 1
+                        found, used = search_labelings(levels[level], s, budget=budget - nodes,
+                                                       collect_all=not last, taken=values)
+                        nodes += used
+                        # in find mode, the labeling (if any) with no values:
+                        # no level below needs them
+                        searched[key] = ([((), tuple(labels.values())) for labels in found]
+                                         if last else sorted(found.items()))
+                    pairs[level] = searched[key]
                     here = masks[level] = masks_of(pairs[level])
             else:
                 while i_next < len(here):
@@ -583,9 +611,10 @@ def _combine_levels(levels: list, s: int,
             if i_next < len(here):  # go down with this choice
                 choice[level] = i_next
                 acc[level + 1] = taken | here[i_next]
-                level, i_next = level + 1, 0
+                level += 1
+                i_next = start[level] = i_next + 1 if follows[level] else 0
                 continue
-            failed[level].add(taken)
+            failed[level].add((taken, start[level]))
             if level == 0:
                 return None, nodes
             level -= 1  # back up: the level above tries its next choice
@@ -600,16 +629,30 @@ def ps_exact_disconnected(g: Graph, s_max: int,
     """Exact strength searched one component at a time; the value is
     ps_exact's, found far cheaper when g has several components.
 
-    The components are the levels of _combine_levels. At each s a shape
-    (vertex count and edges) of more than one component has its realizable
-    degree multisets collected once, and its components pick among them; a
-    shape of one component is searched against the values taken by the
-    levels above it. Levels go fewest edges first, so that what is
+    The components are the levels of _combine_levels, fewest edges first
+    and the components of one shape next to each other, so that what is
     collected is small and the largest component is searched in find mode:
     the 168 two-component unions of the exact-random benchmark (seed 201)
-    take 32 ms this way and 183 ms largest first."""
+    take 32 ms this way and 183 ms largest first. The last level is
+    searched in find mode against the values taken above it. Above it, the
+    level of a shape of one component is searched against them in collect
+    mode, and the levels of a shape of more than one component pick, in
+    increasing index order, among the shape's degree multisets, collected
+    with no values taken.
+
+    Those are collected lazily, in rounds. In the first round collect mode
+    stops after one new multiset (search_labelings' stop_after), in the
+    next after two, then four, and so on; each round collects every shape
+    that the last one stopped short, from the start, and counts its nodes
+    again. A new round starts only when every combination of what is held
+    failed and some collection stopped short. The searched levels keep
+    their results across rounds; the memo of failed (mask, start) pairs
+    starts afresh in each. So K7+K7 at s = 3 takes the first K7
+    labeling (36 nodes), one pick, and a search of K7 against its values
+    (111 nodes), where collecting K7 whole took 237M nodes; a refutation
+    still ends with every multiset collected."""
     levels: list[tuple[tuple, list[int]]] = []  # per component: its shape, its vertices in g
-    plans: dict[tuple, SearchPlan] = {}  # per shape
+    plans: dict[tuple, SearchPlan] = {}  # per shape, in the order first met
     repeated: list[tuple] = []  # the shapes of more than one component
 
     def attempt(s: int, left: int):
@@ -619,25 +662,34 @@ def ps_exact_disconnected(g: Graph, s_max: int,
                 if key not in plans:
                     plans[key] = SearchPlan.of(sub)
                 levels.append((key, old))
-            levels.sort(key=lambda level: (len(level[0][1]), level[0][0]))
+            first = {key: i for i, key in enumerate(plans)}
+            levels.sort(key=lambda level: (len(level[0][1]), level[0][0], first[level[0]]))
             count = collections.Counter(key for key, _ in levels)
             repeated.extend(key for key, k in count.items() if k > 1)
         left = max(left, 0)
         nodes = 0
-        collected = {}  # per repeated shape: its (sorted degree values, label tuple) pairs
+        collected = {}  # per repeated shape: the (sorted degree values, label tuple) pairs held
+        searched: dict = {}  # the searched levels' results, kept across rounds
+        short, limit = repeated, 1  # the shapes to collect this round, and its stop
         try:
-            for key in repeated:
-                found, used = search_labelings(plans[key], s, budget=left - nodes,
-                                               collect_all=True)
+            while True:
+                for key in short:
+                    found, used = search_labelings(plans[key], s, budget=left - nodes,
+                                                   collect_all=True, stop_after=limit)
+                    nodes += used
+                    if not found:
+                        return None, nodes
+                    collected[key] = sorted(found.items())
+                short = [key for key in short if len(collected[key]) == limit]
+                above = [collected.get(key) or plans[key] for key, _ in levels[:-1]]
+                picks, used = _combine_levels([*above, plans[levels[-1][0]]], s,
+                                              left - nodes, searched)
                 nodes += used
-                if not found:
-                    return None, nodes
-                collected[key] = sorted(found.items())
-            picks, used = _combine_levels([collected.get(key) or plans[key] for key, _ in levels],
-                                          s, left - nodes)
+                if picks is not None or not short:
+                    break
+                limit *= 2
         except BudgetExhausted:
             raise BudgetExhausted(left + 1) from None
-        nodes += used
         if picks is None:
             return None, nodes
         labels: dict[Edge, int] = {}

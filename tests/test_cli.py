@@ -317,6 +317,19 @@ class TestPs:
         path.write_text(payload["certificate"])
         assert run_cli(capsys, "verify", str(path)) == (0, "product-irregular: yes\n", "")
 
+    def test_k7_k7_collects_k7_lazily(self, capsys, tmp_path):
+        # The first K7 is collected only as far as its first labeling at
+        # s = 3 and the second searched against its values; collecting K7
+        # whole took 237,236,672 nodes.
+        path = tmp_path / "g.txt"
+        path.write_text(run_cli(capsys, "gen", "K7+K7")[1])
+        with deadline(2):
+            code, out, err = run_cli(capsys, "ps", str(path))
+        head, document = out.split("\n", 1)
+        assert (code, head, err) == (0, "ps = 3  (nodes explored: 483869)", "")
+        path.write_text(document)
+        assert run_cli(capsys, "verify", str(path)) == (0, "product-irregular: yes\n", "")
+
     def test_k9_answers_in_seconds(self, capsys, tmp_path, monkeypatch):
         # K9: 15 nodes at s = 1, 3,329,438 at s = 2 and 86 at s = 3. The
         # count of s = 2 stops at its first depth wider than FRONTIER_CAP

@@ -376,9 +376,9 @@ def clique_union(*sizes):
 
 
 @pytest.mark.parametrize("solve, sizes, value, nodes", [
-    (ps_exact_disconnected, (4, 4), 4, 4_090),
-    (ps_exact_disconnected, (5, 5), 3, 22_378),
-    (ps_exact_disconnected, (5, 5, 4), 3, 23_114),
+    (ps_exact_disconnected, (4, 4), 4, 3_872),
+    (ps_exact_disconnected, (5, 5), 3, 1_498),
+    (ps_exact_disconnected, (5, 5, 4), 3, 7_310),
     (ps_exact, (4, 4), 4, 3_564),
     (ps_exact, (7,), 3, 483_757),
     (ps_exact, (8,), 3, 21_908_591),
@@ -681,6 +681,116 @@ def test_repeated_cliques_keep_the_collections_cost():
         r = ps_exact_disconnected(clique_union(*sizes), s_max)
         assert r.value == value
         assert is_product_irregular(r.certificate).ok
+
+
+def test_repeated_large_cliques_are_collected_lazily():
+    # K7 is collected only as far as its first labeling at s = 3 (36
+    # nodes), and the second K7 is searched against its values (111):
+    # collecting K7 whole took 237,236,672 nodes and 22 s.
+    for sizes in ((7, 7), (6, 6), (6, 6, 6)):
+        with deadline(2):
+            r = ps_exact_disconnected(clique_union(*sizes), 4)
+        assert (r.value, r.budget_exhausted) == (3, False), sizes
+        assert is_product_irregular(r.certificate).ok, sizes
+    assert ps_exact_disconnected(clique_union(7, 7), 4).nodes_explored == 483_869
+
+
+def test_eight_triangles_node_count_pinned():
+    # Rounds of collections stopped at 1, 2, 4, ... multisets, the seven
+    # collected triangles picking in increasing index order: 2,932,656
+    # nodes when every level picked among the whole collection.
+    with deadline(2):
+        r = ps_exact_disconnected(clique_union(*[3] * 8), 8)
+    assert (r.value, r.nodes_explored, r.budget_exhausted) == (None, 406_648, False)
+
+
+def test_stopped_collection_is_a_prefix_of_the_whole():
+    # Collect mode stopped after k new multisets holds the first k entries
+    # of the whole collection, in the order found, each with the same label
+    # tuple, and explores no more nodes than the whole run.
+    rng = random.Random(2727)
+    graphs = [complete_graph(n) for n in (3, 4, 5)]
+    graphs += [random_graph_no_isolates(rng, n_min=4, n_max=7, max_edges=10) for _ in range(12)]
+    for g in graphs:
+        plan = SearchPlan.of(g)
+        for s in (3, 4):
+            whole, whole_nodes = search_labelings(plan, s, collect_all=True)
+            entries = list(whole.items())
+            for k in {1, 2, 3, len(entries) // 2 or 1, len(entries), len(entries) + 1}:
+                got, nodes = search_labelings(plan, s, collect_all=True, stop_after=k)
+                assert list(got.items()) == entries[:k], (g, s, k)
+                assert nodes <= whole_nodes, (g, s, k)
+                if k > len(entries):
+                    assert nodes == whole_nodes
+
+
+def test_combine_picks_identical_levels_in_order():
+    # Three levels share one list: the second picks past the first's pick
+    # and the third past the second's, so {1}, {2}, {3} is the only
+    # combination tried in that order, after 3 nodes and not 6.
+    shared = [((1,), (1,)), ((2,), (2,)), ((3,), (3,))]
+    assert solver._combine_levels([shared] * 3, 3, DEFAULT_BUDGET) == (
+        [(1,), (2,), (3,)], 3)
+    # Equal lists that are not the same list are other shapes: no order.
+    assert solver._combine_levels([list(shared) for _ in range(3)], 3, DEFAULT_BUDGET) == (
+        [(1,), (2,), (3,)], 6)
+    # Four levels over three multisets fail; each level fails once per mask
+    # and start, so the refutation ends after the first level's 3 tries,
+    # the second's 2 + 1 and the third's 1: 7 nodes.
+    assert solver._combine_levels([shared] * 4, 3, DEFAULT_BUDGET) == (None, 7)
+    # A searched level keeps its result per set of taken values, in the
+    # dict given: the second call searches nothing and counts only picks.
+    k3 = SearchPlan.of(complete_graph(3))
+    searched = {}
+    first = solver._combine_levels([shared, k3], 5, DEFAULT_BUDGET, searched)
+    assert list(searched) == [(1, frozenset({1}))]
+    assert solver._combine_levels([shared, k3], 5, DEFAULT_BUDGET, searched) == (
+        first[0], 1)
+    assert first[1] > 1
+
+
+def repeated_shape_unions(count, seed):
+    """count unions of 2 to 4 copies of one connected graph of order 3 to
+    5, plus at most one other, each with no vertex of degree 1 and at most
+    12 vertices in all, with their vertices renumbered at random."""
+    rng = random.Random(seed)
+
+    def shape():
+        while True:
+            g = random_connected_graph(rng, rng.randint(3, 5))
+            if min(collections.Counter(v for e in g.edges for v in e).values()) >= 2:
+                return g
+
+    unions = []
+    while len(unions) < count:
+        parts = [shape()] * rng.randint(2, 4)
+        if rng.random() < 0.5:
+            parts.append(shape())
+        if sum(h.n_vertices for h in parts) > 12:
+            continue
+        rng.shuffle(parts)
+        g = parts[0]
+        for h in parts[1:]:
+            g = disjoint_union(g, h)
+        unions.append(permute_graph(rng, g)[0])
+    return unions
+
+
+def test_repeated_shape_unions_agree_with_the_whole_search():
+    # Repeated shapes are collected lazily and picked in order: the value
+    # must be ps_exact's, and a certificate must give every vertex its own
+    # product.
+    kinds = collections.Counter()
+    for g in repeated_shape_unions(40, 2727):
+        r = ps_exact_disconnected(g, 5)
+        assert not r.budget_exhausted
+        assert r.value == ps_exact(g, 5).value
+        if r.found:
+            products = brute_products(labeled_graph_to_matrix(r.certificate))
+            assert len(set(products)) == g.n_vertices
+            assert max(r.certificate.labels.values()) <= r.value
+        kinds[r.value] += 1
+    assert kinds == {3: 4, 4: 11, 5: 14, None: 11}
 
 
 def strip(labels, fixed):
