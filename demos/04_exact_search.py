@@ -8,9 +8,9 @@ unions of cliques. Two folklore reference values turn out to be wrong:
 both K3+K3+edge and K5+K5+K4 have strength 3, with certificates below.
 """
 
-from pistr import (add_cross_edge, complete_graph, component_signatures,
-                   disjoint_union, emit_graph, is_product_irregular, ps_exact,
-                   ps_exact_disconnected, verify_k4_characterization)
+from pistr import (add_cross_edge, complete_graph, disjoint_union, emit_graph,
+                   is_product_irregular, ps_exact, ps_exact_disconnected)
+from pistr.solver import SearchPlan, search_labelings
 
 print("ps(K_3):")
 r = ps_exact(complete_graph(3), 3)
@@ -28,13 +28,11 @@ print("and two disjoint 4-cliques cannot both have one:")
 g44 = disjoint_union(complete_graph(4), complete_graph(4))
 print(f"  at s_max=3: value={ps_exact(g44, 3).value}")
 print(f"  at s_max=4: value={ps_exact(g44, 4).value}")
-print(f"  4x4 characterization over all 729 labelings: "
-      f"{verify_k4_characterization()}")
 
 print("\nComponent signatures of K_5 at strength 3 (first five):")
-sigs = component_signatures(complete_graph(5), 3)
-for sig in sigs[:5]:
-    print(f"  {sig.degree_values}")
+sigs, _ = search_labelings(SearchPlan.of(complete_graph(5)), 3, collect_all=True)
+for values in sorted(sigs)[:5]:
+    print(f"  {values}")
 print(f"  ... {len(sigs)} distinct degree multisets in total")
 
 print("\nps(K_5 + K_5 + K_4) one component at a time:")

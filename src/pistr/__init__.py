@@ -14,17 +14,13 @@ from .engine import (ConstructionError, ConstructionOutcome, DispatchCase,
                      theorem_id)
 from .fileio import DocumentError, emit_graph, parse_graph
 from .graphs import (CliqueCover, EdgeLabeling, Graph, add_cross_edge,
-                     clique_cover, complete_graph, connected_components,
-                     disjoint_union, has_isolated_vertex_or_edge,
-                     is_connected, labeled_graph_to_matrix,
-                     matrix_to_labeled_graph, validate_weighted_adjacency)
-from .matrices import (FIXED_MATRICES, RowProfile, direct_sum, fixed_matrix,
-                       fixed_matrix_names, m_matrix, named_family, row_profile,
-                       tilde_matrix)
-from .solver import (BudgetExhausted, ComponentSignature, PsResult,
-                     component_signatures, ps_exact, ps_exact_disconnected,
-                     verify_k4_characterization)
+                     clique_cover, complete_graph, disjoint_union,
+                     has_isolated_vertex_or_edge, is_connected,
+                     labeled_graph_to_matrix, matrix_to_labeled_graph)
+from .matrices import (RowProfile, direct_sum, fixed_matrix, fixed_matrix_names,
+                       m_matrix, named_family, row_profile, tilde_matrix)
+from .solver import BudgetExhausted, PsResult, ps_exact, ps_exact_disconnected
 from .verifier import (IrregularityReport, ProductDegree, check_matrix,
-                       extend_with_ones, is_product_irregular)
+                       is_product_irregular)
 
 __version__ = "0.1.0"

@@ -135,9 +135,6 @@ class Graph:
         ends = self.__dict__.get("ends")
         return len(self.edges) if ends is None else len(ends[0])
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
 
 class EdgeLabeling:
     """Total map from the edges of a graph to labels in {1, ..., strength}.
@@ -302,11 +299,6 @@ def is_connected(g: Graph) -> bool:
     return not np.count_nonzero(g._roots)  # every vertex in vertex 0's component
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted vertex lists, ordered by smallest vertex."""
-    return [list(comp) for comp in g.components]
-
-
 def has_isolated_vertex_or_edge(g: Graph) -> bool:
     """True if some component is a single vertex or a single edge."""
     by_size = np.bincount(np.bincount(g._roots), minlength=3)  # components per size
@@ -330,7 +322,7 @@ def closed_twin_classes(n_vertices: int, edges: Iterable[Edge]) -> list[list[int
 
 def component_subgraphs(g: Graph) -> list[tuple[Graph, list[int]]]:
     """Each component of g as (its graph on 0..k-1, its vertices in g), in
-    the order of connected_components: the edges grouped by component in one
+    the order of g.components: the edges grouped by component in one
     stable sort, which keeps them sorted, each vertex renumbered by its rank."""
     roots, (u, v) = g._roots, g.ends
     by_root = roots.argsort(kind="stable")  # the vertices component by component

@@ -50,14 +50,13 @@ from __future__ import annotations
 
 import collections
 import itertools
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import (Edge, EdgeLabeling, Graph, closed_twin_classes, complete_graph,
-                     component_subgraphs, edge_key, has_isolated_vertex_or_edge,
-                     is_connected)
-from .verifier import ProductDegree
+from .graphs import (Edge, EdgeLabeling, Graph, closed_twin_classes, component_subgraphs,
+                     edge_key, has_isolated_vertex_or_edge)
 
 DEFAULT_BUDGET = 10**9
 # Most distinct states a depth of _frontier_count may hold; a wider depth
@@ -88,19 +87,6 @@ class PsResult:
     @property
     def found(self) -> bool:
         return self.value is not None
-
-
-@dataclass(frozen=True)
-class ComponentSignature:
-    """A realizable product-degree multiset of one component (all distinct),
-    together with one labeling realizing it."""
-
-    degrees: tuple[ProductDegree, ...]
-    labeling: EdgeLabeling
-
-    @property
-    def degree_values(self) -> tuple[int, ...]:
-        return tuple(d.value for d in self.degrees)
 
 
 def edge_search_order(g: Graph) -> list[Edge]:
@@ -234,8 +220,12 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     walk's count, or where a depth holds more than FRONTIER_CAP states,
     the part of it up to that depth.
 
-    The walk recurses once per edge; ValueError when g has too many edges
-    for Python's recursion limit.
+    The walk recurses once per edge. On Python 3.11 and later a
+    Python-to-Python call takes no C stack, so the recursion limit, which
+    holds for the whole interpreter, is raised by the walk's depth while
+    the walk runs and restored after. On 3.10 each call spends C stack,
+    so the limit stays, and g with more edges than it allows is a
+    ValueError.
 
     With no products and pruning on, the walk takes the plan's twins:
     a vertex that finishes after one of its closed twins must take a
@@ -357,11 +347,16 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
             raise BudgetExhausted(budget + 1)
         return False
 
+    limit = sys.getrecursionlimit()
     try:
+        if sys.version_info >= (3, 11):
+            sys.setrecursionlimit(limit + depths)
         done = walk(0)
     except RecursionError:
         raise ValueError(f"graph has {depths} edges, too many for the recursive "
                          "search") from None
+    finally:
+        sys.setrecursionlimit(limit)
     if done:
         # the loops on the path to the labeling tried labels 1..w each
         nodes += sum(assignment)
@@ -506,21 +501,6 @@ def ps_exact(g: Graph, s_max: int, budget: int = DEFAULT_BUDGET,
         return (found[0] if found else None), nodes
 
     return _by_strength(g, s_max, budget, attempt, prune)
-
-
-def component_signatures(g_component: Graph, s: int,
-                         budget: int = DEFAULT_BUDGET) -> list[ComponentSignature]:
-    """All distinct internally-valid degree multisets of a connected graph
-    with labels <= s, in sorted order, each with its first labeling."""
-    if g_component.n_vertices < 2:
-        raise ValueError("component must have at least one edge")
-    if not is_connected(g_component):
-        raise ValueError("component_signatures needs a connected graph")
-    plan = SearchPlan.of(g_component)
-    sigs, _ = search_labelings(plan, s, budget=budget, collect_all=True)
-    return [ComponentSignature(tuple(ProductDegree.from_value(v) for v in values),
-                               EdgeLabeling(g_component, dict(zip(plan.edges, labels)), s))
-            for values, labels in sorted(sigs.items())]
 
 
 def _combine_levels(levels: list, s: int, budget: int,
@@ -699,26 +679,3 @@ def ps_exact_disconnected(g: Graph, s_max: int,
         return labels, nodes
 
     return _by_strength(g, s_max, budget, attempt)
-
-
-def verify_k4_characterization() -> bool:
-    """Exhaust all 3^6 labelings of K_4 and test the characterization via
-    the product degree 6 (the exponent pair (1,1)).
-
-    The exact biconditional that holds is: a labeling is product-irregular
-    iff exactly one vertex has product degree 6. The forward direction
-    (irregular implies a degree-6 vertex exists) is what forces two disjoint
-    K_4 blocks to collide at strength 3; the naive converse "a degree-6
-    vertex exists implies irregular" is false on 186 of the 729 labelings.
-    """
-    k4 = complete_graph(4)
-    edges = k4.sorted_edges()
-    for labels in itertools.product((1, 2, 3), repeat=6):
-        prod = [1, 1, 1, 1]
-        for (u, v), w in zip(edges, labels):
-            prod[u] *= w
-            prod[v] *= w
-        irregular = len(set(prod)) == 4
-        if irregular != (prod.count(6) == 1):
-            return False
-    return True

@@ -18,7 +18,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .graphs import EdgeLabeling, Graph, matrix_to_labeled_graph
+from .graphs import EdgeLabeling, matrix_to_labeled_graph
 
 _TRIAL = 1 << 10  # factors below this are found by trial division
 # Strong probable primes to the 13 prime bases 2..41 are prime below
@@ -215,15 +215,3 @@ def check_matrix(m: np.ndarray) -> IrregularityReport:
     valid weighted adjacency matrix with no all-zero row."""
     return is_product_irregular(matrix_to_labeled_graph(m)[1])
 
-
-def extend_with_ones(labeling: EdgeLabeling, new_edges) -> EdgeLabeling:
-    """Labeling of a supergraph: added edges carry label 1, degrees unchanged."""
-    g = labeling.graph
-    labels = dict(labeling.labels)
-    for u, v in new_edges:
-        e = (u, v) if u < v else (v, u)
-        if e in labels:
-            raise ValueError(f"edge {e} already present")
-        labels[e] = 1
-    bigger = Graph(g.n_vertices, frozenset(labels))
-    return EdgeLabeling(bigger, labels, labeling.strength)

@@ -11,7 +11,7 @@ import signal
 import numpy as np
 import pytest
 
-from pistr.graphs import (Graph, add_cross_edge, complete_graph,
+from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge, complete_graph,
                           disjoint_union, edge_key, has_isolated_vertex_or_edge)
 
 
@@ -95,6 +95,41 @@ def brute_witness(products: list[int]) -> tuple[int, int] | None:
     n = len(products)
     return min(((u, v) for u in range(n) for v in range(u + 1, n)
                 if products[u] == products[v]), default=None)
+
+
+def extend_with_ones(labeling: EdgeLabeling, new_edges) -> EdgeLabeling:
+    """Labeling of a supergraph: added edges carry label 1, degrees unchanged."""
+    g = labeling.graph
+    labels = dict(labeling.labels)
+    for u, v in new_edges:
+        e = edge_key(u, v)
+        if e in labels:
+            raise ValueError(f"edge {e} already present")
+        labels[e] = 1
+    bigger = Graph(g.n_vertices, frozenset(labels))
+    return EdgeLabeling(bigger, labels, labeling.strength)
+
+
+def verify_k4_characterization() -> bool:
+    """Exhaust all 3^6 labelings of K_4 and test the characterization via
+    the product degree 6 (the exponent pair (1,1)).
+
+    The exact biconditional that holds is: a labeling is product-irregular
+    iff exactly one vertex has product degree 6. The forward direction
+    (irregular implies a degree-6 vertex exists) is what forces two disjoint
+    K_4 blocks to collide at strength 3; the naive converse "a degree-6
+    vertex exists implies irregular" is false on 186 of the 729 labelings.
+    """
+    edges = sorted(complete_graph(4).edges)
+    for labels in itertools.product((1, 2, 3), repeat=6):
+        prod = [1, 1, 1, 1]
+        for (u, v), w in zip(edges, labels):
+            prod[u] *= w
+            prod[v] *= w
+        irregular = len(set(prod)) == 4
+        if irregular != (prod.count(6) == 1):
+            return False
+    return True
 
 
 @contextlib.contextmanager

@@ -23,14 +23,12 @@ from pistr.graphs import (EdgeLabeling, add_cross_edge, complete_graph,
                           disjoint_union, labeled_graph_to_matrix)
 from pistr.matrices import (direct_sum, fixed_matrix, fixed_matrix_names,
                             m_matrix, named_family, row_profile, tilde_matrix)
-from pistr.solver import (ps_exact, ps_exact_disconnected,
-                          verify_k4_characterization)
-from pistr.verifier import (check_matrix, extend_with_ones,
-                            is_product_irregular)
+from pistr.solver import ps_exact, ps_exact_disconnected
+from pistr.verifier import check_matrix, is_product_irregular
 
-from conftest import (brute_products, brute_witness, permute_graph,
+from conftest import (brute_products, brute_witness, extend_with_ones, permute_graph,
                       planted_cover_graph, random_graph_no_isolates,
-                      random_labeling)
+                      random_labeling, verify_k4_characterization)
 
 ARTIFACTS = Path(__file__).resolve().parents[1] / "artifacts"
 

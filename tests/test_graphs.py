@@ -9,8 +9,7 @@ import pytest
 
 from pistr.engine import construct_labeling
 from pistr.graphs import (CliqueCover, EdgeLabeling, Graph, add_cross_edge,
-                          clique_cover, complete_graph, component_subgraphs,
-                          connected_components, disjoint_union,
+                          clique_cover, complete_graph, component_subgraphs, disjoint_union,
                           has_isolated_vertex_or_edge, is_connected,
                           labeled_graph_to_matrix, matrix_to_labeled_graph)
 from pistr.graphs import _color_graph, _complement_masks, _order, _two_colour
@@ -219,15 +218,14 @@ class TestConnectivity:
 
     def test_components(self):
         g = disjoint_union(complete_graph(3), complete_graph(2))
-        assert connected_components(g) == [[0, 1, 2], [3, 4]]
+        assert g.components == ((0, 1, 2), (3, 4))
 
     def test_components_cached_and_not_shared(self):
         g = Graph.from_edges(6, [(4, 1), (1, 3), (2, 5)])
-        first = connected_components(g)
-        assert first == [[0], [1, 3, 4], [2, 5]]
-        first[1].append(0)
-        first.pop()
-        assert connected_components(g) == [[0], [1, 3, 4], [2, 5]]
+        first = g.components
+        assert first == ((0,), (1, 3, 4), (2, 5))
+        with pytest.raises(AttributeError):
+            first[1].append(0)
         assert g.components == ((0,), (1, 3, 4), (2, 5))
         assert g.components is g.components
         assert has_isolated_vertex_or_edge(g) and not is_connected(g)
@@ -237,7 +235,7 @@ class TestConnectivity:
             n = rng.randint(1, 12)
             pairs = list(itertools.combinations(range(n), 2))
             g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, min(n, len(pairs)))))
-            comps = connected_components(g)
+            comps = g.components
             neighbors = {v: set() for v in range(n)}
             for u, v in g.edges:
                 neighbors[u].add(v)
@@ -251,7 +249,7 @@ class TestConnectivity:
                         if u not in reached:
                             reached.add(u)
                             stack.append(u)
-                assert sorted(reached) == comp
+                assert tuple(sorted(reached)) == comp
             assert is_connected(g) == (len(comps) == 1)
             assert has_isolated_vertex_or_edge(g) == any(len(c) <= 2 for c in comps)
 
@@ -290,7 +288,6 @@ class TestConnectivity:
             g = Graph.from_edges(n, edges)
             want = self.brute_components(n, g.edges)
             assert g.components == want
-            assert connected_components(g) == [list(c) for c in want]
             assert is_connected(g) == (len(want) <= 1)
             assert has_isolated_vertex_or_edge(g) == any(len(c) <= 2 for c in want)
             # the split cuts at the vertices that are their own root: the

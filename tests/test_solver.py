@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -10,12 +11,12 @@ from pistr import solver
 from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge, closed_twin_classes,
                           complete_graph, disjoint_union, edge_key,
                           has_isolated_vertex_or_edge, labeled_graph_to_matrix)
-from pistr.solver import (DEFAULT_BUDGET, BudgetExhausted, SearchPlan, component_signatures,
-                          edge_search_order, ps_exact, ps_exact_disconnected,
-                          search_labelings, verify_k4_characterization)
-from pistr.verifier import extend_with_ones, is_product_irregular
+from pistr.solver import (DEFAULT_BUDGET, BudgetExhausted, SearchPlan, edge_search_order,
+                          ps_exact, ps_exact_disconnected, search_labelings)
+from pistr.verifier import is_product_irregular
 
-from conftest import brute_products, deadline, permute_graph, random_graph_no_isolates
+from conftest import (brute_products, deadline, extend_with_ones, permute_graph,
+                      random_graph_no_isolates, verify_k4_characterization)
 
 
 def reference_search(g, s, fixed, budget, prune, collect_all, break_twins=False):
@@ -201,14 +202,24 @@ class TestPsExact:
             ps_exact(disjoint_union(complete_graph(1), complete_graph(4)), 3)
         # a star is fine: no isolated vertex, no isolated edge
         assert ps_exact(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), 3).found
-        # K46's s = 3 walk is deeper than the recursion limit: a ValueError
-        # that names its edges, not a RecursionError
+        # K46's s = 3 walk is deeper than the default recursion limit. From
+        # Python 3.11 on the walk raises the limit and finds 3; on 3.10 it is
+        # a ValueError that names its edges, not a RecursionError
         too_deep = "^graph has 1035 edges, too many for the recursive search$"
-        for solve, g in ((ps_exact, complete_graph(46)),
-                         (ps_exact_disconnected, disjoint_union(complete_graph(46),
-                                                                complete_graph(3)))):
-            with deadline(2), pytest.raises(ValueError, match=too_deep):
-                solve(g, 4)
+        limit = sys.getrecursionlimit()
+        for solve, g, nodes in ((ps_exact, complete_graph(46), 2129927),
+                                (ps_exact_disconnected, disjoint_union(complete_graph(46),
+                                                                       complete_graph(3)),
+                                 4523525)):
+            if sys.version_info >= (3, 11):
+                with deadline(2):
+                    r = solve(g, 4)
+                assert (r.value, r.nodes_explored) == (3, nodes)
+                assert is_product_irregular(r.certificate).ok
+            else:
+                with deadline(2), pytest.raises(ValueError, match=too_deep):
+                    solve(g, 4)
+            assert sys.getrecursionlimit() == limit
 
     def test_unpruned_agrees_on_small_graphs(self, rng):
         for _ in range(15):
@@ -237,34 +248,33 @@ class TestPsExact:
 
 
 class TestComponentSignatures:
+    """Collect mode: the realizable degree multisets of one component."""
+
+    @staticmethod
+    def signatures(g, s):
+        return search_labelings(g, s, collect_all=True)[0]
+
     def test_k2_has_no_signatures(self):
-        assert component_signatures(complete_graph(2), 3) == []
-        assert component_signatures(complete_graph(2), 5) == []
+        assert self.signatures(complete_graph(2), 3) == {}
+        assert self.signatures(complete_graph(2), 5) == {}
         # nor K9 at s = 2: its count overflows FRONTIER_CAP and stops there
         with deadline(2):
-            assert component_signatures(complete_graph(9), 2) == []
+            assert self.signatures(complete_graph(9), 2) == {}
 
     def test_k3_contains_the_triangle_signature(self):
-        sigs = component_signatures(complete_graph(3), 3)
-        assert (2, 3, 6) in {s.degree_values for s in sigs}
+        assert (2, 3, 6) in self.signatures(complete_graph(3), 3)
 
     def test_k4_signatures_all_contain_six(self):
-        sigs = component_signatures(complete_graph(4), 3)
-        assert sigs and all(6 in s.degree_values for s in sigs)
+        sigs = self.signatures(complete_graph(4), 3)
+        assert sigs and all(6 in values for values in sigs)
 
     def test_representatives_verify(self):
-        for sig in component_signatures(complete_graph(4), 3):
-            report = is_product_irregular(sig.labeling)
+        g = complete_graph(4)
+        plan = SearchPlan.of(g)
+        for values, labels in self.signatures(plan, 3).items():
+            report = is_product_irregular(EdgeLabeling(g, dict(zip(plan.edges, labels)), 3))
             assert report.ok
-            assert tuple(sorted(d.value for d in report.degrees)) == \
-                sig.degree_values
-
-    def test_requires_connected(self):
-        with pytest.raises(ValueError):
-            component_signatures(disjoint_union(complete_graph(3),
-                                                complete_graph(3)), 3)
-        with pytest.raises(ValueError, match="^component must have at least one edge$"):
-            component_signatures(complete_graph(1), 3)
+            assert tuple(sorted(d.value for d in report.degrees)) == values
 
 
 class TestDisconnectedSolver:

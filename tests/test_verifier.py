@@ -5,11 +5,10 @@ from pistr.graphs import (EdgeLabeling, Graph, complete_graph, disjoint_union,
                           labeled_graph_to_matrix, matrix_to_labeled_graph)
 from pistr.engine import catalog_matrix
 from pistr.matrices import direct_sum, fixed_matrix, m_matrix, named_family
-from pistr.verifier import (ProductDegree, check_matrix, extend_with_ones, factorize,
-                            is_product_irregular)
+from pistr.verifier import ProductDegree, check_matrix, factorize, is_product_irregular
 
-from conftest import (brute_products, brute_witness, deadline, permute_graph,
-                      random_graph_no_isolates, random_labeling)
+from conftest import (brute_products, brute_witness, deadline, extend_with_ones,
+                      permute_graph, random_graph_no_isolates, random_labeling)
 
 
 def assert_matches_brute(report, m):
