@@ -2,9 +2,10 @@
 """Exact strength computations at desk scale.
 
 The direct solver runs a pruned depth-first search over edge labelings;
-the per-component solver enumerates each component's achievable degree
-multisets and combines disjoint ones, which is dramatically cheaper for
-unions of cliques. Two folklore reference values turn out to be wrong:
+the per-component solver collects the achievable degree multisets of
+every component but the largest, only as far as it needs them, and
+searches the largest against the products they took, which is
+dramatically cheaper for unions of cliques. Two folklore reference values turn out to be wrong:
 both K3+K3+edge and K5+K5+K4 have strength 3, with certificates below.
 """
 

@@ -33,17 +33,18 @@ degree <= k than there are products of k labels from 1..s.
 Disconnected graphs can instead be solved one component at a time
 (ps_exact_disconnected), in one loop over levels, one per component,
 fewest edges first. The last level is searched in find mode against the
-values the levels above it took. Above it, a shape that occurs once is
-searched against them in collect mode; a shape that occurs more than once
-has the product-degree multisets it can realize collected, and each of
-its levels picks one that shares no value with the levels above, in
-increasing index order along the levels of that shape. The collection is
-lazy: it stops after 1, 2, 4, ... new multisets, and a longer one is made
-only when every combination of the shorter ones failed. Each level
+values the levels above it took. Each level above it picks one of the
+product-degree multisets its shape can realize that shares no value with
+the levels above, in increasing index order along the levels of one
+shape. The collection is lazy: it stops after 1, 2, 4, ... new multisets,
+and a longer one is made only when every combination of the shorter ones
+failed and a level of that shape ran to the end of its list. Each level
 remembers the sets of taken values (and the first index) it failed with.
-K6+K3 takes 113 nodes this way, where collecting K6 took 1,488,325; K7+K7
-takes 148 nodes at s = 3, where collecting K7 took 237M, and eight
-triangles up to s = 8 take 406,648, where collecting took 2,932,656.
+K6+K3 takes 84 nodes this way, where collecting K6 took 1,488,325; K7+K8
+takes 240 nodes at s = 3, where collecting K7 took 237M, and K4+K4+K7+K8
+is refuted up to s = 3 in 1,200, K7 held at its first multiset since every
+combination fails at the second K4. Eight triangles up to s = 8 take
+406,648, where collecting took 2,932,656.
 """
 
 from __future__ import annotations
@@ -503,39 +504,39 @@ def ps_exact(g: Graph, s_max: int, budget: int = DEFAULT_BUDGET,
     return _by_strength(g, s_max, budget, attempt, prune)
 
 
-def _combine_levels(levels: list, s: int, budget: int,
-                    searched: dict | None = None) -> tuple[list[tuple[int, ...]] | None, int]:
+def _combine_levels(levels: list, s: int, budget: int, searched: dict | None = None,
+                    ran_out: set | None = None) -> tuple[list[tuple[int, ...]] | None, int]:
     """One labeling per level, no product shared between two levels: the
     label tuple of each level in order, or None when there is none, and
     the nodes explored.
 
-    A level is one component, collected or searched. A collected level is
-    given as its realizable multisets, (sorted degree values, label tuple)
-    pairs, in one list that the levels of one shape share; it picks a
-    multiset disjoint from the values taken above it, one node per
-    multiset tried. A collected level right below one with the same list
-    picks past that level's pick: levels of one shape are interchangeable,
-    so their picks may go in increasing index order. A searched level is
-    given as its SearchPlan and runs search_labelings against the values
-    taken above it: in collect mode, to pick among the multisets found as
-    a collected level does, or in find mode when it is the last level.
-    A collected list may be the first entries of a stopped collection
-    (search_labelings' stop_after): ps_exact_disconnected calls again with
-    longer lists when every combination failed. ``searched``, when given,
-    keeps each searched level's result per set of taken values across
-    those calls, so each is searched once.
+    A level is one component, given as its realizable multisets, (sorted
+    degree values, label tuple) pairs, in one list that the levels of one
+    shape share; it picks a multiset disjoint from the values taken above
+    it, one node per multiset tried. A level right below one with the same
+    list picks past that level's pick: levels of one shape are
+    interchangeable, so their picks may go in increasing index order. The
+    last level may instead be given as its SearchPlan: it is searched in
+    find mode against the values taken above it. A list may be the first
+    entries of a stopped collection (search_labelings' stop_after):
+    ps_exact_disconnected calls again with longer lists when every
+    combination failed. ``searched``, when given, keeps the last level's
+    result per frozenset of taken values across those calls, so each set
+    is searched once; ``ran_out``, when given, gets the index of each level
+    that ran to the end of its list, the only levels a longer list helps.
 
     The taken values are one bitmask, a bit per distinct value. A level
     entered with a (mask, start) pair, start its first index, that failed
     there before backs up at once, with no node and no search, so a
-    refutation costs what a level-by-level merge of distinct masks would. The path is kept in
-    lists, not in Python frames, so any number of levels fits: level i
-    holds the mask acc[i] of the values chosen above it and tries its
-    options from index i_next on, starting at start[i].
+    refutation costs what a level-by-level merge of distinct masks would.
+    The path is kept in lists, not in Python frames, so any number of
+    levels fits: level i holds the mask acc[i] of the values chosen above
+    it and tries its options from index i_next on, starting at start[i].
     """
     k = len(levels)
     budget = max(budget, 0)  # a negative budget stops where 0 does
     searched = {} if searched is None else searched
+    plan = levels[-1] if isinstance(levels[-1], SearchPlan) else None
     bit: dict[int, int] = {}  # each value's bit, given when first met
 
     def masks_of(pairs) -> list[int]:
@@ -545,15 +546,11 @@ def _combine_levels(levels: list, s: int, budget: int,
             bit[v] = 1 << len(bit)
         return [sum(map(bit.__getitem__, values)) for values, _ in pairs]
 
-    collected = {id(lv): lv for lv in levels if not isinstance(lv, SearchPlan)}
-    shared = {key: masks_of(lv) for key, lv in collected.items()}
-    # per level, its (values, labels) pairs and their masks; a searched
-    # level's are set each time it is entered, before they are read
-    pairs = list(levels)
-    masks = [shared.get(id(lv)) for lv in levels]
-    # per level, whether it picks past the level above: the same collected list
-    follows = [i > 0 and lv is levels[i - 1] and id(lv) in collected
-               for i, lv in enumerate(levels)] + [False]
+    lists = {id(lv): lv for lv in levels if lv is not plan}  # each shared list once
+    shared = {key: masks_of(lv) for key, lv in lists.items()}
+    masks = [shared.get(id(lv)) for lv in levels]  # None for the searched level
+    # per level, whether it picks past the level above: the same list
+    follows = [i > 0 and lv is levels[i - 1] for i, lv in enumerate(levels)] + [False]
     failed: list[set[tuple[int, int]]] = [set() for _ in range(k)]
     choice = [0] * k
     start = [0] * (k + 1)
@@ -565,21 +562,16 @@ def _combine_levels(levels: list, s: int, budget: int,
             here, taken = masks[level], acc[level]
             if i_next == start[level] and (taken, i_next) in failed[level]:
                 here = ()  # entered with a mask and start that failed before
-            elif isinstance(levels[level], SearchPlan):
-                if i_next == 0:  # all it finds avoids the taken values
-                    values = [v for i in range(level) for v in pairs[i][choice[i]][0]]
-                    key = level, frozenset(values)
-                    if key not in searched:
-                        last = level == k - 1
-                        found, used = search_labelings(levels[level], s, budget=budget - nodes,
-                                                       collect_all=not last, taken=values)
-                        nodes += used
-                        # in find mode, the labeling (if any) with no values:
-                        # no level below needs them
-                        searched[key] = ([((), tuple(labels.values())) for labels in found]
-                                         if last else sorted(found.items()))
-                    pairs[level] = searched[key]
-                    here = masks[level] = masks_of(pairs[level])
+            elif here is None:  # the last level: a labeling avoiding the taken values
+                values = frozenset(v for i in range(level) for v in levels[i][choice[i]][0])
+                if values not in searched:
+                    found, used = search_labelings(plan, s, budget=budget - nodes, taken=values)
+                    nodes += used
+                    searched[values] = tuple(found[0].values()) if found else None
+                if searched[values] is not None:
+                    return [*(levels[i][choice[i]][1] for i in range(level)),
+                            searched[values]], nodes
+                here = ()
             else:
                 while i_next < len(here):
                     nodes += 1
@@ -595,13 +587,15 @@ def _combine_levels(levels: list, s: int, budget: int,
                 i_next = start[level] = i_next + 1 if follows[level] else 0
                 continue
             failed[level].add((taken, start[level]))
+            if ran_out is not None and masks[level] is not None:
+                ran_out.add(level)
             if level == 0:
                 return None, nodes
             level -= 1  # back up: the level above tries its next choice
             i_next = choice[level] + 1
     except BudgetExhausted:
         raise BudgetExhausted(budget + 1) from None
-    return [pairs[i][choice[i]][1] for i in range(k)], nodes
+    return [levels[i][choice[i]][1] for i in range(k)], nodes
 
 
 def ps_exact_disconnected(g: Graph, s_max: int,
@@ -614,26 +608,25 @@ def ps_exact_disconnected(g: Graph, s_max: int,
     collected is small and the largest component is searched in find mode:
     the 168 two-component unions of the exact-random benchmark (seed 201)
     take 32 ms this way and 183 ms largest first. The last level is
-    searched in find mode against the values taken above it. Above it, the
-    level of a shape of one component is searched against them in collect
-    mode, and the levels of a shape of more than one component pick, in
-    increasing index order, among the shape's degree multisets, collected
-    with no values taken.
+    searched in find mode against the values taken above it. The levels
+    above it pick, in increasing index order along the levels of a shape,
+    among their shape's degree multisets, collected with no values taken.
 
     Those are collected lazily, in rounds. In the first round collect mode
-    stops after one new multiset (search_labelings' stop_after), in the
-    next after two, then four, and so on; each round collects every shape
-    that the last one stopped short, from the start, and counts its nodes
-    again. A new round starts only when every combination of what is held
-    failed and some collection stopped short. The searched levels keep
-    their results across rounds; the memo of failed (mask, start) pairs
-    starts afresh in each. So K7+K7 at s = 3 takes the first K7
-    labeling (36 nodes), one pick, and a search of K7 against its values
-    (111 nodes), where collecting K7 whole took 237M nodes; a refutation
-    still ends with every multiset collected."""
+    stops after one new multiset of each shape (search_labelings'
+    stop_after). A new round starts only when every combination of what is
+    held failed; it doubles the stop of each shape whose collection
+    stopped short and some level of which ran to the end of its list, and
+    collects that shape again from the start, counting its nodes again.
+    A shape no level ran out of keeps what it holds: a longer list cannot
+    help a level that was never reached or never exhausted. When no shape
+    is doubled, the refutation stands. The last level's searches are kept
+    across rounds; the memo of failed (mask, start) pairs starts afresh in
+    each. So K7+K8 at s = 3 takes K7's first labeling, one pick and a
+    search of K8 against its values, 240 nodes, where collecting K7 whole
+    took 237M."""
     levels: list[tuple[tuple, list[int]]] = []  # per component: its shape, its vertices in g
     plans: dict[tuple, SearchPlan] = {}  # per shape, in the order first met
-    repeated: list[tuple] = []  # the shapes of more than one component
 
     def attempt(s: int, left: int):
         if not levels:  # split once _by_strength checked g
@@ -644,30 +637,33 @@ def ps_exact_disconnected(g: Graph, s_max: int,
                 levels.append((key, old))
             first = {key: i for i, key in enumerate(plans)}
             levels.sort(key=lambda level: (len(level[0][1]), level[0][0], first[level[0]]))
-            count = collections.Counter(key for key, _ in levels)
-            repeated.extend(key for key, k in count.items() if k > 1)
         left = max(left, 0)
         nodes = 0
-        collected = {}  # per repeated shape: the (sorted degree values, label tuple) pairs held
-        searched: dict = {}  # the searched levels' results, kept across rounds
-        short, limit = repeated, 1  # the shapes to collect this round, and its stop
+        upper = [key for key, _ in levels[:-1]]  # the shapes of the levels above the last
+        collected = {}  # per upper shape: the (sorted degree values, label tuple) pairs held
+        searched: dict = {}  # the last level's results, kept across rounds
+        stop = dict.fromkeys(upper, 1)  # per upper shape: the stop of its collection
+        todo = list(stop)  # the shapes to collect this round
         try:
             while True:
-                for key in short:
+                for key in todo:
                     found, used = search_labelings(plans[key], s, budget=left - nodes,
-                                                   collect_all=True, stop_after=limit)
+                                                   collect_all=True, stop_after=stop[key])
                     nodes += used
                     if not found:
                         return None, nodes
                     collected[key] = sorted(found.items())
-                short = [key for key in short if len(collected[key]) == limit]
-                above = [collected.get(key) or plans[key] for key, _ in levels[:-1]]
-                picks, used = _combine_levels([*above, plans[levels[-1][0]]], s,
-                                              left - nodes, searched)
+                ran_out: set[int] = set()
+                picks, used = _combine_levels([*(collected[key] for key in upper),
+                                               plans[levels[-1][0]]], s,
+                                              left - nodes, searched, ran_out)
                 nodes += used
-                if picks is not None or not short:
+                # a longer collection helps only a level that ran to its end
+                todo = [key for key in dict.fromkeys(upper[i] for i in sorted(ran_out))
+                        if len(collected[key]) == stop[key]]
+                if picks is not None or not todo:
                     break
-                limit *= 2
+                stop.update((key, 2 * stop[key]) for key in todo)
         except BudgetExhausted:
             raise BudgetExhausted(left + 1) from None
         if picks is None:

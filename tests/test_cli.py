@@ -302,9 +302,10 @@ class TestPs:
         assert run_cli(capsys, "verify", str(path)) == (0, "product-irregular: yes\n", "")
 
     def test_k6_k3_searches_k6_against_k3(self, capsys, tmp_path):
-        # K3 occurs once, so its multisets are collected as the first level
-        # and K6 is searched in find mode against them: 113 nodes, where
-        # collecting K6's multisets at s = 3 took 1,488,325.
+        # K3, the level above the last, is collected only as far as its
+        # first multiset, and K6 is searched in find mode against its
+        # values: 84 nodes, where collecting K6's multisets at s = 3 took
+        # 1,488,325.
         _, doc, _ = run_cli(capsys, "gen", "K6+K3")
         path = tmp_path / "g.txt"
         path.write_text(doc)
@@ -313,7 +314,27 @@ class TestPs:
         assert (code, err) == (0, "")
         payload = json.loads(out)
         assert (payload["value"], payload["nodes_explored"], payload["budget_exhausted"]) == (
-            3, 113, False)
+            3, 84, False)
+        path.write_text(payload["certificate"])
+        assert run_cli(capsys, "verify", str(path)) == (0, "product-irregular: yes\n", "")
+
+    @pytest.mark.parametrize("expr, nodes", [("K7+K8", 483_961), ("K8+K9", 21_908_871),
+                                             ("K5+K7+K9", 12_380)])
+    def test_clique_unions_collect_the_smaller_cliques_lazily(self, capsys, tmp_path,
+                                                             expr, nodes):
+        # Every clique above the last is collected only as far as the
+        # combination needs, and the largest is searched against the values
+        # taken above it. Collecting the smaller cliques whole took
+        # 237,212,717 nodes on K7+K8, 168,856,058 on K5+K7+K9 and more than
+        # a minute on K8+K9.
+        path = tmp_path / "g.txt"
+        path.write_text(run_cli(capsys, "gen", expr)[1])
+        with deadline(2):
+            code, out, err = run_cli(capsys, "ps", str(path), "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["value"], payload["nodes_explored"], payload["budget_exhausted"]) == (
+            3, nodes, False)
         path.write_text(payload["certificate"])
         assert run_cli(capsys, "verify", str(path)) == (0, "product-irregular: yes\n", "")
 

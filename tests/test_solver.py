@@ -210,7 +210,7 @@ class TestPsExact:
         for solve, g, nodes in ((ps_exact, complete_graph(46), 2129927),
                                 (ps_exact_disconnected, disjoint_union(complete_graph(46),
                                                                        complete_graph(3)),
-                                 4523525)):
+                                 4523496)):
             if sys.version_info >= (3, 11):
                 with deadline(2):
                     r = solve(g, 4)
@@ -304,6 +304,15 @@ class TestDisconnectedSolver:
         assert is_product_irregular(r.certificate).ok
         assert max(r.certificate.labels.values()) <= 3
 
+    def test_refutation_above_a_large_clique_collects_nothing_of_it(self):
+        # K4+K4 has no two disjoint multisets at s = 3 (ps(K4+K4) = 4), so
+        # every combination fails at the second K4 level: only K4's
+        # collection is extended, and K7, never reached, keeps its first
+        # multiset, where collecting it whole takes about 237M nodes.
+        with deadline(2):
+            r = ps_exact_disconnected(clique_union(4, 4, 7, 8), 3)
+        assert (r.value, r.nodes_explored, r.budget_exhausted) == (None, 1_200, False)
+
     def test_many_components_split_in_one_pass(self):
         # 4,000 disjoint triangles: no labeling up to 4, s = 1 and 2 refuted
         # by one count per distinct component and s = 3 and 4 by the degree
@@ -348,29 +357,22 @@ class TestDisconnectedSolver:
         # once, and the memo stops the retries
         levels[-1] = [(tuple(range(1000, 2499)), ())]
         assert solver._combine_levels(levels, 3, DEFAULT_BUDGET) == (None, 1500)
-        # Two searched triangles, one halfway down in collect mode and one
-        # last in find mode, each against the values taken above it.
+        # A searched triangle last, in find mode against the values taken
+        # above it.
         k3 = SearchPlan.of(complete_graph(3))
         levels[-1] = [((999,), ())]
-        levels[750:750] = [k3]
         levels.append(k3)
         picks, nodes = solver._combine_levels(levels, 5, DEFAULT_BUDGET)
-        above = list(range(1000, 1750))
-        middle, middle_nodes = search_labelings(k3, 5, collect_all=True, taken=above)
-        first = min(middle)
-        last, last_nodes = search_labelings(k3, 5, taken=[*above, *first, *range(1750, 2499), 999])
-        assert picks == [*((i,) for i in range(750)), middle[first],
-                         *((i,) for i in range(750, 1499)), (), tuple(last[0].values())]
-        assert nodes == 1500 + middle_nodes + last_nodes
-        # At s = 3 a triangle has one multiset, {2, 3, 6}: the last triangle
-        # fails against the middle one's, and so does every level back to
-        # the top, each once.
-        middle, middle_nodes = search_labelings(k3, 3, collect_all=True, taken=above)
-        last, last_nodes = search_labelings(k3, 3, taken=[*above, 2, 3, 6,
-                                                          *range(1750, 2499), 999])
-        assert list(middle) == [(2, 3, 6)] and last == []
-        assert solver._combine_levels(levels, 3, DEFAULT_BUDGET) == (
-            None, 1500 + middle_nodes + last_nodes)
+        last, last_nodes = search_labelings(k3, 5, taken=[*range(1000, 2499), 999])
+        assert picks == [*((i,) for i in range(1499)), (), tuple(last[0].values())]
+        assert nodes == 1500 + last_nodes
+        # At s = 3 a triangle has one multiset, {2, 3, 6}: with 2 taken
+        # above, the triangle fails, and so does every level back to the
+        # top, each once.
+        levels[-2] = [((2,), ())]
+        last, last_nodes = search_labelings(k3, 3, taken=[*range(1000, 2498), 2])
+        assert last == []
+        assert solver._combine_levels(levels, 3, DEFAULT_BUDGET) == (None, 1500 + last_nodes)
 
     def test_budget_surfaces(self):
         g = disjoint_union(complete_graph(4), complete_graph(4))
@@ -388,7 +390,7 @@ def clique_union(*sizes):
 @pytest.mark.parametrize("solve, sizes, value, nodes", [
     (ps_exact_disconnected, (4, 4), 4, 3_872),
     (ps_exact_disconnected, (5, 5), 3, 1_498),
-    (ps_exact_disconnected, (5, 5, 4), 3, 7_310),
+    (ps_exact_disconnected, (5, 5, 4), 3, 6_579),
     (ps_exact, (4, 4), 4, 3_564),
     (ps_exact, (7,), 3, 483_757),
     (ps_exact, (8,), 3, 21_908_591),
@@ -610,9 +612,9 @@ def two_component_unions(count, seed):
 
 # sha256 over the 120 lines "value nodes budget_exhausted certificate-sha256"
 # of ps_exact_disconnected(g, 4, budget) on two_component_unions(120, 15),
-# taken when the smaller component came to be collected and the larger one
-# searched against each of its multisets.
-DISCONNECTED_DIGEST = "8d1b5c0e684228365daded58bd8e22220e45c5d42ca7555d7bc7f24731249112"
+# taken when the smaller component came to be collected lazily, in rounds,
+# and the larger one searched against the values of each multiset held.
+DISCONNECTED_DIGEST = "077efe908b07eb754c5c15493cf8aabecff50e10d9fc86832cdb0184f7cd4785"
 
 
 def test_disconnected_results_pinned():
@@ -627,8 +629,8 @@ def test_disconnected_results_pinned():
         lines.append(f"{r.value} {r.nodes_explored} {r.budget_exhausted} {cert}\n")
         outcomes[r.value, r.budget_exhausted] += 1
         nodes += r.nodes_explored
-    assert outcomes == {(3, False): 24, (4, False): 62, (None, False): 21, (None, True): 13}
-    assert nodes == 77_973
+    assert outcomes == {(3, False): 25, (4, False): 64, (None, False): 21, (None, True): 10}
+    assert nodes == 67_183
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == DISCONNECTED_DIGEST
 
 
@@ -661,10 +663,10 @@ def mixed_unions(count, seed):
 
 
 def test_mixed_unions_agree_with_the_whole_search():
-    # Repeated shapes are collected and single ones searched against the
-    # values taken above them: the value must be ps_exact's, and the
-    # unpruned oracle's where it is cheap; a certificate must give every
-    # vertex its own product.
+    # Every shape above the last level is collected lazily and the last
+    # level searched against the values taken above it: the value must be
+    # ps_exact's, and the unpruned oracle's where it is cheap; a
+    # certificate must give every vertex its own product.
     kinds = collections.Counter()
     for g in mixed_unions(40, 2323):
         r = ps_exact_disconnected(g, 4)
@@ -748,12 +750,18 @@ def test_combine_picks_identical_levels_in_order():
     # and start, so the refutation ends after the first level's 3 tries,
     # the second's 2 + 1 and the third's 1: 7 nodes.
     assert solver._combine_levels([shared] * 4, 3, DEFAULT_BUDGET) == (None, 7)
+    # The set given gets the levels that ran to the end of their list: two
+    # levels over one multiset fail, and the third level is never reached.
+    ran_out = set()
+    assert solver._combine_levels([shared[:1]] * 2 + [shared], 3, DEFAULT_BUDGET,
+                                  ran_out=ran_out) == (None, 1)
+    assert ran_out == {0, 1}
     # A searched level keeps its result per set of taken values, in the
     # dict given: the second call searches nothing and counts only picks.
     k3 = SearchPlan.of(complete_graph(3))
     searched = {}
     first = solver._combine_levels([shared, k3], 5, DEFAULT_BUDGET, searched)
-    assert list(searched) == [(1, frozenset({1}))]
+    assert list(searched) == [frozenset({1})]
     assert solver._combine_levels([shared, k3], 5, DEFAULT_BUDGET, searched) == (
         first[0], 1)
     assert first[1] > 1
