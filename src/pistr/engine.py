@@ -10,6 +10,7 @@ order, the tree edge endpoints where the cross entries name them, and each
 edge takes its entry. Every surplus edge meets a zero entry and is labeled
 1, which leaves all product degrees unchanged. Shapes outside the catalog go
 to a bounded exact search, whose answer is written into a matrix too.
+Both matrices hold one byte an entry.
 
 Three rows correct the published catalog, each marked where it stands in
 the table and exhaustively verified in the test suite: (4,4,5) with in-edges
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -265,9 +266,10 @@ def catalog_matrix(sizes: tuple[int, ...], middle: int | None = None,
                    pattern: str | None = None) -> np.ndarray:
     """The weighted adjacency matrix of the catalog row for sorted cover
     sizes: the row's blocks in its role order, each cross entry at its
-    block-local positions. middle and pattern together pick a "+2 edges"
-    row; without them the first row for the sizes is taken. ValueError if
-    the sizes are unsorted or no row fits."""
+    block-local positions, one byte an entry (every entry is in 0..3).
+    middle and pattern together pick a "+2 edges" row; without them the
+    first row for the sizes is taken. ValueError if the sizes are unsorted
+    or no row fits."""
     sizes = tuple(sizes)
     row = _lookup(sizes, middle, pattern)
     if row is None:
@@ -276,7 +278,7 @@ def catalog_matrix(sizes: tuple[int, ...], middle: int | None = None,
     if row.middle is not None:
         orders.remove(row.middle)
         orders.insert(0, row.middle)
-    m = direct_sum([make(n) for make, n in zip(row.blocks, orders)])
+    m = direct_sum([make(n) for make, n in zip(row.blocks, orders)], np.int8)
     offsets = np.cumsum([0, *orders])
     for a, i, b, j, w in row.cross:
         x, y = offsets[a] + i - 1, offsets[b] + j - 1
@@ -294,7 +296,8 @@ def _outcome(g: Graph, cover: CliqueCover, tree: _Tree, order, m: np.ndarray,
     pos = np.empty(g.n_vertices, dtype=np.int64)
     pos[order] = np.arange(g.n_vertices)
     u, v = g.ends
-    labeling = EdgeLabeling._from_values(g, np.maximum(m[pos[u], pos[v]], 1), s)
+    labels = np.maximum(m[pos[u], pos[v]], 1).astype(np.int64)
+    labeling = EdgeLabeling._from_values(g, labels, s)
     report = is_product_irregular(labeling)
     if not report.ok:
         raise ConstructionError(
@@ -379,28 +382,21 @@ def _row_products(block: np.ndarray) -> list[int]:
     return [2**a * 3**b for a, b in zip(twos, threes)]
 
 
-def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
-              budget: int) -> ConstructionOutcome:
-    """Bounded search for shapes without a catalog row.
+def _fallback_stages(g: Graph, cover: CliqueCover, tree: _Tree
+                     ) -> Iterator[tuple[int, dict[int, tuple[str, np.ndarray]], SearchPlan,
+                                         list[int]]]:
+    """The searches of _fallback, in order, as (s, pins, plan, products):
+    pins maps each pinned part to its block's name and the block, plan is
+    the SearchPlan of the free edges and products each vertex's product of
+    pinned labels.
 
     The search runs on the spanning graph: the parts plus the tree edges.
     Cliques too large to search are pinned (largest first) until at most 16
-    of its edges remain free; the search sees only the free edges and each
-    vertex's product of pinned labels. A pinned part of size n takes B<n>,
-    A<n>, C<n>, then _PINNABLE[n], each block built when a combination of
-    one name per pinned part first needs it. One loop walks
-    (s, combination): s = 3, then s = 4, each over every combination, the
-    empty one when nothing is pinned. Every search runs on one SearchPlan
-    of the free edges and gets what is left of the one budget; the first
-    to run out ends the fallback with FallbackBudgetError. No s below 3
-    can succeed: with labels 1 and 2 the n >= 2 products must be 2^0 ..
-    2^(n-1), but the vertex with 2^(n-1) has an edge labeled 2 to the
-    vertex with 1. s = 4 suffices for every
-    unpinned spanning graph except K2, which has no labeling at all and
-    which construct_labeling rejects. The answer is one n x n matrix in
-    vertex order: the pinned blocks at their parts' rows and columns, the
-    search's labels on the free edges.
-    """
+    of its edges remain free. A pinned part of size n takes B<n>, A<n>,
+    C<n>, then _PINNABLE[n], each block built when a combination of one
+    name per pinned part first needs it. The stages are (s, combination):
+    s = 3, then s = 4, each over every combination, the empty one when
+    nothing is pinned."""
     by_size_desc = sorted(range(cover.n_parts), key=lambda p: -cover.sizes[p])
     to_fix: list[int] = []
     free_edges = len(tree.links) + sum(comb(size, 2) for size in cover.sizes)
@@ -418,7 +414,6 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
              for n in (cover.sizes[p] for p in to_fix)]
     # (part, name) -> (block, its row products), built on first use
     blocks: dict[tuple[int, str], tuple[np.ndarray, list[int]]] = {}
-    used = 0
     for s, combo in itertools.product((3, 4), itertools.product(*names)):
         products = [1] * g.n_vertices
         for p, name in zip(to_fix, combo):
@@ -429,6 +424,29 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
                 blocks[p, name] = mat, _row_products(mat)
             for v, product in zip(cover.parts[p], blocks[p, name][1]):
                 products[v] = product
+        pins = {p: (name, blocks[p, name][0]) for p, name in zip(to_fix, combo)}
+        yield s, pins, plan, products
+
+
+def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
+              budget: int) -> ConstructionOutcome:
+    """Bounded search for shapes without a catalog row.
+
+    One loop walks the stages of _fallback_stages. Every search runs on one
+    SearchPlan of the free edges, where closed twins of equal pinned
+    products finish with increasing products (SearchPlan.twins_under), and
+    gets what is left of the one budget; the first to run out ends the
+    fallback with FallbackBudgetError. No s below 3 can succeed: with
+    labels 1 and 2 the n >= 2 products must be 2^0 .. 2^(n-1), but the
+    vertex with 2^(n-1) has an edge labeled 2 to the vertex with 1. s = 4
+    suffices for every unpinned spanning graph except K2, which has no
+    labeling at all and which construct_labeling rejects. The answer is one
+    n x n matrix of one byte an entry, in vertex order: the pinned blocks
+    at their parts' rows and columns, the search's labels on the free
+    edges.
+    """
+    used = 0
+    for s, pins, plan, products in _fallback_stages(g, cover, tree):
         try:
             sols, nodes = search_labelings(plan, s, products, budget - used)
         except BudgetExhausted as exc:
@@ -437,10 +455,11 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
         used += nodes
         if not sols:
             continue
-        note = f"fixed({','.join(combo)}),s={s}" if combo else f"exhaustive(s={s})"
-        m = np.zeros((g.n_vertices, g.n_vertices), dtype=np.int64)
-        for p, name in zip(to_fix, combo):
-            m[np.ix_(cover.parts[p], cover.parts[p])] = blocks[p, name][0]
+        note = (f"fixed({','.join(name for name, _ in pins.values())}),s={s}" if pins
+                else f"exhaustive(s={s})")
+        m = np.zeros((g.n_vertices, g.n_vertices), dtype=np.int8)
+        for p, (_, block) in pins.items():
+            m[np.ix_(cover.parts[p], cover.parts[p])] = block
         for (x, y), w in sols[0].items():
             m[x, y] = m[y, x] = w
         return _outcome(g, cover, tree, range(g.n_vertices), m, s,

@@ -305,18 +305,26 @@ def has_isolated_vertex_or_edge(g: Graph) -> bool:
     return bool(np.count_nonzero(by_size[1:3]))  # 2 vertices = 1 edge
 
 
+def closed_masks(edges: Iterable[Edge]) -> dict[int, int]:
+    """Each vertex with an edge: its closed neighbourhood N[v] = N(v) + v
+    as a bit mask. Closed twins are the vertices of equal masks."""
+    closed: dict[int, int] = {}
+    for u, v in edges:
+        closed[u] = closed.get(u, 1 << u) | 1 << v
+        closed[v] = closed.get(v, 1 << v) | 1 << u
+    return closed
+
+
 def closed_twin_classes(n_vertices: int, edges: Iterable[Edge]) -> list[list[int]]:
     """The classes of closed twins with at least two vertices: vertices with
     equal closed neighbourhoods N[v] = N(v) + v, so pairwise adjacent, and
     any permutation of a class is an automorphism. Each class ascending, in
     the order of its smallest vertex."""
-    closed = [[v] for v in range(n_vertices)]
-    for u, v in edges:
-        closed[u].append(v)
-        closed[v].append(u)
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for v, members in enumerate(closed):
-        classes.setdefault(tuple(sorted(members)), []).append(v)
+    closed = closed_masks(edges)
+    classes: dict[int, list[int]] = {}
+    for v in range(n_vertices):
+        if v in closed:
+            classes.setdefault(closed[v], []).append(v)
     return [c for c in classes.values() if len(c) > 1]
 
 

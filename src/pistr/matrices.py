@@ -30,8 +30,9 @@ def m_matrix(n: int, x: int, y: int, z: int) -> np.ndarray:
         if not isinstance(lab, (int, np.integer)) or lab < 1:
             raise ValueError("labels must be positive integers")
     m = np.full((n, n), y, dtype=np.int64)
-    i, j = np.indices((n, n))
-    m[i + j <= n - 1] = x  # 1-based: j <= n - i + 1
+    # i + j <= n - 1, 0-based (1-based: j <= n - i + 1): the lower
+    # triangle j <= i with its rows reversed, one byte an entry
+    m[np.tri(n, dtype=bool)[::-1]] = x
     k0 = pivot_index(n) - 1
     m[k0, n - 1] = m[n - 1, k0] = z
     np.fill_diagonal(m, 0)
@@ -91,13 +92,14 @@ def row_profile(n: int, i: int) -> RowProfile:
     return RowProfile(2, n - i + 1, i - 2, 0)
 
 
-def direct_sum(mats: list[np.ndarray]) -> np.ndarray:
-    """Block-diagonal combination; models disjoint union of labeled graphs."""
+def direct_sum(mats: list[np.ndarray], dtype=np.int64) -> np.ndarray:
+    """Block-diagonal combination; models disjoint union of labeled graphs.
+    dtype is the result's, which must hold every entry."""
     if not mats:
         raise ValueError("direct_sum needs at least one matrix")
     orders = [m.shape[0] for m in mats]
     total = sum(orders)
-    out = np.zeros((total, total), dtype=np.int64)
+    out = np.zeros((total, total), dtype=dtype)
     off = 0
     for m, k in zip(mats, orders):
         out[off:off + k, off:off + k] = m

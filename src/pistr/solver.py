@@ -18,17 +18,19 @@ and the lemma refutes the level with the nodes counted up to there, as
 _degree_count_bound refutes levels with no search: K9 and larger cliques
 go on to s = 3 with memory bounded.
 
-From s = 3 on, with no fixed products and pruning on, the search breaks
-the symmetry of closed twins (vertices with equal closed neighbourhoods):
-swapping two of them maps labelings to labelings, so each twin class may
-be required to finish with increasing products, in the order the search
-finishes them. This is a lex-leader constraint (Crawford et al., KR 1996);
-it loses no labeling up to that swap and no degree multiset of collect
-mode. It cuts K4+K4 from 83,541 to 3,564 nodes, and K6's collection at
-s = 3 from 13M to 1.5M. Searches with fixed products (the engine's) and
-prune=False, the unbroken oracle, do not apply it. Before each level
-s >= 3, a degree count refutes s with no search when more vertices have
-degree <= k than there are products of k labels from 1..s.
+From s = 3 on, with pruning on, the search breaks the symmetry of
+closed twins (vertices with equal closed neighbourhoods) that have equal
+fixed products: swapping two of them maps labelings to labelings and
+keeps the product multiset, so each such twin class may be required to
+finish with increasing products, in the order the search finishes them.
+This is a lex-leader constraint (Crawford et al., KR 1996); it loses no
+labeling up to that swap and no degree multiset of collect mode. It cuts
+K4+K4 from 83,541 to 3,564 nodes, and K6's collection at s = 3 from 13M
+to 1.5M. With no fixed products all products are equal, so ps_exact and
+ps_exact_disconnected break every twin class; prune=False, the unbroken
+oracle, breaks none. Before each level s >= 3, a degree count refutes s
+with no search when more vertices have degree <= k than there are
+products of k labels from 1..s.
 
 Disconnected graphs can instead be solved one component at a time
 (ps_exact_disconnected), in one loop over levels, one per component,
@@ -56,7 +58,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import (Edge, EdgeLabeling, Graph, closed_twin_classes, component_subgraphs,
+from .graphs import (Edge, EdgeLabeling, Graph, closed_masks, component_subgraphs,
                      edge_key, has_isolated_vertex_or_edge)
 
 DEFAULT_BUDGET = 10**9
@@ -142,43 +144,50 @@ class SearchPlan:
         return cls(g.n_vertices, tuple(order), tuple(steps), idle)
 
     @cached_property
-    def twins(self) -> tuple[tuple[tuple[int, int, int], ...], tuple]:
-        """The steps and twin bounds of a search with no fixed products,
-        where closed twins (graphs.closed_twin_classes) finish with
-        increasing products in the order they finish, a before b within a
-        step; computed on first use, so searches with fixed products never
-        pay for it.
+    def _closed(self) -> dict[int, int]:
+        """graphs.closed_masks of the plan's edges, computed on first use:
+        closed twins are the vertices of equal masks."""
+        return closed_masks(self.edges)
+
+    @cached_property
+    def twins(self) -> tuple[tuple[tuple[int, int, int], ...], tuple | None]:
+        """twins_under(None), kept: every search without products takes it."""
+        return self.twins_under(None)
+
+    def twins_under(self, products: list[int] | None
+                    ) -> tuple[tuple[tuple[int, int, int], ...], tuple | None]:
+        """The steps and twin bounds of a search under these fixed products,
+        where closed twins of equal fixed products finish with increasing
+        products in the order they finish, a before b within a step. The
+        masks are the plan's, computed once; each call keys a twin class by
+        mask and product, and with no products by mask alone.
 
         A step that finishes a vertex after an earlier twin has kind 3
         (finishes one) or 4 (finishes two) in place of 1 or 2, and the
         bound at its depth names that twin: a vertex for kind 3, the pair
         (twin of a, twin of b) for kind 4, None where a vertex has no
-        earlier twin. Every other depth holds its step and None.
+        earlier twin. Every other depth holds its step and None; with no
+        twins at all the bounds are None.
         """
-        twin_class = {v: i for i, c in enumerate(closed_twin_classes(self.n_vertices, self.edges))
-                      for v in c}
-        last: dict[int, int] = {}  # per class, its vertex that finished last so far
-
-        def after(v: int) -> int | None:
-            # v finishes now: its twin that finished last before it
-            i = twin_class.get(v)
-            if i is None:
-                return None
-            t = last.get(i)
-            last[i] = v
-            return t
-
-        steps, bounds = [], []
-        for a, b, finished in self.steps:
-            bound = None
+        closed = self._closed
+        if len(set(closed.values())) == len(closed):
+            return self.steps, None
+        last: dict = {}  # per class, its vertex that finished last so far
+        steps, bounds = list(self.steps), [None] * len(self.steps)
+        for depth, (a, b, finished) in enumerate(self.steps):
+            if not finished:
+                continue
+            # each vertex finishing here: its twin that finished last before it
+            key = closed[a] if products is None else (closed[a], products[a])
+            ta, last[key] = last.get(key), a
             if finished == 1:
-                bound = after(a)
-            elif finished == 2:
-                bound = (after(a), after(b))
-                if bound == (None, None):
-                    bound = None
-            steps.append((a, b, finished + 2 if bound is not None else finished))
-            bounds.append(bound)
+                if ta is not None:
+                    steps[depth], bounds[depth] = (a, b, 3), ta
+                continue
+            key = closed[b] if products is None else (closed[b], products[b])
+            tb, last[key] = last.get(key), b
+            if (ta, tb) != (None, None):
+                steps[depth], bounds[depth] = (a, b, 4), (ta, tb)
         return tuple(steps), tuple(bounds)
 
 
@@ -228,10 +237,11 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     so the limit stays, and g with more edges than it allows is a
     ValueError.
 
-    With no products and pruning on, the walk takes the plan's twins:
-    a vertex that finishes after one of its closed twins must take a
-    larger product than that twin. Labels below the bound count as tried,
-    so the count is that of a search testing the rule at every label.
+    With pruning on, the walk takes the plan's twins
+    (SearchPlan.twins_under): a vertex that finishes after one of its
+    closed twins of equal fixed product must take a larger product than
+    that twin. Labels below the bound count as tried, so the count is
+    that of a search testing the rule at every label.
     Collect mode still finds every multiset; the label tuple kept for one
     may be another than the unbroken search's first.
     """
@@ -244,8 +254,8 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     bounds = None  # per depth, the twins that kinds 3 and 4 must pass
     if not prune:  # no step finishes a vertex
         steps = tuple((a, b, 0) for a, b, _ in steps)
-    elif products is None:  # closed twins finish with increasing products
-        steps, bounds = plan.twins
+    else:  # closed twins of equal products finish with increasing products
+        steps, bounds = plan.twins if products is None else plan.twins_under(products)
     prod = [1] * n if products is None else list(products)
     if prune and products is not None:
         for v in plan.idle:  # every edge of v is fixed outside g

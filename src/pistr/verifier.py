@@ -191,10 +191,15 @@ def is_product_irregular(labeling: EdgeLabeling) -> IrregularityReport:
     n = g.n_vertices
     u, v = g.ends
     values = _distinct(labeling.values)
-    at = values.searchsorted(labeling.values) * n
     size = len(values) * n
-    counts = (np.bincount(at + u, minlength=size)
-              + np.bincount(at + v, minlength=size)).reshape(len(values), n)
+    at = values.searchsorted(labeling.values)  # in place from here: one array per edge
+    at *= n
+    at += u
+    counts = np.bincount(at, minlength=size)
+    at -= u
+    at += v
+    counts += np.bincount(at, minlength=size)
+    counts = counts.reshape(len(values), n)
     factors = [dict(factorize(w)) for w in values.tolist()]
     primes = sorted(set().union(*factors))
     # one column per prime, then a column of ones that counts the edges

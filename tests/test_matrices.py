@@ -162,8 +162,17 @@ class TestDirectSumAndInjections:
 
     def test_block_layout(self):
         m = direct_sum([named_family(4, "A"), named_family(5, "B")])
-        assert m.shape == (9, 9)
+        assert m.shape == (9, 9) and m.dtype == np.int64
         assert np.all(m[:4, 4:] == 0) and np.all(m[4:, :4] == 0)
+        narrow = direct_sum([named_family(4, "A"), named_family(5, "B")], np.int8)
+        assert narrow.dtype == np.int8 and np.array_equal(narrow, m)
+
+    def test_catalog_entries_fit_one_byte(self):
+        # catalog_matrix renders into int8: every entry must be a label of
+        # the row's strength 3, or 0
+        for row in _CATALOG:
+            m = catalog_matrix(sample_sizes(row), row.middle, row.pattern)
+            assert m.dtype == np.int8 and m.min() == 0 and m.max() <= 3, row
 
     def test_triple_sum_order(self):
         m = direct_sum([fixed_matrix("T5"), fixed_matrix("T5_TILDE"),

@@ -7,8 +7,8 @@ import tracemalloc
 
 import pytest
 
-from pistr import solver
-from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge, closed_twin_classes,
+from pistr import engine, solver
+from pistr.graphs import (EdgeLabeling, Graph, add_cross_edge, clique_cover, closed_twin_classes,
                           complete_graph, disjoint_union, edge_key,
                           has_isolated_vertex_or_edge, labeled_graph_to_matrix)
 from pistr.solver import (DEFAULT_BUDGET, BudgetExhausted, SearchPlan, edge_search_order,
@@ -16,22 +16,30 @@ from pistr.solver import (DEFAULT_BUDGET, BudgetExhausted, SearchPlan, edge_sear
 from pistr.verifier import is_product_irregular
 
 from conftest import (brute_products, deadline, extend_with_ones, permute_graph,
-                      random_graph_no_isolates, verify_k4_characterization)
+                      planted_cover_graph, random_graph_no_isolates,
+                      verify_k4_characterization)
 
 
 def reference_search(g, s, fixed, budget, prune, collect_all, break_twins=False):
     """The labeling search as first written: one loop for every depth, the
     vertices' remaining free edges counted down and up as it goes. With
     break_twins, a vertex that finishes must take a larger product than
-    each of its closed twins (equal sets of neighbours and itself) that
-    finished before it, u before v on an edge that finishes both."""
+    each of its twins that finished before it, u before v on an edge that
+    finishes both. Its twins are the vertices with its fixed product and
+    its closed neighbourhood (its neighbours and itself) in the graph of
+    the free edges."""
     n = g.n_vertices
     free = edge_search_order(Graph(n, g.edges.difference(fixed)))
+    fixed_product = [1] * n
+    for (u, v), w in fixed.items():
+        fixed_product[u] *= w
+        fixed_product[v] *= w
     closed = [{v} for v in range(n)]
-    for u, v in g.edges:
+    for u, v in free:
         closed[u].add(v)
         closed[v].add(u)
-    twins = [[y for y in range(n) if y != x and closed[y] == closed[x]] if break_twins else []
+    twins = [[y for y in range(n) if y != x and closed[y] == closed[x]
+              and fixed_product[y] == fixed_product[x]] if break_twins else []
              for x in range(n)]
     done = set()  # the vertices finished on the current path
 
@@ -467,12 +475,13 @@ def twin_rich_graph(rng):
 
 
 def test_twin_rule_keeps_every_multiset_and_value():
-    # The search without products lets closed twins finish only with
-    # increasing products: one labeling of each orbit under permutations
-    # of twins. Collect mode must still find every multiset that the
-    # unbroken search does (products of 1 fix nothing here, but turn the
-    # rule off), each realized by its label tuple, and ps_exact must give
-    # prune=False's values.
+    # The search lets closed twins of equal fixed products finish only
+    # with increasing products: one labeling of each orbit under
+    # permutations of such twins. Collect mode must still find every
+    # multiset that the reference search without the rule does, each
+    # realized by its label tuple, with no products, with products of 1
+    # and with a few edges fixed; and ps_exact must give prune=False's
+    # values.
     rng = random.Random(2218)
     graphs = [clique_union(3, 3), clique_union(4, 3), clique_union(3, 3, 3),
               complete_graph(5), k3_k3_edge()]
@@ -481,21 +490,71 @@ def test_twin_rule_keeps_every_multiset_and_value():
         if (g.n_edges <= 9 and not has_isolated_vertex_or_edge(g) and g not in graphs
                 and closed_twin_classes(g.n_vertices, g.edges)):
             graphs.append(g)
+    acts_fixed = 0  # graphs where the rule acts with edges fixed
     for g in graphs:
         plan = SearchPlan.of(g)
         assert any(kind > 2 for _, _, kind in plan.twins[0])  # the rule acts
+        edges = sorted(g.edges)
+        fixed = {e: rng.randint(1, 3) for e in rng.sample(edges, rng.randint(1, 2))}
+        free, products = free_graph_and_products(g, fixed)
+        free_plan = SearchPlan.of(free)
+        acts_fixed += any(kind > 2 for _, _, kind in free_plan.twins_under(products)[0])
         for s in (3, 4):
-            broken, _ = search_labelings(plan, s, collect_all=True)
-            whole, _ = search_labelings(plan, s, [1] * g.n_vertices, collect_all=True)
+            whole, _ = reference_search(g, s, {}, 10**9, True, True)
+            for given in (None, [1] * g.n_vertices):
+                broken, _ = search_labelings(plan, s, given, collect_all=True)
+                assert broken.keys() == whole.keys()
+                assert_realized(plan, broken, [1] * g.n_vertices)
+            whole, _ = reference_search(g, s, fixed, 10**9, True, True)
+            broken, _ = search_labelings(free_plan, s, products, collect_all=True)
             assert broken.keys() == whole.keys()
-            for key, labels in broken.items():
-                prod = [1] * g.n_vertices
-                for (u, v), w in zip(plan.edges, labels):
-                    prod[u] *= w
-                    prod[v] *= w
-                assert tuple(sorted(prod)) == key
+            assert_realized(free_plan, broken, products)
         if g.n_edges <= 9:
             assert ps_exact(g, 4).value == ps_exact(g, 4, prune=False).value
+    assert acts_fixed >= 10
+
+
+def assert_realized(plan, collected, products):
+    """Each collected label tuple, on the plan's edges under the fixed
+    products, realizes its multiset."""
+    for key, labels in collected.items():
+        prod = list(products)
+        for (u, v), w in zip(plan.edges, labels):
+            prod[u] *= w
+            prod[v] *= w
+        assert tuple(sorted(prod)) == key
+
+
+def test_fallback_stages_keep_their_verdicts():
+    # The engine's fallback breaks closed twins of equal pinned products.
+    # On tree-only graphs of its shapes (cliques joined by two tree edges),
+    # every stage it runs, up to the first that answers, must find a
+    # labeling exactly when the reference search without the rule does;
+    # the reference labels the pinned blocks' edges itself.
+    rng = random.Random(3030)
+    stages = 0
+    for sizes in [(1, 3, 3), (2, 2, 3), (3, 3, 3), (3, 4, 4), (4, 4, 6), (4, 4, 9)]:
+        for _ in range(9):
+            g, _ = permute_graph(rng, planted_cover_graph(rng, sizes))
+            cover = clique_cover(g, 3)
+            tree = engine._choose_tree(g, cover)
+            assert engine._lookup(cover.sizes, cover.sizes[tree.middle], tree.pattern) is None
+            for s, pins, plan, products in engine._fallback_stages(g, cover, tree):
+                fixed = {}
+                for p, (_, block) in pins.items():
+                    part = cover.parts[p]
+                    for i, j in itertools.combinations(range(len(part)), 2):
+                        fixed[part[i], part[j]] = int(block[i, j])
+                spanning = Graph(g.n_vertices, frozenset(plan.edges).union(fixed))
+                want, _ = reference_search(spanning, s, fixed, 10**9, True, False)
+                found, _ = search_labelings(plan, s, products)
+                assert bool(found) == bool(want), (sizes, s, pins)
+                stages += 1
+                if found:
+                    break
+            else:
+                pytest.fail(f"no stage answers {sizes}")
+    assert stages >= 54
 
 
 def connected_graph_with_surplus(rng, n, surplus):
@@ -870,10 +929,11 @@ class TestSearchCore:
         # the reference search's, so certificates, fallback labelings and
         # the node counts the budgets are spent by all stay put. The
         # search gets g without the fixed edges plus their products; the
-        # reference labels the fixed edges too. With nothing fixed the
-        # search also runs without products, where at s >= 3 closed twins
-        # finish in increasing order, against the reference with its own
-        # twin rule; the s = 2 count stays the unbroken walk's.
+        # reference labels the fixed edges too. With pruning on, closed
+        # twins of the free graph with equal fixed products finish in
+        # increasing order, against the reference with its own twin rule.
+        # With nothing fixed the search also runs without products, where
+        # the s = 2 count stays the unbroken walk's.
         for _ in range(40):
             g = random_graph_no_isolates(rng, n_min=4, n_max=7, max_edges=11)
             edges = sorted(g.edges)
@@ -887,7 +947,7 @@ class TestSearchCore:
                         try:
                             want, want_nodes = reference_search(g, s, fixed, budget, prune,
                                                                 collect_all,
-                                                                given is None and s >= 3)
+                                                                given is not None or s >= 3)
                         except BudgetExhausted as exc:
                             with pytest.raises(BudgetExhausted) as got:
                                 search_labelings(*args)
