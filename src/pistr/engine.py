@@ -291,12 +291,16 @@ def _outcome(g: Graph, cover: CliqueCover, tree: _Tree, order, m: np.ndarray,
              vertex_maps: dict[int, dict[int, int]]) -> ConstructionOutcome:
     """The labeling of g by the weighted adjacency matrix m, whose row i
     stands for vertex order[i]: each edge takes its entry, 1 where the entry
-    is 0. Verified before it is returned; every labeling the engine
-    produces ends here."""
+    is 0. Verified before it is returned, its labels within 1..s and its
+    products distinct; every labeling the engine produces ends here."""
     pos = np.empty(g.n_vertices, dtype=np.int64)
     pos[order] = np.arange(g.n_vertices)
     u, v = g.ends
     labels = np.maximum(m[pos[u], pos[v]], 1).astype(np.int64)
+    top = int(labels.max(initial=1))
+    if top > s:
+        raise ConstructionError(
+            f"construction {construction_id} has label {top} above its strength {s}")
     labeling = EdgeLabeling._from_values(g, labels, s)
     report = is_product_irregular(labeling)
     if not report.ok:

@@ -315,19 +315,6 @@ def closed_masks(edges: Iterable[Edge]) -> dict[int, int]:
     return closed
 
 
-def closed_twin_classes(n_vertices: int, edges: Iterable[Edge]) -> list[list[int]]:
-    """The classes of closed twins with at least two vertices: vertices with
-    equal closed neighbourhoods N[v] = N(v) + v, so pairwise adjacent, and
-    any permutation of a class is an automorphism. Each class ascending, in
-    the order of its smallest vertex."""
-    closed = closed_masks(edges)
-    classes: dict[int, list[int]] = {}
-    for v in range(n_vertices):
-        if v in closed:
-            classes.setdefault(closed[v], []).append(v)
-    return [c for c in classes.values() if len(c) > 1]
-
-
 def component_subgraphs(g: Graph) -> list[tuple[Graph, list[int]]]:
     """Each component of g as (its graph on 0..k-1, its vertices in g), in
     the order of g.components: the edges grouped by component in one

@@ -24,7 +24,9 @@ fixed products: swapping two of them maps labelings to labelings and
 keeps the product multiset, so each such twin class may be required to
 finish with increasing products, in the order the search finishes them.
 This is a lex-leader constraint (Crawford et al., KR 1996); it loses no
-labeling up to that swap and no degree multiset of collect mode. It cuts
+labeling up to that swap and no degree multiset of collect mode. The
+rule is one bound per depth (SearchPlan.twins_under): the loop of a
+finishing step starts above the earlier twin's product. It cuts
 K4+K4 from 83,541 to 3,564 nodes, and K6's collection at s = 3 from 13M
 to 1.5M. With no fixed products all products are equal, so ps_exact and
 ps_exact_disconnected break every twin class; prune=False, the unbroken
@@ -118,8 +120,9 @@ class SearchPlan:
     vertices with no edge in it.
 
     Step d is the edge (a, b) at depth d and how many of a and b it
-    finishes (takes their last edge), a first when it finishes one. The
-    free edges come in a fixed order, so that is known before the search.
+    finishes (takes their last edge): 0, 1 or 2, a first when it finishes
+    one. The free edges come in a fixed order, so that is known before
+    the search.
     """
 
     n_vertices: int
@@ -150,30 +153,27 @@ class SearchPlan:
         return closed_masks(self.edges)
 
     @cached_property
-    def twins(self) -> tuple[tuple[tuple[int, int, int], ...], tuple | None]:
+    def twins(self) -> tuple[int | tuple | None, ...]:
         """twins_under(None), kept: every search without products takes it."""
         return self.twins_under(None)
 
-    def twins_under(self, products: list[int] | None
-                    ) -> tuple[tuple[tuple[int, int, int], ...], tuple | None]:
-        """The steps and twin bounds of a search under these fixed products,
-        where closed twins of equal fixed products finish with increasing
-        products in the order they finish, a before b within a step. The
-        masks are the plan's, computed once; each call keys a twin class by
-        mask and product, and with no products by mask alone.
+    def twins_under(self, products: list[int] | None) -> tuple[int | tuple | None, ...]:
+        """The twin bound at each depth of a search under these fixed
+        products, where closed twins of equal fixed products finish with
+        increasing products in the order they finish, a before b within a
+        step. The masks are the plan's, computed once; each call keys a
+        twin class by mask and product, and with no products by mask alone.
 
-        A step that finishes a vertex after an earlier twin has kind 3
-        (finishes one) or 4 (finishes two) in place of 1 or 2, and the
-        bound at its depth names that twin: a vertex for kind 3, the pair
-        (twin of a, twin of b) for kind 4, None where a vertex has no
-        earlier twin. Every other depth holds its step and None; with no
-        twins at all the bounds are None.
+        A step that finishes one vertex after an earlier twin has that twin
+        as its bound; a step that finishes two, where a or b has an earlier
+        twin, has the pair (twin of a, twin of b), None for a vertex with
+        none. Every other depth's bound is None. The steps stay the plan's.
         """
         closed = self._closed
-        if len(set(closed.values())) == len(closed):
-            return self.steps, None
+        bounds: list = [None] * len(self.steps)
+        if len(set(closed.values())) == len(closed):  # no twins
+            return tuple(bounds)
         last: dict = {}  # per class, its vertex that finished last so far
-        steps, bounds = list(self.steps), [None] * len(self.steps)
         for depth, (a, b, finished) in enumerate(self.steps):
             if not finished:
                 continue
@@ -181,14 +181,13 @@ class SearchPlan:
             key = closed[a] if products is None else (closed[a], products[a])
             ta, last[key] = last.get(key), a
             if finished == 1:
-                if ta is not None:
-                    steps[depth], bounds[depth] = (a, b, 3), ta
+                bounds[depth] = ta
                 continue
             key = closed[b] if products is None else (closed[b], products[b])
             tb, last[key] = last.get(key), b
             if (ta, tb) != (None, None):
-                steps[depth], bounds[depth] = (a, b, 4), (ta, tb)
-        return tuple(steps), tuple(bounds)
+                bounds[depth] = ta, tb
+        return tuple(bounds)
 
 
 def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None = None,
@@ -230,18 +229,17 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     walk's count, or where a depth holds more than FRONTIER_CAP states,
     the part of it up to that depth.
 
-    The walk recurses once per edge. On Python 3.11 and later a
-    Python-to-Python call takes no C stack, so the recursion limit, which
-    holds for the whole interpreter, is raised by the walk's depth while
-    the walk runs and restored after. On 3.10 each call spends C stack,
-    so the limit stays, and g with more edges than it allows is a
-    ValueError.
+    The walk recurses once per edge. A Python-to-Python call takes no C
+    stack (Python 3.11 and later), so the recursion limit, which holds for
+    the whole interpreter, is raised by the walk's depth while the walk
+    runs and restored after.
 
-    With pruning on, the walk takes the plan's twins
+    With pruning on, the walk takes the plan's twin bounds
     (SearchPlan.twins_under): a vertex that finishes after one of its
     closed twins of equal fixed product must take a larger product than
-    that twin. Labels below the bound count as tried, so the count is
-    that of a search testing the rule at every label.
+    that twin, so its loop starts at the first label above the bound.
+    Labels below it count as tried, so the count is that of a search
+    testing the rule at every label.
     Collect mode still finds every multiset; the label tuple kept for one
     may be another than the unbroken search's first.
     """
@@ -251,11 +249,10 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     seen = set(taken)
     if 1 <= s <= 2 and products is None and prune and order and not seen:
         return ({} if collect_all else []), _frontier_count(plan, s, budget)
-    bounds = None  # per depth, the twins that kinds 3 and 4 must pass
-    if not prune:  # no step finishes a vertex
-        steps = tuple((a, b, 0) for a, b, _ in steps)
-    else:  # closed twins of equal products finish with increasing products
-        steps, bounds = plan.twins if products is None else plan.twins_under(products)
+    if not prune:  # no step finishes a vertex, so no bound is read
+        steps, bounds = tuple((a, b, 0) for a, b, _ in steps), None
+    else:  # per depth, the twin bound of the vertices it finishes
+        bounds = plan.twins if products is None else plan.twins_under(products)
     prod = [1] * n if products is None else list(products)
     if prune and products is not None:
         for v in plan.idle:  # every edge of v is fixed outside g
@@ -283,16 +280,16 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
         found.append(dict(zip(order, assignment)))
         return True
 
-    def walk(depth: int, steps=steps, prod=prod, seen=seen, add=add, discard=discard,
-             assignment=assignment, weights=weights) -> bool:
-        # One loop per kind of step. A finished vertex's product must be
-        # new, and it stays in seen while the search is below this step.
-        # A step finishing two vertices of equal products fails at every
-        # label without a loop. Kinds 3 and 4 are 1 and 2 with a twin
-        # bound: the finished vertex's product must pass its earlier twin's,
-        # so the loop starts at the first label above it; the labels below
-        # are counted as tried. The defaults make the search's state fast
-        # locals.
+    def walk(depth: int, steps=steps, bounds=bounds, prod=prod, seen=seen, add=add,
+             discard=discard, assignment=assignment, weights=weights) -> bool:
+        # One loop per number of vertices the step finishes. A finished
+        # vertex's product must be new, and it stays in seen while the
+        # search is below this step. A step finishing two vertices of equal
+        # products fails at every label without a loop. Where the depth has
+        # a twin bound, a finished vertex's product must pass its earlier
+        # twin's, so the loop starts at the first label above it; the
+        # labels below are counted as tried. The defaults make the search's
+        # state fast locals.
         nonlocal nodes
         if depth == depths:
             return leaf()
@@ -306,7 +303,8 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
                 if walk(deeper):
                     return True
         elif finished == 1:
-            for w in weights:
+            t = bounds[depth]
+            for w in weights if t is None else range(prod[t] // pa0 + 1, s + 1):
                 pa = pa0 * w
                 if pa in seen:
                     continue
@@ -316,19 +314,8 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
                 if walk(deeper):
                     return True
                 discard(pa)
-        elif finished == 3:
-            for w in range(prod[bounds[depth]] // pa0 + 1, s + 1):
-                pa = pa0 * w
-                if pa in seen:
-                    continue
-                prod[a], prod[b] = pa, pb0 * w
-                add(pa)
-                assignment[depth] = w
-                if walk(deeper):
-                    return True
-                discard(pa)
-        else:  # finishes two: 2, or 4 with a twin bound on a, on b or on both
-            if finished == 2:
+        else:  # finishes two, with a twin bound on a, on b, on both or on neither
+            if bounds[depth] is None:
                 labels = weights if pa0 != pb0 else ()
             else:
                 ta, tb = bounds[depth]
@@ -359,13 +346,9 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
         return False
 
     limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + depths)
     try:
-        if sys.version_info >= (3, 11):
-            sys.setrecursionlimit(limit + depths)
         done = walk(0)
-    except RecursionError:
-        raise ValueError(f"graph has {depths} edges, too many for the recursive "
-                         "search") from None
     finally:
         sys.setrecursionlimit(limit)
     if done:

@@ -8,6 +8,7 @@ import re
 import sys
 from math import comb
 
+import numpy as np
 import pytest
 
 from pistr import engine, fileio
@@ -504,6 +505,17 @@ def test_verification_guard(monkeypatch, capsys, tmp_path, break_it, sizes, cons
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"pistr: internal error: ConstructionError: construction "
                           f"{construction_id} failed verification")
+
+
+def test_strength_guard(monkeypatch):
+    # A labeling with a label above the strength it reports is not returned,
+    # even when its products are distinct: T with labels 1, 3 and 4
+    # (products 4, 3 and 12) under the catalog's strength 3.
+    monkeypatch.setattr(engine, "fixed_matrix", lambda name: (
+        np.array([[0, 1, 4], [1, 0, 3], [4, 3, 0]]) if name == "T" else fixed_matrix(name)))
+    with pytest.raises(ConstructionError,
+                       match="^construction T_single has label 4 above its strength 3$"):
+        construct_labeling(complete_graph(3))
 
 
 def _digest_inputs():
