@@ -320,12 +320,10 @@ def label_cover(g: Graph, cover: CliqueCover,
 
     ValueError unless the cover is one clique_cover could return for g: its
     parts partition the vertices, each ascending and a clique of g, ordered
-    by size, then smallest vertex, with their lengths as the sizes."""
+    by size, then smallest vertex."""
     parts, n = cover.parts, g.n_vertices
     if not all(parts) or sorted(itertools.chain(*parts)) != list(range(n)):
         raise ValueError("cover parts do not partition the vertices")
-    if tuple(cover.sizes) != tuple(map(len, parts)):
-        raise ValueError("cover sizes do not match its parts")
     if list(map(list, parts)) != sorted(map(sorted, parts), key=lambda p: (len(p), p[0])):
         raise ValueError("cover parts are not each ascending, ordered by size, then "
                          "smallest vertex")

@@ -146,7 +146,7 @@ def _build(n: int, a: np.ndarray, b: np.ndarray, labels: np.ndarray | None):
 def _assemble(n: int, keys: np.ndarray, labels: np.ndarray | None):
     """The graph of ascending distinct edge keys u * n + v (0-based, u < v)
     and its labeling, labels aligned with the keys."""
-    g = Graph._from_ends(n, *np.divmod(keys, n), keys)
+    g = Graph._from_ends(n, *np.divmod(keys, n))
     if labels is None:
         return g, None
     return g, EdgeLabeling._from_values(g, labels, int(labels.max()))

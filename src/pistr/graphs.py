@@ -10,6 +10,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -27,35 +28,40 @@ def edge_key(u: int, v: int) -> Edge:
 class Graph:
     """Simple graph: no loops, no multi-edges, vertices 0..n_vertices-1.
 
-    The public constructor takes the edges as a frozenset of pairs (u, v)
-    with u < v and checks them. Graphs the package builds itself (the
-    parser, the matrix conversion) hold them as two int arrays instead,
-    ``ends``, with u < v in sorted edge order. Each form is derived from the
-    other only when it is first read, so neither side pays for the other.
-    Graphs are immutable; equality and hashing go by vertex count and edge
-    set.
+    One stored form, ``ends``: two int64 arrays, u < v, in sorted edge
+    order. The public constructor reads pairs (u, v), u < v, once into a
+    frozenset, checks them and builds ``ends``; the package's own graphs
+    (parser, matrix conversion, component split) come from arrays.
+    ``edges``, the frozenset, is kept from the constructor or built from
+    ``ends`` when first read. Graphs are immutable; equality and hashing
+    read only the arrays.
     """
 
-    def __init__(self, n_vertices: int, edges: frozenset[Edge]):
+    def __init__(self, n_vertices: int, edges: Iterable[Edge]):
+        if not isinstance(n_vertices, Integral):
+            raise ValueError(f"vertex count {n_vertices!r} is not an integer")
         if n_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
+        n, edges = int(n_vertices), frozenset(edges)
         for u, v in edges:
+            if not (type(u) is type(v) is int  # skips the slow ABC test
+                    or isinstance(u, Integral) and isinstance(v, Integral)):
+                raise ValueError(f"edge ({u},{v}) has a vertex that is not an integer")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < v < n_vertices):
+            if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u},{v}) out of range or not normalized")
-        self.__dict__.update(n_vertices=n_vertices, edges=edges)
+        pairs = np.fromiter(itertools.chain.from_iterable(edges), np.int64, 2 * len(edges))
+        u, v = pairs.reshape(-1, 2).T
+        order = np.lexsort((v, u))  # by u, then v
+        self.__dict__.update(n_vertices=n, ends=(u[order], v[order]), edges=edges)
 
     @classmethod
-    def _from_ends(cls, n_vertices: int, u: np.ndarray, v: np.ndarray,
-                   keys: np.ndarray | None = None) -> "Graph":
-        """Unchecked: the caller guarantees 0 <= u < v < n_vertices and
-        distinct pairs in sorted order, and keys == u * n_vertices + v if
-        given."""
+    def _from_ends(cls, n_vertices: int, u: np.ndarray, v: np.ndarray) -> "Graph":
+        """Unchecked: the caller guarantees int64 arrays with
+        0 <= u < v < n_vertices and distinct pairs in sorted order."""
         g = cls.__new__(cls)
         g.__dict__.update(n_vertices=n_vertices, ends=(u, v))
-        if keys is not None:
-            g.__dict__["_keys"] = keys
         return g
 
     @classmethod
@@ -68,14 +74,11 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        if self.n_vertices != other.n_vertices:
-            return False
-        if "ends" in self.__dict__ and "ends" in other.__dict__:
-            return all(map(np.array_equal, self.ends, other.ends))
-        return self.edges == other.edges
+        return (self.n_vertices == other.n_vertices
+                and all(map(np.array_equal, self.ends, other.ends)))
 
     def __hash__(self):
-        return hash((self.n_vertices, self.edges))
+        return hash((self.n_vertices, *(end.tobytes() for end in self.ends)))
 
     def __repr__(self):
         return f"Graph(n_vertices={self.n_vertices}, edges={self.edges!r})"
@@ -84,18 +87,6 @@ class Graph:
     def edges(self) -> frozenset[Edge]:
         u, v = self.ends
         return frozenset(zip(u.tolist(), v.tolist()))
-
-    @cached_property
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edges as two int64 arrays, u < v, in sorted edge order."""
-        pairs = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
-        return pairs[:, 0].copy(), pairs[:, 1].copy()
-
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        """u * n + v for each edge: ascending, one per edge."""
-        u, v = self.ends
-        return u * self.n_vertices + v
 
     @cached_property
     def _roots(self) -> np.ndarray:
@@ -132,28 +123,34 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        ends = self.__dict__.get("ends")
-        return len(self.edges) if ends is None else len(ends[0])
+        return len(self.ends[0])
 
 
 class EdgeLabeling:
     """Total map from the edges of a graph to labels in {1, ..., strength}.
 
-    The public constructor takes a mapping edge -> label and checks it.
-    Labelings the package builds hold an array instead, ``values``, aligned
-    with ``graph.ends``; int64, or object when a label does not fit. Each
-    form is derived from the other when it is first read.
+    One stored form, ``values``: the labels aligned with ``graph.ends``,
+    int64, or object when a label does not fit. The public constructor
+    checks a mapping edge -> label and reads it into ``values``; the
+    package's own labelings come from arrays. ``labels``, a read-only
+    mapping, is built from ``values`` when first read.
     """
 
     def __init__(self, graph: Graph, labels: Mapping[Edge, int], strength: int):
+        if not isinstance(strength, Integral):
+            raise ValueError(f"strength {strength!r} is not an integer")
         if strength < 1:
             raise ValueError("strength must be >= 1")
-        if set(labels) != graph.edges:
+        if labels.keys() != graph.edges:
             raise ValueError("labels must cover exactly the edges of the graph")
         for e, w in labels.items():
+            if not (type(w) is int or isinstance(w, Integral)):
+                raise ValueError(f"label {w!r} on edge {e} is not an integer")
             if not (1 <= w <= strength):
                 raise ValueError(f"label {w} on edge {e} outside 1..{strength}")
-        self.__dict__.update(graph=graph, labels=labels, strength=strength)
+        u, v = graph.ends
+        values = label_array([labels[e] for e in zip(u.tolist(), v.tolist())])
+        self.__dict__.update(graph=graph, values=values, strength=int(strength))
 
     @classmethod
     def _from_values(cls, graph: Graph, values: np.ndarray, strength: int) -> "EdgeLabeling":
@@ -166,7 +163,7 @@ class EdgeLabeling:
     @classmethod
     def make(cls, graph: Graph, labels: Mapping[tuple[int, int], int],
              strength: int | None = None) -> "EdgeLabeling":
-        norm = {edge_key(u, v): int(w) for (u, v), w in labels.items()}
+        norm = {edge_key(u, v): w for (u, v), w in labels.items()}
         if strength is None:
             strength = max(norm.values(), default=1)
         return cls(graph, norm, strength)
@@ -177,25 +174,19 @@ class EdgeLabeling:
     def __eq__(self, other):
         if not isinstance(other, EdgeLabeling):
             return NotImplemented
-        return ((self.graph, self.labels, self.strength)
-                == (other.graph, other.labels, other.strength))
+        return (self.graph == other.graph and self.strength == other.strength
+                and np.array_equal(self.values, other.values))
 
     __hash__ = None
 
     def __repr__(self):
-        return (f"EdgeLabeling(graph={self.graph!r}, labels={self.labels!r}, "
+        return (f"EdgeLabeling(graph={self.graph!r}, labels={dict(self.labels)!r}, "
                 f"strength={self.strength})")
 
     @cached_property
-    def labels(self) -> dict[Edge, int]:
+    def labels(self) -> Mapping[Edge, int]:
         u, v = self.graph.ends
-        return dict(zip(zip(u.tolist(), v.tolist()), self.values.tolist()))
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """The labels as an array aligned with graph.ends."""
-        u, v = self.graph.ends
-        return label_array([self.labels[e] for e in zip(u.tolist(), v.tolist())])
+        return MappingProxyType(dict(zip(zip(u.tolist(), v.tolist()), self.values.tolist())))
 
     def label(self, u: int, v: int) -> int:
         return self.labels[edge_key(u, v)]
@@ -213,10 +204,14 @@ def label_array(labels) -> np.ndarray:
 class CliqueCover:
     """Ordered partition of the vertex set into cliques: the parts sorted by
     size ascending, ties by smallest contained vertex, each part's vertices
-    ascending. Everything else about the graph is read from the graph."""
+    ascending. The parts are all it holds; their sizes are read from them,
+    and everything else about the graph from the graph."""
 
     parts: tuple[tuple[int, ...], ...]
-    sizes: tuple[int, ...]
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(map(len, self.parts))
 
     @property
     def n_parts(self) -> int:
@@ -277,11 +272,10 @@ def matrix_to_labeled_graph(m: np.ndarray) -> tuple[Graph, EdgeLabeling]:
     """Positive entries become labeled edges; inverse of labeled_graph_to_matrix."""
     m = validate_weighted_adjacency(m)
     n = m.shape[0]
-    # flat positions u * n + v of the entries above the diagonal, ascending;
-    # the array holds one entry per edge, not one per vertex pair
-    keys = np.flatnonzero(np.triu(m > 0, 1)).astype(np.int64, copy=False)
-    u, v = np.divmod(keys, max(n, 1))
-    g = Graph._from_ends(n, u, v, keys)
+    # the flat positions u * n + v of the entries above the diagonal,
+    # ascending: one array entry per edge, not one per vertex pair
+    u, v = np.divmod(np.flatnonzero(np.triu(m > 0, 1)), max(n, 1))
+    g = Graph._from_ends(n, u, v)
     labels = m[u, v]
     return g, EdgeLabeling._from_values(g, labels, int(labels.max(initial=1)))
 
@@ -358,7 +352,7 @@ def clique_cover(g: Graph, k_max: int) -> CliqueCover | None:
         if classes is not None:
             parts = sorted((tuple(_bits(mask)) for mask in classes if mask),
                            key=lambda p: (len(p), p[0]))
-            return CliqueCover(tuple(parts), tuple(len(p) for p in parts))
+            return CliqueCover(tuple(parts))
     return None
 
 
@@ -369,7 +363,7 @@ def _complement_masks(g: Graph) -> list[int]:
     edges whose v lies in the block."""
     n = g.n_vertices
     u, v = g.ends
-    keys = g._keys
+    keys = u * n + v  # ascending, one per edge
     masks: list[int] = []
     step = max(1, _MASK_BLOCK // max(n, 1))
     for lo in range(0, n, step):

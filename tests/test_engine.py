@@ -271,7 +271,7 @@ def spanning_graphs():
             for hubs in [(0, 0), (0, 1)][:1 + (len(sizes) == 3 and sizes[m] > 1)]:
                 tree = [(m, parts[m][h], o, parts[o][0]) for o, h in zip(outers, hubs)]
                 g = Graph.from_edges(sum(sizes), clique_edges + [(u, v) for _, u, _, v in tree])
-                yield g, CliqueCover(parts, sizes)
+                yield g, CliqueCover(parts)
 
 
 def test_unpinned_fallback_census():
@@ -379,15 +379,16 @@ class TestConstructLabeling:
         (((0, 1, 2), (4, 5, 6, 7, 8)), (3, 5), "do not partition"),  # vertex 3 left out
         (((0, 1, 2, 3), (3, 4, 5, 6, 7, 8)), (4, 6), "do not partition"),
         (((0, 2, 1, 3), (4, 5, 6, 7, 8)), (4, 5), "not each ascending"),
-        (((0, 1, 2, 3), (4, 5, 6, 7, 8)), (4, 4), "sizes do not match"),
+        (((0, 1, 2, 3), (), (4, 5, 6, 7, 8)), (4, 0, 5), "do not partition"),  # an empty part
         (((4, 5, 6, 7, 8), (0, 1, 2, 3)), (5, 4), "ordered by size"),
         (((0, 1, 2, 4), (3, 5, 6, 7, 8)), (4, 5), r"\(0, 1, 2, 4\) is not a clique"),
     ])
     def test_cover_must_fit_the_graph(self, parts, sizes, fault):
         g = cliques_with_edges((4, 5), [(0, 4)])
-        assert label_cover(g, CliqueCover(((0, 1, 2, 3), (4, 5, 6, 7, 8)), (4, 5))).strength == 3
+        assert label_cover(g, CliqueCover(((0, 1, 2, 3), (4, 5, 6, 7, 8)))).strength == 3
+        assert CliqueCover(parts).sizes == sizes
         with pytest.raises(ValueError, match=fault):
-            label_cover(g, CliqueCover(parts, sizes))
+            label_cover(g, CliqueCover(parts))
 
     @pytest.mark.parametrize("sizes", [(9, 4), (9, 8, 7), (6, 4), (5, 5, 4)])
     def test_unsorted_sizes_rejected(self, sizes):
@@ -530,7 +531,7 @@ def _digest_inputs():
         x, y = rng.sample(range(n + 1), 2)  # x alone, joined to y in K_n
         rest = tuple(sorted(v for v in range(n + 1) if v != x))
         g = Graph.from_edges(n + 1, [(x, y)] + list(itertools.combinations(rest, 2)))
-        inputs.append((g, CliqueCover(((x,), rest), (1, n))))
+        inputs.append((g, CliqueCover(((x,), rest))))
     two = [(1, 4), (1, 7), (2, 4), (2, 6), (3, 5), (3, 7), (4, 4), (4, 9),
            (5, 5), (5, 8), (6, 6), (6, 7), (3, 4), (1, 3), (2, 2), (2, 3), (3, 3)]
     three = [(7, 8, 9), (7, 7, 7), (4, 8, 9), (5, 7, 7), (6, 6, 9), (6, 6, 7),
@@ -651,7 +652,7 @@ def _placed(rng, row, sizes, extra):
     g = Graph.from_edges(len(perm), [(perm[u], perm[v]) for u, v in edges])
     parts = sorted((sorted(perm[v] for v in part) for part in parts),
                    key=lambda p: (len(p), p[0]))
-    return g, CliqueCover(tuple(map(tuple, parts)), tuple(map(len, parts)))
+    return g, CliqueCover(tuple(map(tuple, parts)))
 
 
 @pytest.mark.parametrize("row", engine._CATALOG, ids=_row_id)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from pistr.engine import construct_labeling
+from pistr.fileio import emit_graph, parse_graph
 from pistr.graphs import (CliqueCover, EdgeLabeling, Graph, add_cross_edge,
-                          clique_cover, complete_graph, component_subgraphs, disjoint_union,
-                          has_isolated_vertex_or_edge, is_connected,
+                          clique_cover, closed_masks, complete_graph, component_subgraphs,
+                          disjoint_union, has_isolated_vertex_or_edge, is_connected,
                           labeled_graph_to_matrix, matrix_to_labeled_graph)
 from pistr.graphs import _color_graph, _complement_masks, _order, _two_colour
 from pistr.matrices import fixed_matrix, m_matrix
@@ -164,11 +165,81 @@ class TestBuilders:
             assert h.edges == g.edges and packed.labels == labeling.labels
             assert packed == labeling
             assert [e.tolist() for e in h.ends] == [e.tolist() for e in g.ends]
-            assert h._keys.tolist() == [u * h.n_vertices + v for u, v in sorted(g.edges)]
             with pytest.raises(AttributeError):
                 h.n_vertices = 1
             with pytest.raises(AttributeError):
                 packed.strength = 1
+
+
+class TestOneStoredForm:
+    """A graph holds its edge arrays and a labeling its label array, built
+    once from the checked input; nothing the caller keeps can change them."""
+
+    def test_graph_keeps_no_reference_to_the_callers_set(self):
+        edges = {(0, 1), (1, 2)}
+        g = Graph(3, edges)
+        edges.discard((0, 1))
+        edges.add((0, 2))
+        assert g.edges == {(0, 1), (1, 2)} and g.n_edges == 2
+        assert [e.tolist() for e in g.ends] == [[0, 1], [1, 2]]
+        assert g == Graph(3, frozenset({(0, 1), (1, 2)}))
+
+    def test_labeling_keeps_no_reference_to_the_callers_dict(self):
+        g = Graph(3, frozenset({(0, 1), (1, 2)}))
+        labels = {(0, 1): 1, (1, 2): 2}
+        labeling = EdgeLabeling(g, labels, 3)
+        labels[0, 1] = 99
+        assert labeling.labels == {(0, 1): 1, (1, 2): 2}
+        assert labeling.values.tolist() == [1, 2]
+        assert emit_graph(g, labeling) == "p 3 2\ne 1 2 1\ne 2 3 2\n"
+        with pytest.raises(TypeError):
+            labeling.labels[0, 1] = 3  # a read-only view
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, {(0.5, 2), (0, 1)}, "edge (0.5,2) has a vertex that is not an integer"),
+        (3, {(0, 1), (1, 2.0)}, "edge (1,2.0) has a vertex that is not an integer"),
+        (3.0, {(0, 1), (1, 2)}, "vertex count 3.0 is not an integer"),
+        ("3", {(0, 1)}, "vertex count '3' is not an integer"),
+    ])
+    def test_graph_rejects_non_integers(self, n, edges, message):
+        with pytest.raises(ValueError) as err:
+            Graph(n, frozenset(edges))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("labels, strength, message", [
+        ({(0, 1): 2.5}, 3, "label 2.5 on edge (0, 1) is not an integer"),
+        ({(0, 1): 2.0}, 3, "label 2.0 on edge (0, 1) is not an integer"),
+        ({(0, 1): 2}, 3.0, "strength 3.0 is not an integer"),
+    ])
+    def test_labeling_rejects_non_integers(self, labels, strength, message):
+        k2 = complete_graph(2)
+        with pytest.raises(ValueError) as err:
+            EdgeLabeling(k2, labels, strength)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            EdgeLabeling.make(k2, {(1, 0): w for w in labels.values()}, strength)
+        assert str(err.value) == message
+
+    def test_numpy_integers_accepted(self):
+        g = Graph(np.int64(300), {(np.uint8(200), np.int16(299)), (np.int32(0), 1)})
+        assert g == Graph(300, frozenset({(0, 1), (200, 299)}))
+        assert type(g.n_vertices) is int
+        assert [e.tolist() for e in g.ends] == [[0, 200], [1, 299]]
+        labeling = EdgeLabeling(g, {(0, 1): np.int64(2), (200, 299): np.uint8(3)},
+                                np.int16(3))
+        assert labeling.values.tolist() == [2, 3] and labeling.strength == 3
+        assert labeling.labels == {(0, 1): 2, (200, 299): 3}
+
+    def test_hand_built_equals_parsed(self, rng):
+        for _ in range(20):
+            g = random_graph_no_isolates(rng)
+            labels = random_labeling(rng, g, s=4)
+            labeling = EdgeLabeling(g, labels, max(labels.values()))  # as the parser reads it
+            h, parsed = parse_graph(emit_graph(g, labeling))
+            assert h == g and hash(h) == hash(g)
+            assert parsed == labeling and parsed.labels == labeling.labels
+            assert parse_graph(emit_graph(g))[0] == g
+        assert len({g, Graph(g.n_vertices, g.edges), h}) == 1
 
 
 class TestMatrixConversion:
@@ -383,7 +454,7 @@ class TestCliqueCover:
         # what the graph holds beyond the two cliques
         g = add_cross_edge(disjoint_union(complete_graph(3), complete_graph(4)), 1, 5)
         cover = clique_cover(g, 2)
-        assert cover == CliqueCover(((0, 1, 2), (3, 4, 5, 6)), (3, 4))
+        assert cover == CliqueCover(((0, 1, 2), (3, 4, 5, 6)))
         inside = {e for part in cover.parts for e in itertools.combinations(part, 2)}
         assert g.edges - inside == {(1, 5)}
 
@@ -478,6 +549,48 @@ class TestCliqueCover:
             assert classes == _color_graph(masks, 2, order), masks
             verdicts[classes is not None] += 1
         assert min(verdicts[True], verdicts[False]) > 100, verdicts
+
+    @staticmethod
+    def twin_rich_graph(rng):
+        """A blow-up of a small random graph (each vertex a clique of 1-4
+        closed twins, each edge a complete join) plus up to three noise
+        edges, the vertices renumbered at random."""
+        b = rng.randint(4, 8)
+        p = rng.uniform(0.3, 0.8)
+        base = [e for e in itertools.combinations(range(b), 2) if rng.random() < p]
+        blobs, n = [], 0
+        for _ in range(b):
+            t = rng.randint(1, 4)
+            blobs.append(range(n, n + t))
+            n += t
+        edges = {e for blob in blobs for e in itertools.combinations(blob, 2)}
+        edges |= {(x, y) for i, j in base for x in blobs[i] for y in blobs[j]}
+        absent = [e for e in itertools.combinations(range(n), 2) if e not in edges]
+        edges |= set(rng.sample(absent, min(len(absent), rng.randint(0, 3))))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+    def test_closed_twins_share_a_part(self, rng):
+        # In the first colouring the backtracking finds, a later twin takes
+        # its earlier twin's colour: otherwise swapping the two twins'
+        # colours gives a completion the search tries first. So covering
+        # the twin quotient and expanding it returns the same cover.
+        parts_seen = collections.Counter()
+        for _ in range(400):
+            g = self.twin_rich_graph(rng)
+            classes = collections.defaultdict(list)
+            for v, mask in closed_masks(g.edges).items():
+                classes[mask].append(v)
+            for k in (3, 4):
+                cover = clique_cover(g, k)
+                if cover is None:
+                    continue
+                parts_seen[cover.n_parts] += 1
+                part_of = {v: i for i, part in enumerate(cover.parts) for v in part}
+                for twins in classes.values():
+                    assert len({part_of[v] for v in twins}) == 1, (g, cover, twins)
+        assert min(parts_seen[2], parts_seen[3], parts_seen[4]) > 40, parts_seen
 
     def test_k_max_respected(self):
         c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
