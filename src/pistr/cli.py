@@ -24,9 +24,8 @@ from . import matrices
 from .engine import (FallbackBudgetError, UnsupportedCoverError,
                      catalog_matrix, construct_labeling)
 from .fileio import DocumentError, emit_graph, parse_graph
-from .graphs import (clique_cover, edge_key, is_connected,
-                     matrix_to_labeled_graph)
-from .solver import DEFAULT_BUDGET, ps_exact, ps_exact_disconnected
+from .graphs import clique_cover, edge_key, matrix_to_labeled_graph
+from .solver import DEFAULT_BUDGET, ps_exact_disconnected
 from .verifier import is_product_irregular
 
 SCHEMA = 1
@@ -162,8 +161,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_ps(args) -> int:
     g, _ = parse_graph(_read_document(args.input))
-    solve = ps_exact if is_connected(g) else ps_exact_disconnected
-    result = solve(g, args.s_max, budget=args.budget)
+    result = ps_exact_disconnected(g, args.s_max, budget=args.budget)
     if args.json:
         _emit_json({
             "command": "ps",

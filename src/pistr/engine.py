@@ -386,19 +386,19 @@ def _row_products(block: np.ndarray) -> list[int]:
 
 def _fallback_stages(g: Graph, cover: CliqueCover, tree: _Tree
                      ) -> Iterator[tuple[int, dict[int, tuple[str, np.ndarray]], SearchPlan,
-                                         list[int]]]:
+                                         list[int] | None]]:
     """The searches of _fallback, in order, as (s, pins, plan, products):
     pins maps each pinned part to its block's name and the block, plan is
     the SearchPlan of the free edges and products each vertex's product of
-    pinned labels.
+    pinned labels, None when nothing is pinned.
 
     The search runs on the spanning graph: the parts plus the tree edges.
     Cliques too large to search are pinned (largest first) until at most 16
     of its edges remain free. A pinned part of size n takes B<n>, A<n>,
-    C<n>, then _PINNABLE[n], each block built when a combination of one
-    name per pinned part first needs it. The stages are (s, combination):
-    s = 3, then s = 4, each over every combination, the empty one when
-    nothing is pinned."""
+    C<n>, then _PINNABLE[n], each block built once, when a combination of
+    one name per pinned part first needs it. The stages are (s,
+    combination): s = 3, then s = 4, each over every combination, the
+    empty one when nothing is pinned."""
     by_size_desc = sorted(range(cover.n_parts), key=lambda p: -cover.sizes[p])
     to_fix: list[int] = []
     free_edges = len(tree.links) + sum(comb(size, 2) for size in cover.sizes)
@@ -414,19 +414,19 @@ def _fallback_stages(g: Graph, cover: CliqueCover, tree: _Tree
     plan = SearchPlan.of(Graph(g.n_vertices, frozenset(edges)))
     names = [(f"B{n}", f"A{n}", f"C{n}", *_PINNABLE.get(n, ()))
              for n in (cover.sizes[p] for p in to_fix)]
-    # (part, name) -> (block, its row products), built on first use
+    # (size, name) -> (block, its row products), built on first use
     blocks: dict[tuple[int, str], tuple[np.ndarray, list[int]]] = {}
     for s, combo in itertools.product((3, 4), itertools.product(*names)):
-        products = [1] * g.n_vertices
+        products = [1] * g.n_vertices if to_fix else None
         for p, name in zip(to_fix, combo):
-            if (p, name) not in blocks:
-                n = cover.sizes[p]
+            n = cover.sizes[p]
+            if (n, name) not in blocks:
                 mat = (fixed_matrix(name) if name in _PINNABLE.get(n, ())
                        else named_family(n, name[0]))
-                blocks[p, name] = mat, _row_products(mat)
-            for v, product in zip(cover.parts[p], blocks[p, name][1]):
+                blocks[n, name] = mat, _row_products(mat)
+            for v, product in zip(cover.parts[p], blocks[n, name][1]):
                 products[v] = product
-        pins = {p: (name, blocks[p, name][0]) for p, name in zip(to_fix, combo)}
+        pins = {p: (name, blocks[cover.sizes[p], name][0]) for p, name in zip(to_fix, combo)}
         yield s, pins, plan, products
 
 
@@ -436,16 +436,16 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
 
     One loop walks the stages of _fallback_stages. Every search runs on one
     SearchPlan of the free edges, where closed twins of equal pinned
-    products finish with increasing products (SearchPlan.twins_under), and
-    gets what is left of the one budget; the first to run out ends the
-    fallback with FallbackBudgetError. No s below 3 can succeed: with
-    labels 1 and 2 the n >= 2 products must be 2^0 .. 2^(n-1), but the
-    vertex with 2^(n-1) has an edge labeled 2 to the vertex with 1. s = 4
-    suffices for every unpinned spanning graph except K2, which has no
-    labeling at all and which construct_labeling rejects. The answer is one
-    n x n matrix of one byte an entry, in vertex order: the pinned blocks
-    at their parts' rows and columns, the search's labels on the free
-    edges.
+    products finish with increasing products (SearchPlan.twins_under, the
+    plan's twins when nothing is pinned), and gets what is left of the one
+    budget; the first to run out ends the fallback with FallbackBudgetError.
+    No s below 3 can succeed: with labels 1 and 2 the n >= 2 products must
+    be 2^0 .. 2^(n-1), but the vertex with 2^(n-1) has an edge labeled 2 to
+    the vertex with 1. s = 4 suffices for every unpinned spanning graph
+    except K2, which has no labeling at all and which construct_labeling
+    rejects. The answer is one n x n matrix of one byte an entry, in vertex
+    order: the pinned blocks at their parts' rows and columns, the search's
+    labels on the free edges.
     """
     used = 0
     for s, pins, plan, products in _fallback_stages(g, cover, tree):

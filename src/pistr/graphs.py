@@ -42,6 +42,8 @@ class Graph:
             raise ValueError(f"vertex count {n_vertices!r} is not an integer")
         if n_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
+        if n_vertices >= 1 << 63:  # so every vertex id fits int64 too
+            raise ValueError(f"vertex count {n_vertices} does not fit int64")
         n, edges = int(n_vertices), frozenset(edges)
         for u, v in edges:
             if not (type(u) is type(v) is int  # skips the slow ABC test
@@ -164,8 +166,8 @@ class EdgeLabeling:
     def make(cls, graph: Graph, labels: Mapping[tuple[int, int], int],
              strength: int | None = None) -> "EdgeLabeling":
         norm = {edge_key(u, v): w for (u, v), w in labels.items()}
-        if strength is None:
-            strength = max(norm.values(), default=1)
+        if strength is None:  # the largest integer label: the constructor names the others
+            strength = max((w for w in norm.values() if isinstance(w, Integral)), default=1)
         return cls(graph, norm, strength)
 
     def __setattr__(self, name, value):
@@ -336,7 +338,10 @@ def clique_cover(g: Graph, k_max: int) -> CliqueCover | None:
     with fewer edges is refused before any n x n work. Two colours are a
     breadth-first search, whose cost does not depend on how the vertices
     are numbered; every other k is a backtracking search with vertices
-    ordered by descending complement degree.
+    ordered by descending complement degree, then id. Closed twins of g,
+    the vertices of equal complement rows, share a colour in the first
+    colouring in that order, so only the first of each class is coloured
+    and the rest of its class takes its colour.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -345,13 +350,17 @@ def clique_cover(g: Graph, k_max: int) -> CliqueCover | None:
     if g.n_edges < k_max * q * (q - 1) // 2 + r * q:
         return None
     comp_adj = _complement_masks(g)
-    order = _order(comp_adj)  # one order for every k
+    twins: dict[int, int] = {}  # per distinct row, in order, its class of closed twins
+    for v in _order(comp_adj):
+        twins[comp_adj[v]] = twins.get(comp_adj[v], 0) | 1 << v
+    # each class's first vertex in order, its smallest: twins have one degree
+    order = [(mask & -mask).bit_length() - 1 for mask in twins.values()]
     for k in range(1, k_max + 1):
         classes = (_two_colour(comp_adj, order) if k == 2
                    else _color_graph(comp_adj, k, order))
         if classes is not None:
-            parts = sorted((tuple(_bits(mask)) for mask in classes if mask),
-                           key=lambda p: (len(p), p[0]))
+            parts = sorted((tuple(_bits(sum(twins[comp_adj[v]] for v in _bits(mask))))
+                            for mask in classes if mask), key=lambda p: (len(p), p[0]))
             return CliqueCover(tuple(parts))
     return None
 
@@ -383,12 +392,13 @@ def _complement_masks(g: Graph) -> list[int]:
 
 
 def _color_graph(adj_masks: list[int], k: int, order: list[int]) -> list[int] | None:
-    """Proper k-coloring as color-class bitmasks, or None. Exact backtracking
-    without recursion, trying colors in the same order as a recursive search:
-    the vertex at each depth of ``order`` (_order of the masks) takes the
-    first fitting color from ``first`` on; when none fits, the search backs
-    up one depth and resumes after the color chosen there."""
-    n = len(adj_masks)
+    """Proper k-coloring of the vertices in ``order`` as color-class
+    bitmasks, or None. Exact backtracking without recursion, trying colors
+    in the same order as a recursive search: the vertex at each depth of
+    ``order`` (_order of the masks, or a part of it) takes the first
+    fitting color from ``first`` on; when none fits, the search backs up
+    one depth and resumes after the color chosen there."""
+    n = len(order)
     classes = [0] * k
     color = [0] * n  # color[i] is the color of order[i] while depth > i
     bumped = [False] * n  # whether that color opened a new class
@@ -429,12 +439,12 @@ def _order(adj_masks: list[int]) -> list[int]:
 
 def _two_colour(adj_masks: list[int], order: list[int]) -> list[int] | None:
     """The classes _color_graph(adj_masks, 2, order) returns, or None:
-    breadth first from each component's first vertex in order, on side 0,
-    each layer on the other side from the last; an edge inside a side is an
-    odd cycle. Side 0 for those vertices is the least colouring in that
-    order, the one the backtracking finds first."""
+    breadth first over the vertices in order from each component's first
+    vertex, on side 0, each layer on the other side from the last; an edge
+    inside a side is an odd cycle. Side 0 for those vertices is the least
+    colouring in that order, the one the backtracking finds first."""
     sides = [0, 0]
-    todo = (1 << len(adj_masks)) - 1
+    todo = sum(1 << v for v in order)
     for start in order:
         frontier, side = todo & 1 << start, 0
         while frontier:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 FAMILY_TRIPLES = {"A": (1, 2, 3), "B": (2, 3, 1), "C": (3, 1, 2)}
-TILDE_PAIRS = {"A": (1, 2), "B": (2, 3), "C": (3, 1)}
 
 
 def pivot_index(n: int) -> int:
@@ -51,7 +50,7 @@ def named_family(n: int, which: str) -> np.ndarray:
 def tilde_matrix(n: int, which: str) -> np.ndarray:
     """Tilde variant: z collapsed to y; pairs (1,2), (2,3), (3,1) per family."""
     try:
-        x, y = TILDE_PAIRS[which]
+        x, y, _ = FAMILY_TRIPLES[which]
     except KeyError:
         raise ValueError(f"unknown family {which!r}, expected A, B or C") from None
     return m_matrix(n, x, y, y)

@@ -7,16 +7,16 @@ as two finished vertices share a product degree.
 At s <= 2 no graph on two or more vertices has a labeling: a vertex's
 product is 2^d, d its number of edges labeled 2, and the graph of those
 edges has two vertices of equal degree, which share a product. So those
-levels only count nodes. With no fixed products and pruning on, the count
-is one forward pass over the depths (_frontier_count): each distinct state
-(the exponents of the vertices' products, the seen exponents) with the
-number of paths that reach it, node for node the walk's count. The widest
-depth of K5 to K9 holds 72, 450, 2,588, 18,540 and 144,334 states; K8's
-s = 2 count (21,908,526 nodes) takes 35 to 50 ms on 2 CPUs under Python
-3.11. At the first depth wider than FRONTIER_CAP states the pass stops,
-and the lemma refutes the level with the nodes counted up to there, as
-_degree_count_bound refutes levels with no search: K9 and larger cliques
-go on to s = 3 with memory bounded.
+levels only count nodes. At s = 1 the walk does so on one path, down to
+the second finished vertex. At s = 2, with no fixed products and pruning
+on, the count is one forward pass over the depths (_frontier_count):
+each distinct state (the exponents of the vertices' products, the seen
+exponents) with the number of paths that reach it, node for node the
+walk's count. The widest depth of K5 to K9 holds 72, 450, 2,588, 18,540
+and 144,334 states. At the first depth wider than FRONTIER_CAP states
+the pass stops, and the lemma refutes the level with the nodes counted
+up to there, as _degree_count_bound refutes levels with no search: K9
+and larger cliques go on to s = 3 with memory bounded.
 
 From s = 3 on, with pruning on, the search breaks the symmetry of
 closed twins (vertices with equal closed neighbourhoods) that have equal
@@ -26,29 +26,24 @@ finish with increasing products, in the order the search finishes them.
 This is a lex-leader constraint (Crawford et al., KR 1996); it loses no
 labeling up to that swap and no degree multiset of collect mode. The
 rule is one bound per depth (SearchPlan.twins_under): the loop of a
-finishing step starts above the earlier twin's product. It cuts
-K4+K4 from 83,541 to 3,564 nodes, and K6's collection at s = 3 from 13M
-to 1.5M. With no fixed products all products are equal, so ps_exact and
-ps_exact_disconnected break every twin class; prune=False, the unbroken
-oracle, breaks none. Before each level s >= 3, a degree count refutes s
-with no search when more vertices have degree <= k than there are
-products of k labels from 1..s.
+finishing step starts above the earlier twin's product. With no fixed
+products all products are equal, so ps_exact and ps_exact_disconnected
+break every twin class; prune=False, the unbroken oracle, breaks none.
+Before each level s >= 3, a degree count refutes s with no search when
+more vertices have degree <= k than there are products of k labels from
+1..s.
 
-Disconnected graphs can instead be solved one component at a time
-(ps_exact_disconnected), in one loop over levels, one per component,
-fewest edges first. The last level is searched in find mode against the
-values the levels above it took. Each level above it picks one of the
-product-degree multisets its shape can realize that shares no value with
-the levels above, in increasing index order along the levels of one
-shape. The collection is lazy: it stops after 1, 2, 4, ... new multisets,
-and a longer one is made only when every combination of the shorter ones
-failed and a level of that shape ran to the end of its list. Each level
-remembers the sets of taken values (and the first index) it failed with.
-K6+K3 takes 84 nodes this way, where collecting K6 took 1,488,325; K7+K8
-takes 240 nodes at s = 3, where collecting K7 took 237M, and K4+K4+K7+K8
-is refuted up to s = 3 in 1,200, K7 held at its first multiset since every
-combination fails at the second K4. Eight triangles up to s = 8 take
-406,648, where collecting took 2,932,656.
+ps_exact_disconnected solves a graph one component at a time, in one
+loop over levels, one per component, fewest edges first; on a connected
+graph it is ps_exact node for node. The last level is searched in find
+mode against the values the levels above it took. Each level above it
+picks one of the product-degree multisets its shape can realize that
+shares no value with the levels above, in increasing index order along
+the levels of one shape. The collection is lazy: it stops after 1, 2,
+4, ... new multisets, and a longer one is made only when every
+combination of the shorter ones failed and a level of that shape ran to
+the end of its list. Each level remembers the sets of taken values (and
+the first index) it failed with.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ from .graphs import (Edge, EdgeLabeling, Graph, closed_masks, component_subgraph
 
 DEFAULT_BUDGET = 10**9
 # Most distinct states a depth of _frontier_count may hold; a wider depth
-# ends the s <= 2 count there, so it also decides which s <= 2 levels are
+# ends the s = 2 count there, so it also decides which s = 2 levels are
 # counted in full (K8's widest depth holds 18,540, K9's 144,334).
 FRONTIER_CAP = 2**16
 
@@ -223,11 +218,11 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     check on every try would have stopped, after at most depth x s more
     tries than that check would have made.
 
-    At s <= 2 no labeling of a graph with an edge exists. With
-    1 <= s <= 2, no products, nothing taken, pruning on and at least one
-    edge, the count is computed, not walked, by _frontier_count: the
-    walk's count, or where a depth holds more than FRONTIER_CAP states,
-    the part of it up to that depth.
+    At s <= 2 no labeling of a graph with an edge exists. At s = 2 with
+    no products, nothing taken, pruning on and at least one edge, the
+    count is computed, not walked, by _frontier_count: the walk's count,
+    or where a depth holds more than FRONTIER_CAP states, the part of it
+    up to that depth.
 
     The walk recurses once per edge. A Python-to-Python call takes no C
     stack (Python 3.11 and later), so the recursion limit, which holds for
@@ -247,8 +242,8 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     n, order, steps = plan.n_vertices, plan.edges, plan.steps
     budget = max(budget, 0)  # a negative budget stops where 0 does
     seen = set(taken)
-    if 1 <= s <= 2 and products is None and prune and order and not seen:
-        return ({} if collect_all else []), _frontier_count(plan, s, budget)
+    if s == 2 and products is None and prune and order and not seen:
+        return ({} if collect_all else []), _frontier_count(plan, budget)
     if not prune:  # no step finishes a vertex, so no bound is read
         steps, bounds = tuple((a, b, 0) for a, b, _ in steps), None
     else:  # per depth, the twin bound of the vertices it finishes
@@ -359,29 +354,28 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
     return (sigs if collect_all else found), nodes
 
 
-def _frontier_count(plan: SearchPlan, s: int, budget: int) -> int:
-    """search_labelings' node count on plan at 1 <= s <= 2 with no
-    products, by one pass over the depths; at the first depth that holds
-    more than FRONTIER_CAP states, the count up to and including it.
+def _frontier_count(plan: SearchPlan, budget: int) -> int:
+    """search_labelings' node count on plan at s = 2 with no products, by
+    one pass over the depths; at the first depth that holds more than
+    FRONTIER_CAP states, the count up to and including it.
 
     The walk runs one loop per path that reaches a depth, and each loop
-    adds s. The pass keeps, per depth, each distinct state with the number
+    adds 2. The pass keeps, per depth, each distinct state with the number
     of paths that reach it; paths with one state have equal subtrees. A
     state is one packed int: the exponent d of each vertex's product 2^d
     in a field of n.bit_length() bits (cleared when the vertex finishes),
     and above the fields the bitmask of seen exponents. At each depth the
-    count grows by s times the paths and the budget is checked: the count
+    count grows by twice the paths and the budget is checked: the count
     only grows, so it passes the budget just when the walk's count does.
     """
     n = plan.n_vertices
     width = n.bit_length()  # an exponent is at most the vertex's degree < n
     field = (1 << width) - 1
     top = n * width  # exponent e is seen when bit top + e is set
-    two = s == 2
     frontier = {0: 1}
     nodes = 0
     for a, b, finished in plan.steps:
-        nodes += s * sum(frontier.values())
+        nodes += 2 * sum(frontier.values())
         if nodes > budget:
             raise BudgetExhausted(budget + 1)
         if len(frontier) > FRONTIER_CAP:  # no labeling: stop counting
@@ -395,9 +389,8 @@ def _frontier_count(plan: SearchPlan, s: int, budget: int) -> int:
             up = (1 << sa) + (1 << sb)
             for st, k in frontier.items():
                 deeper[st] = get(st, 0) + k
-                if two:
-                    st += up
-                    deeper[st] = get(st, 0) + k
+                st += up
+                deeper[st] = get(st, 0) + k
         elif finished == 1:
             up = 1 << sb
             for st, k in frontier.items():
@@ -407,7 +400,7 @@ def _frontier_count(plan: SearchPlan, s: int, budget: int) -> int:
                 if not st & bit:
                     t = st | bit
                     deeper[t] = get(t, 0) + k
-                if two and not st & bit << 1:
+                if not st & bit << 1:
                     t = (st | bit << 1) + up
                     deeper[t] = get(t, 0) + k
         else:
@@ -420,7 +413,7 @@ def _frontier_count(plan: SearchPlan, s: int, budget: int) -> int:
                 if not st & bits:
                     t = st | bits
                     deeper[t] = get(t, 0) + k
-                if two and not st & bits << 1:
+                if not st & bits << 1:
                     t = st | bits << 1
                     deeper[t] = get(t, 0) + k
         frontier = deeper
@@ -594,7 +587,8 @@ def _combine_levels(levels: list, s: int, budget: int, searched: dict | None = N
 def ps_exact_disconnected(g: Graph, s_max: int,
                           budget: int = DEFAULT_BUDGET) -> PsResult:
     """Exact strength searched one component at a time; the value is
-    ps_exact's, found far cheaper when g has several components.
+    ps_exact's, found far cheaper when g has several components, and with
+    ps_exact's count and certificate when it has one.
 
     The components are the levels of _combine_levels, fewest edges first
     and the components of one shape next to each other, so that what is
@@ -616,23 +610,21 @@ def ps_exact_disconnected(g: Graph, s_max: int,
     is doubled, the refutation stands. The last level's searches are kept
     across rounds; the memo of failed (mask, start) pairs starts afresh in
     each. So K7+K8 at s = 3 takes K7's first labeling, one pick and a
-    search of K8 against its values, 240 nodes, where collecting K7 whole
-    took 237M."""
+    search of K8 against its values, 240 nodes."""
     levels: list[tuple[tuple, list[int]]] = []  # per component: its shape, its vertices in g
     plans: dict[tuple, SearchPlan] = {}  # per shape, in the order first met
+    for sub, old in component_subgraphs(g):
+        key = (sub.n_vertices, sub.edges)
+        if key not in plans:
+            plans[key] = SearchPlan.of(sub)
+        levels.append((key, old))
+    first = {key: i for i, key in enumerate(plans)}
+    levels.sort(key=lambda level: (len(level[0][1]), level[0][0], first[level[0]]))
+    upper = [key for key, _ in levels[:-1]]  # the shapes of the levels above the last
 
     def attempt(s: int, left: int):
-        if not levels:  # split once _by_strength checked g
-            for sub, old in component_subgraphs(g):
-                key = (sub.n_vertices, sub.edges)
-                if key not in plans:
-                    plans[key] = SearchPlan.of(sub)
-                levels.append((key, old))
-            first = {key: i for i, key in enumerate(plans)}
-            levels.sort(key=lambda level: (len(level[0][1]), level[0][0], first[level[0]]))
         left = max(left, 0)
         nodes = 0
-        upper = [key for key, _ in levels[:-1]]  # the shapes of the levels above the last
         collected = {}  # per upper shape: the (sorted degree values, label tuple) pairs held
         searched: dict = {}  # the last level's results, kept across rounds
         stop = dict.fromkeys(upper, 1)  # per upper shape: the stop of its collection

@@ -72,6 +72,29 @@ def cycle_complement(n: int, seed: int) -> Graph:
     return Graph(n, frozenset(itertools.combinations(range(n), 2)) - cycle)
 
 
+# The Grötzsch graph, the smallest triangle-free graph of chromatic number
+# 4: the 5-cycle u0..u4 (vertices 0-4), w_i (vertex 5 + i) joined to the
+# two neighbours of u_i, and z (vertex 10) joined to every w_i.
+GROTZSCH_EDGES = (
+    (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+    (1, 5), (4, 5), (0, 6), (2, 6), (1, 7), (3, 7), (2, 8), (4, 8), (0, 9), (3, 9),
+    (5, 10), (6, 10), (7, 10), (8, 10), (9, 10),
+)
+
+
+def grotzsch_blowup_complement(t: int, seed: int) -> Graph:
+    """The complement of the Grötzsch graph with each vertex replaced by t
+    copies that share its neighbours and not each other, numbered by the
+    permutation np.random.default_rng(seed).permutation(11 * t). Each
+    vertex's t copies are closed twins, and the clique cover number is the
+    Grötzsch graph's chromatic number, 4."""
+    n = 11 * t
+    order = np.random.default_rng(seed).permutation(n).tolist()
+    blown = {edge_key(order[a * t + i], order[b * t + j])
+             for a, b in GROTZSCH_EDGES for i in range(t) for j in range(t)}
+    return Graph(n, frozenset(itertools.combinations(range(n), 2)) - blown)
+
+
 def permute_graph(rng: random.Random, g: Graph, labels=None):
     """Relabel vertices by a random permutation; returns (graph, perm[, labels])."""
     perm = list(range(g.n_vertices))

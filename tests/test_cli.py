@@ -14,7 +14,7 @@ from pistr.cli import main
 from pistr.fileio import emit_graph, parse_graph
 from pistr.graphs import complete_graph
 
-from conftest import deadline, permute_graph, planted_cover_graph
+from conftest import deadline, grotzsch_blowup_complement, permute_graph, planted_cover_graph
 
 
 # gen output of the L<n> and LP<n> tokens, byte for byte: one K_2 or K_1
@@ -528,6 +528,16 @@ class TestCoverAndConstruct:
         assert (code, err) == (1, "")
         assert json.loads(out) == {"schema": 1, "command": "construct", "found": False,
                                    "error": "clique cover number exceeds 3"}
+
+    def test_construct_refuses_a_grotzsch_blowup(self, capsys, tmp_path):
+        # cover number 4 on 88 vertices in 11 classes of closed twins
+        path = tmp_path / "grotzsch8.txt"
+        path.write_text(emit_graph(grotzsch_blowup_complement(8, seed=5)))
+        with deadline(1):
+            code, out, err = run_cli(capsys, "construct", str(path))
+        assert (code, out, err) == (1, "unsupported: clique cover number exceeds 3\n", "")
+        code, out, _ = run_cli(capsys, "cover", str(path), "--k-max", "4", "--json")
+        assert code == 0 and json.loads(out)["sizes"] == [8, 24, 24, 32]
 
     def test_cover_of_a_large_clique(self, capsys, tmp_path):
         n = 1200

@@ -17,8 +17,9 @@ from pistr.graphs import _color_graph, _complement_masks, _order, _two_colour
 from pistr.matrices import fixed_matrix, m_matrix
 from pistr.verifier import is_product_irregular
 
-from conftest import (cycle_complement, deadline, permute_graph, planted_cover_graph,
-                      random_graph_no_isolates, random_labeling)
+from conftest import (cycle_complement, deadline, grotzsch_blowup_complement,
+                      permute_graph, planted_cover_graph, random_graph_no_isolates,
+                      random_labeling)
 
 
 def brute_min_cover(g: Graph) -> int:
@@ -200,10 +201,29 @@ class TestOneStoredForm:
         (3, {(0, 1), (1, 2.0)}, "edge (1,2.0) has a vertex that is not an integer"),
         (3.0, {(0, 1), (1, 2)}, "vertex count 3.0 is not an integer"),
         ("3", {(0, 1)}, "vertex count '3' is not an integer"),
+        # a count past int64 is refused before np.fromiter reads the ids
+        (2**70, {(0, 2**65)}, f"vertex count {2**70} does not fit int64"),
+        (2**64, set(), f"vertex count {2**64} does not fit int64"),
+        (2**63, {(0, 1)}, f"vertex count {2**63} does not fit int64"),
     ])
     def test_graph_rejects_non_integers(self, n, edges, message):
         with pytest.raises(ValueError) as err:
             Graph(n, frozenset(edges))
+        assert str(err.value) == message
+
+    def test_graph_takes_the_largest_int64_count(self):
+        assert Graph(2**63 - 1, {(0, 2**63 - 2)}).ends[1].tolist() == [2**63 - 2]
+
+    @pytest.mark.parametrize("labels, message", [
+        ({(1, 0): 2.5}, "label 2.5 on edge (0, 1) is not an integer"),
+        ({(0, 1): 2, (1, 2): "3"}, "label '3' on edge (1, 2) is not an integer"),
+        ({(0, 1): 0, (1, 2): 2}, "label 0 on edge (0, 1) outside 1..2"),
+    ])
+    def test_make_names_the_label_not_the_strength(self, labels, message):
+        # with no strength given, make takes the largest integer label
+        g = Graph(3, {(0, 1), (1, 2)}) if len(labels) == 2 else complete_graph(2)
+        with pytest.raises(ValueError) as err:
+            EdgeLabeling.make(g, labels)
         assert str(err.value) == message
 
     @pytest.mark.parametrize("labels, strength, message", [
@@ -591,6 +611,18 @@ class TestCliqueCover:
                 for twins in classes.values():
                     assert len({part_of[v] for v in twins}) == 1, (g, cover, twins)
         assert min(parts_seen[2], parts_seen[3], parts_seen[4]) > 40, parts_seen
+
+    def test_grotzsch_blowup_covers_its_twin_quotient(self):
+        # 88 vertices in 11 classes of 8 closed twins: the backtracking over
+        # every vertex refutes 3 parts in exponential time, over one vertex
+        # a class at once
+        g = grotzsch_blowup_complement(8, seed=5)
+        with deadline(1):
+            assert clique_cover(g, 3) is None
+            cover = clique_cover(g, 4)
+        assert cover.n_parts == 4
+        assert all(g.has_edge(u, v) for part in cover.parts
+                   for u, v in itertools.combinations(part, 2))
 
     def test_k_max_respected(self):
         c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])

@@ -687,6 +687,25 @@ def test_disconnected_results_pinned():
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == DISCONNECTED_DIGEST
 
 
+def test_connected_graphs_solved_per_component_as_a_whole():
+    # pistr ps solves every graph per component. A connected graph is one
+    # level with nothing taken, so the result is ps_exact's field for
+    # field, certificate and count included, at the full budget, at 0, at 7
+    # and at half the full count.
+    rng = random.Random(3131)
+    graphs = [complete_graph(n) for n in (3, 4, 5, 6)]
+    graphs += [random_connected_graph(rng, rng.randint(4, 9)) for _ in range(150)]
+    outcomes = collections.Counter()
+    for g in graphs:
+        s_max = rng.randint(1, 5)
+        half = ps_exact(g, s_max).nodes_explored // 2
+        for budget in (DEFAULT_BUDGET, 0, 7, half):
+            want = ps_exact(g, s_max, budget)
+            assert ps_exact_disconnected(g, s_max, budget) == want, (g, s_max, budget)
+            outcomes[want.found, want.budget_exhausted] += 1
+    assert min(outcomes.values()) > 50 and len(outcomes) == 3, outcomes
+
+
 def mixed_unions(count, seed):
     """count unions of 2 to 4 connected graphs of order 3 to 5 with no
     vertex of degree 1 and at most 12 vertices in all, some shapes repeated
