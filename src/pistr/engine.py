@@ -451,9 +451,9 @@ def _fallback(g: Graph, cover: CliqueCover, tree: _Tree,
     for s, pins, plan, products in _fallback_stages(g, cover, tree):
         try:
             sols, nodes = search_labelings(plan, s, products, budget - used)
-        except BudgetExhausted as exc:
+        except BudgetExhausted:  # the count passed the budget: it stopped at budget + 1
             raise FallbackBudgetError(
-                f"fallback budget exhausted after {used + exc.args[0]} nodes") from None
+                f"fallback budget exhausted after {max(budget, 0) + 1} nodes") from None
         used += nodes
         if not sols:
             continue

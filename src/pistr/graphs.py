@@ -7,6 +7,7 @@ constructions translate to 1-based indices at their own boundary.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -393,41 +394,34 @@ def _complement_masks(g: Graph) -> list[int]:
 
 def _color_graph(adj_masks: list[int], k: int, order: list[int]) -> list[int] | None:
     """Proper k-coloring of the vertices in ``order`` as color-class
-    bitmasks, or None. Exact backtracking without recursion, trying colors
-    in the same order as a recursive search: the vertex at each depth of
-    ``order`` (_order of the masks, or a part of it) takes the first
-    fitting color from ``first`` on; when none fits, the search backs up
-    one depth and resumes after the color chosen there."""
+    bitmasks, or None. Exact backtracking that recurses once per vertex:
+    the vertex at each depth of ``order`` (_order of the masks, or a part
+    of it) tries the colors in use and one new color, in order. A Python
+    call takes no C stack (Python 3.11 and later), so the recursion limit
+    is raised by the depth while the search runs and restored after, as
+    search_labelings does for its walk."""
     n = len(order)
     classes = [0] * k
-    color = [0] * n  # color[i] is the color of order[i] while depth > i
-    bumped = [False] * n  # whether that color opened a new class
-    used = 0
-    depth = 0
-    first = 0  # the first color to try at this depth
-    while depth < n:
+
+    def assign(depth: int, used: int) -> bool:
+        if depth == n:
+            return True
         v = order[depth]
-        mask = adj_masks[v]
-        for c in range(first, min(used + 1, k)):
+        mask, bit = adj_masks[v], 1 << v
+        for c in range(min(used + 1, k)):
             if not classes[c] & mask:
-                classes[c] |= 1 << v
-                color[depth] = c
-                bumped[depth] = c == used
-                if c == used:
-                    used += 1
-                depth += 1
-                first = 0
-                break
-        else:
-            if depth == 0:
-                return None
-            depth -= 1
-            c = color[depth]
-            classes[c] &= ~(1 << order[depth])
-            if bumped[depth]:
-                used -= 1
-            first = c + 1
-    return classes
+                classes[c] |= bit
+                if assign(depth + 1, used + (c == used)):
+                    return True
+                classes[c] &= ~bit
+        return False
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n)
+    try:
+        return classes if assign(0, 0) else None
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _order(adj_masks: list[int]) -> list[int]:

@@ -12,16 +12,17 @@ the second finished vertex. At s = 2, with no fixed products and pruning
 on, the count is one forward pass over the depths (_frontier_count):
 each distinct state (the exponents of the vertices' products, the seen
 exponents) with the number of paths that reach it, node for node the
-walk's count. The widest depth of K5 to K9 holds 72, 450, 2,588, 18,540
-and 144,334 states. At the first depth wider than FRONTIER_CAP states
-the pass stops, and the lemma refutes the level with the nodes counted
-up to there, as _degree_count_bound refutes levels with no search: K9
-and larger cliques go on to s = 3 with memory bounded.
+count of the walk without the twin rule below. The widest depth of K5
+to K9 holds 72, 450, 2,588, 18,540 and 144,334 states. At the first
+depth wider than FRONTIER_CAP states the pass stops, and the lemma
+refutes the level with the nodes counted up to there, as
+_degree_count_bound refutes levels with no search: K9 and larger
+cliques go on to s = 3 with memory bounded.
 
-From s = 3 on, with pruning on, the search breaks the symmetry of
-closed twins (vertices with equal closed neighbourhoods) that have equal
-fixed products: swapping two of them maps labelings to labelings and
-keeps the product multiset, so each such twin class may be required to
+With pruning on, the walk breaks the symmetry of closed twins
+(vertices with equal closed neighbourhoods) that have equal fixed
+products: swapping two of them maps labelings to labelings and keeps
+the product multiset, so each such twin class may be required to
 finish with increasing products, in the order the search finishes them.
 This is a lex-leader constraint (Crawford et al., KR 1996); it loses no
 labeling up to that swap and no degree multiset of collect mode. The
@@ -29,6 +30,10 @@ rule is one bound per depth (SearchPlan.twins_under): the loop of a
 finishing step starts above the earlier twin's product. With no fixed
 products all products are equal, so ps_exact and ps_exact_disconnected
 break every twin class; prune=False, the unbroken oracle, breaks none.
+The s = 2 count does not apply the rule, so it is more than the walk
+counts where the walk runs at s = 2 (with values taken or products
+fixed): K4, K5 and K6 with 0 taken, which is no product, walk 82, 566
+and 5,178 nodes, and the count reads 102, 1,070 and 17,774.
 Before each level s >= 3, a degree count refutes s with no search when
 more vertices have degree <= k than there are products of k labels from
 1..s.
@@ -220,9 +225,11 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
 
     At s <= 2 no labeling of a graph with an edge exists. At s = 2 with
     no products, nothing taken, pruning on and at least one edge, the
-    count is computed, not walked, by _frontier_count: the walk's count,
-    or where a depth holds more than FRONTIER_CAP states, the part of it
-    up to that depth.
+    count is computed, not walked, by _frontier_count: the count of the
+    walk without the twin rule, or where a depth holds more than
+    FRONTIER_CAP states, the part of it up to that depth. The walk that
+    runs at s = 2 when given ``taken`` or ``products`` breaks twins, so it
+    counts fewer nodes: K4 with 0 taken walks 82, where the count is 102.
 
     The walk recurses once per edge. A Python-to-Python call takes no C
     stack (Python 3.11 and later), so the recursion limit, which holds for
@@ -355,9 +362,10 @@ def search_labelings(g: Graph | SearchPlan, s: int, products: list[int] | None =
 
 
 def _frontier_count(plan: SearchPlan, budget: int) -> int:
-    """search_labelings' node count on plan at s = 2 with no products, by
-    one pass over the depths; at the first depth that holds more than
-    FRONTIER_CAP states, the count up to and including it.
+    """The node count of search_labelings' walk on plan at s = 2 with no
+    products and without the twin rule, by one pass over the depths; at
+    the first depth that holds more than FRONTIER_CAP states, the count up
+    to and including it.
 
     The walk runs one loop per path that reaches a depth, and each loop
     adds 2. The pass keeps, per depth, each distinct state with the number
@@ -454,9 +462,11 @@ def _degree_count_bound(g: Graph, s_max: int) -> int:
 def _by_strength(g: Graph, s_max: int, budget: int, attempt,
                  prune: bool = True) -> PsResult:
     """The smallest s <= s_max at which attempt(s, budget left) returns a
-    label map of g's edges, not None, with the nodes it explored; a search
-    that runs out raises BudgetExhausted(budget left + 1). With pruning on,
-    the levels from 3 below _degree_count_bound are refuted after 0 nodes."""
+    label map of g's edges, not None, with the nodes it explored. A search
+    whose count passes the budget left raises BudgetExhausted; the count
+    then stands at budget + 1, the count at which a check on every try
+    would have stopped. With pruning on, the levels from 3 below
+    _degree_count_bound are refuted after 0 nodes."""
     if g.n_vertices < 2:
         raise ValueError("graph too small: product degrees need incident edges")
     if has_isolated_vertex_or_edge(g):
@@ -470,8 +480,8 @@ def _by_strength(g: Graph, s_max: int, budget: int, attempt,
             continue
         try:
             labels, nodes = attempt(s, budget - total)
-        except BudgetExhausted as exc:
-            return PsResult(None, None, total + exc.args[0], True, s_max)
+        except BudgetExhausted:  # the count passed the budget: it stopped at budget + 1
+            return PsResult(None, None, max(budget, 0) + 1, True, s_max)
         total += nodes
         if labels is not None:
             return PsResult(s, EdgeLabeling(g, labels, s), total, False, s_max)
@@ -518,6 +528,16 @@ def _combine_levels(levels: list, s: int, budget: int, searched: dict | None = N
     The path is kept in lists, not in Python frames, so any number of
     levels fits: level i holds the mask acc[i] of the values chosen above
     it and tries its options from index i_next on, starting at start[i].
+    It stays in lists although the walk recurses. A recursive version was
+    faster on unions of many levels, but it puts one frame per level above
+    the last level's walk, and a deep walk's cost depends on the frame
+    depth it starts at: on CPython 3.11 the walk of K46 took 0.2 to 1.0 s
+    and 375 to 59,409 minor page faults under 0 to 38 extra frames, as if
+    a frame-stack chunk were freed each time a deep recursion returns
+    below it and mapped again on the next descent. K46 and K46 + K3 under
+    one 2-s deadline took 2.35-2.54 s that way and 0.96-1.66 s this way,
+    on 2 CPUs. A generator per level nests in C, and 1,500 levels passed
+    the recursion limit.
     """
     k = len(levels)
     budget = max(budget, 0)  # a negative budget stops where 0 does
@@ -623,34 +643,30 @@ def ps_exact_disconnected(g: Graph, s_max: int,
     upper = [key for key, _ in levels[:-1]]  # the shapes of the levels above the last
 
     def attempt(s: int, left: int):
-        left = max(left, 0)
         nodes = 0
         collected = {}  # per upper shape: the (sorted degree values, label tuple) pairs held
         searched: dict = {}  # the last level's results, kept across rounds
         stop = dict.fromkeys(upper, 1)  # per upper shape: the stop of its collection
         todo = list(stop)  # the shapes to collect this round
-        try:
-            while True:
-                for key in todo:
-                    found, used = search_labelings(plans[key], s, budget=left - nodes,
-                                                   collect_all=True, stop_after=stop[key])
-                    nodes += used
-                    if not found:
-                        return None, nodes
-                    collected[key] = sorted(found.items())
-                ran_out: set[int] = set()
-                picks, used = _combine_levels([*(collected[key] for key in upper),
-                                               plans[levels[-1][0]]], s,
-                                              left - nodes, searched, ran_out)
+        while True:
+            for key in todo:
+                found, used = search_labelings(plans[key], s, budget=left - nodes,
+                                               collect_all=True, stop_after=stop[key])
                 nodes += used
-                # a longer collection helps only a level that ran to its end
-                todo = [key for key in dict.fromkeys(upper[i] for i in sorted(ran_out))
-                        if len(collected[key]) == stop[key]]
-                if picks is not None or not todo:
-                    break
-                stop.update((key, 2 * stop[key]) for key in todo)
-        except BudgetExhausted:
-            raise BudgetExhausted(left + 1) from None
+                if not found:
+                    return None, nodes
+                collected[key] = sorted(found.items())
+            ran_out: set[int] = set()
+            picks, used = _combine_levels([*(collected[key] for key in upper),
+                                           plans[levels[-1][0]]], s,
+                                          left - nodes, searched, ran_out)
+            nodes += used
+            # a longer collection helps only a level that ran to its end
+            todo = [key for key in dict.fromkeys(upper[i] for i in sorted(ran_out))
+                    if len(collected[key]) == stop[key]]
+            if picks is not None or not todo:
+                break
+            stop.update((key, 2 * stop[key]) for key in todo)
         if picks is None:
             return None, nodes
         labels: dict[Edge, int] = {}

@@ -533,6 +533,23 @@ class TestCliqueCover:
             for k in range(1, 5):
                 assert _color_graph(masks, k, order) == recursive_color_graph(masks, k)
 
+    def test_colouring_deeper_than_the_default_recursion_limit(self):
+        # Three K_550, the first two joined by a perfect matching and vertex
+        # 0 joined to the third: 1,101 twin classes, so the 3-colouring of
+        # the quotient recurses deeper than the recursion limit, which it
+        # raises by its depth and restores.
+        m = 550
+        edges = [(u, v) for b in range(3) for u, v in
+                 itertools.combinations(range(b * m, (b + 1) * m), 2)]
+        edges += [(i, m + i) for i in range(m)] + [(0, 2 * m + j) for j in range(m)]
+        g = Graph.from_edges(3 * m, edges)
+        limit = sys.getrecursionlimit()
+        assert len(set(_complement_masks(g))) == 2 * m + 1 > limit
+        with deadline(2):
+            cover = clique_cover(g, 3)
+        assert cover.sizes == (m, m, m)
+        assert sys.getrecursionlimit() == limit
+
     def test_two_colour_check_agrees_with_the_search(self, rng):
         # clique_cover takes two parts from _two_colour instead of
         # _color_graph(., 2), so the two must return the same classes on

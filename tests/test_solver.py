@@ -186,6 +186,14 @@ class TestPsExact:
         assert r.budget_exhausted and r.value is None
         assert r.nodes_explored >= 50
 
+    def test_budget_stop_in_a_deep_walk_restores_the_recursion_limit(self):
+        # s <= 2 take 524,375 nodes of K46, so the stop comes inside the
+        # s = 3 walk, 1,035 edges deep
+        limit = sys.getrecursionlimit()
+        r = ps_exact(complete_graph(46), 4, budget=1_500_000)
+        assert (r.value, r.nodes_explored, r.budget_exhausted) == (None, 1_500_001, True)
+        assert sys.getrecursionlimit() == limit
+
     def test_certificate_valid_at_higher_strength(self):
         r = ps_exact(complete_graph(4), 4)
         lifted = EdgeLabeling(r.certificate.graph, r.certificate.labels,
@@ -1000,6 +1008,15 @@ class TestSearchCore:
                 if found:
                     report = is_product_irregular(EdgeLabeling(g, found[0], s))
                     assert report.ok and taken.isdisjoint(d.value for d in report.degrees)
+
+    def test_s2_count_is_the_walk_without_the_twin_rule(self):
+        # With nothing taken the s = 2 count is computed, as if no twin
+        # were broken. With 0 taken, which no product is, the walk runs and
+        # breaks the twins of K_n, so it counts fewer nodes.
+        for n, counted, walked in ((4, 102, 82), (5, 1070, 566)):
+            plan = SearchPlan.of(complete_graph(n))
+            assert search_labelings(plan, 2) == ([], counted)
+            assert search_labelings(plan, 2, taken=[0]) == ([], walked)
 
     def test_budget_raises(self):
         # The exception carries the node count, one past the budget.
