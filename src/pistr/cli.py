@@ -109,12 +109,14 @@ def _read_document(path: str) -> str:
 
 def _emit_json(payload: dict, document: str | None = None):
     """Print the payload as indented JSON; a document, already the body of
-    a JSON string, goes in last under "document" without a second escape."""
+    a JSON string, goes in last under "document" without a second escape
+    and is written as it is, not copied into the rest."""
     text = json.dumps({"schema": SCHEMA, **payload}, indent=2)
     if document is None:
         print(text)
     else:  # text ends with "\n}"
-        print(f'{text[:-2]},\n  "document": "{document}"\n}}')
+        for piece in (text[:-2], ',\n  "document": "', document, '"\n}\n'):
+            sys.stdout.write(piece)
 
 
 def _degree_json(degrees) -> list[dict]:

@@ -6,26 +6,35 @@ with "c" and blank lines are ignored. Either every edge carries a label or
 none does. The header declares at most MAX_VERTICES vertices.
 
 A document of at least KERNEL_MIN_CHARS characters in the canonical form,
-the one emit_graph writes, is read by one byte kernel over the text as a
-uint8 array: a header "p n m", then m lines all "e u v" or all "e u v w",
-each field ASCII digits (at most 18) after exactly one space, newline line
-ends with the last one optional. The kernel finds the delimiters and works
-on them as 1-D columns, the c-th delimiter of every line: it checks each
-delimiter, each gap between two of them and each line's "e" by position,
-then reads a column's fields as a sum of their digits times powers of ten,
-one gather per digit place. Every other document (a short one, comments,
-blank lines, tabs, CRLF, a longer field, any fault) goes through the line
-loop, the reference reader, which reads it or raises the message of its
-first fault. The kernel's endpoint arrays then pass the range, loop,
-duplicate and label checks at once, in _build; the line loop makes them
-line by line.
+the one emit_graph writes, is read by one byte kernel: a header "p n m",
+then m lines all "e u v" or all "e u v w", each field ASCII digits (at most
+18) after exactly one space, newline line ends with the last one optional.
+The kernel reads the lines in blocks of whole lines of about _BLOCK_CHARS
+characters, each encoded as a uint8 array, and writes their fields into
+arrays of m entries made from the header. In a block it finds the
+delimiters and works on them as 1-D columns, the c-th delimiter of every
+line: it checks each delimiter, each gap between two of them and each
+line's "e" by position, then reads a column's fields as a sum of their
+digits times powers of ten, one gather per digit place. Every line has the
+width of the first; a block of another width, or a line total other than
+m, leaves the document to the line loop. Every other document (a short one, comments, blank
+lines, tabs, CRLF, a longer field, any fault) goes through the line loop,
+the reference reader, which reads it or raises the message of its first
+fault. The kernel's endpoint arrays then pass the range, loop, duplicate
+and label checks at once, in _build; the line loop makes them line by
+line.
 
 emit_graph writes every document through byte tables: each vertex id and
 each distinct label is spelled once, as one fixed-size item (numpy.void),
-and the edge lines are the rows of one structured array, each field filled
-by one flat gather from its table. The line end is one more field, so the
-same tables write a document as the body of a JSON string: each line end a
-backslash and an "n", and nothing else to escape.
+and the edge lines are the rows of a structured array, each field filled
+by one flat gather from its table, _EMIT_EDGES rows at a time; the blocks'
+text is joined once, after the header. The line end is one more field, so
+the same tables write a document as the body of a JSON string: each line
+end a backslash and an "n", and nothing else to escape.
+
+On three K2000 joined by two cross edges (6.0M edges, 69.8 MB of text),
+`pistr construct --json` in its own process peaks at 364 MB ru_maxrss,
+592 MB before blocks (2 vCPUs, Python 3.11).
 """
 
 from __future__ import annotations
@@ -50,6 +59,18 @@ MAX_VERTICES = 1 << 20
 # more, 14 us more, timed interleaved with it).
 KERNEL_MIN_CHARS = 650
 
+# The kernel reads a document in blocks of whole lines of about
+# _BLOCK_CHARS characters, and emit_graph writes _EMIT_EDGES edge lines at a
+# time, so that their temporaries stay a block's size. Timed on the construct
+# workload's documents of seed 201 (2 vCPUs, Python 3.11, NumPy 2.4), best
+# of 9: the kernel over the 23 documents of at least KERNEL_MIN_CHARS (8.5M
+# characters) took 48 ms at 2^17 characters a block, 55 ms at 2^16 and 2^18,
+# 80-83 ms at 2^19 and more, and 73 ms before blocks; emit_graph's JSON
+# bodies of all 103 answers took 17-19 ms at 2^13 to 2^16 edges a block and
+# 21 ms in one block.
+_BLOCK_CHARS = 1 << 17
+_EMIT_EDGES = 1 << 14
+
 _DIGITS = 18  # the longest field the kernel reads: 10**18 - 1 fits int64
 _POW10 = 10 ** np.arange(_DIGITS, dtype=np.int64)
 _E, _SPACE, _NEWLINE, _ZERO = b"e \n0"  # byte values
@@ -71,46 +92,75 @@ def _split_document(text: str):
     the canonical form; otherwise None."""
     if len(text) < KERNEL_MIN_CHARS:
         return None
-    if not text.endswith("\n"):
-        text += "\n"
-    try:
-        data = text.encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    cut = data.index(b"\n")
-    head = data[:cut].split(b" ")
-    if (len(head) != 3 or head[0] != b"p"
-            or not all(f.isdigit() and len(f) <= _DIGITS for f in head[1:])):
+    cut = text.find("\n")
+    if cut < 0:
+        cut = len(text)
+    head = text[:cut].split(" ")
+    if (len(head) != 3 or head[0] != "p"
+            or not all(f.isascii() and f.isdigit() and len(f) <= _DIGITS for f in head[1:])):
         return None
     n, m = int(head[1]), int(head[2])
-    if not 1 <= n <= MAX_VERTICES:
+    # m lines "e u v" take at least 6 * m - 1 characters after the header's
+    # line end (the last line's end is optional); the check also bounds the
+    # arrays made for them
+    if not 1 <= n <= MAX_VERTICES or 6 * m > len(text) - cut:
         return None
-    body = np.frombuffer(data, np.uint8)[cut + 1:]
     if not m:  # the header must be the whole document
-        return None if len(body) else (n, *np.zeros((2, 0), np.int64), None)
+        return None if len(text) > cut + 1 else (n, *np.zeros((2, 0), np.int64), None)
+    # the fields of the first edge line set the width of every line
+    first = text.find("\n", cut + 1)
+    width = text.count(" ", cut + 1, first if first >= 0 else len(text)) + 1
+    if width not in (3, 4):
+        return None
+    columns = np.empty((width - 1, m), np.int64)
+    start, filled = cut + 1, 0
+    while start < len(text):
+        # a block of whole lines: up to the first line end at or past
+        # _BLOCK_CHARS characters, or to the end of the text
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        try:
+            block = text[start:end].encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        if not block.endswith(b"\n"):  # the last line's end is optional
+            block += b"\n"
+        lines = _read_block(np.frombuffer(block, np.uint8), width, columns[:, filled:])
+        if lines is None:
+            return None
+        start, filled = end, filled + lines
+    if filled != m:
+        return None
+    return n, columns[0], columns[1], columns[2] if width == 4 else None
+
+
+def _read_block(body: np.ndarray, width: int, out: np.ndarray) -> int | None:
+    """The number of lines in body, whole lines each ending in a newline,
+    their fields written to the first rows of out's columns; None if a
+    line is not "e" and width - 1 fields, or out has too few rows."""
     # Each line must be "e", then fields of 1 to 18 digits, each after one
     # space. Column c, delims[c::width], holds the c-th delimiter of every
     # line: spaces in the first columns, "\n" in the last (with "\n" in the
-    # last, m * (width - 1) spaces in the body fill the others). steps[i] is
-    # one more than the bytes between delimiters i and i + 1: the digits of
-    # a field within a line, and 2 across a line end, around the next "e".
-    # Every byte that is neither a delimiter nor an "e" is a digit.
+    # last, lines * (width - 1) spaces in the body fill the others).
+    # steps[i] is one more than the bytes between delimiters i and i + 1:
+    # the digits of a field within a line, and 2 across a line end, around
+    # the next "e". Every byte that is neither a delimiter nor an "e" is a
+    # digit.
     delims = np.flatnonzero(body <= _SPACE)  # also any control byte
-    width, extra = divmod(len(delims), m)
-    if extra or width not in (3, 4):
+    lines, extra = divmod(len(delims), width)
+    if extra or lines > out.shape[1]:
         return None
     steps = np.diff(delims)
     if (delims[0] != 1 or steps.min() < 2 or steps.max() > _DIGITS + 1
             or np.count_nonzero(steps[width - 1::width] != 2)
             or np.count_nonzero(body.take(delims[width - 1::width]) != _NEWLINE)
-            or np.count_nonzero(body == _SPACE) != m * (width - 1)
+            or np.count_nonzero(body == _SPACE) != lines * (width - 1)
             or np.count_nonzero(body.take(delims[::width] - 1) != _E)
-            or np.count_nonzero(body - _ZERO < 10) != len(body) - len(delims) - m):
+            or np.count_nonzero(body - _ZERO < 10) != len(body) - len(delims) - lines):
         return None
-    columns = []
     for c in range(1, width):  # field c - 1 ends at the delimiter of column c
         ends, step = delims[c::width], steps[c - 1::width]
-        value = (body.take(ends - 1) & 15).astype(np.int64)  # the units
+        value = out[c - 1, :lines]
+        value[:] = body.take(ends - 1) & 15  # the units
         for place in range(1, int(step.max()) - 1):  # the tens, hundreds, ...
             # byte & 15 is the value of a digit and 0 for the space before
             # a field. A field shorter than place reaches back further,
@@ -120,19 +170,24 @@ def _split_document(text: str):
             if place >= step.min():  # some field is shorter than place
                 digit[step <= place] = 0
             value += digit * _POW10[place]
-        columns.append(value)
-    return n, columns[0], columns[1], columns[2] if width == 4 else None
+    return lines
 
 
 def _build(n: int, a: np.ndarray, b: np.ndarray, labels: np.ndarray | None):
     """The graph and labeling of 1-based endpoint arrays, edges sorted; None
     if an endpoint is out of range, an edge is a loop or a duplicate, or a
     label is below 1."""
-    u, v = np.minimum(a, b), np.maximum(a, b)
-    if len(u) and (u.min() < 1 or v.max() > n or np.count_nonzero(u == v)
+    if len(a) and (min(a.min(), b.min()) < 1 or max(a.max(), b.max()) > n
+                   or np.count_nonzero(a == b)
                    or labels is not None and labels.min() < 1):
         return None
-    keys = u * n + v - (n + 1)  # of the 0-based pair
+    # the key u * n + v - (n + 1) of the 0-based pair, with u = min(a, b)
+    # and v = a + b - u: u * (n - 1) + a + b - (n + 1), built in place
+    keys = np.minimum(a, b)
+    keys *= n - 1
+    keys += a
+    keys += b
+    keys -= n + 1
     if labels is None:
         keys.sort()
     else:  # the labels follow their edges
@@ -240,13 +295,17 @@ def emit_graph(g: Graph, labeling: EdgeLabeling | None = None,
             fields.append((_spelled(distinct), inverse))
     spelled = [(f"f{k}", table.dtype) for k, (table, _) in enumerate(fields)]
     end_fields = [(f"end{i}", np.uint8) for i in range(len(line_end))]
-    rows = np.empty(len(u), [("e", np.uint8), *spelled, *end_fields])
+    rows = np.empty(min(len(u), _EMIT_EDGES), [("e", np.uint8), *spelled, *end_fields])
     rows["e"] = _E
     for (name, _), byte in zip(end_fields, line_end.encode("ascii")):
         rows[name] = byte
-    for (name, _), (table, index) in zip(spelled, fields):
-        rows[name] = table.take(index)
-    return header + rows.tobytes().replace(b"\0", b"").decode("ascii")
+    pieces = [header]
+    for lo in range(0, len(u), len(rows)):  # a block of edges at a time
+        block = rows[:len(u) - lo]
+        for (name, _), (table, index) in zip(spelled, fields):
+            block[name] = table.take(index[lo:lo + len(block)])
+        pieces.append(block.tobytes().replace(b"\0", b"").decode("ascii"))
+    return "".join(pieces)
 
 
 def _spelled(values: np.ndarray) -> np.ndarray:

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -135,8 +135,8 @@ class EdgeLabeling:
     One stored form, ``values``: the labels aligned with ``graph.ends``,
     int64, or object when a label does not fit. The public constructor
     checks a mapping edge -> label and reads it into ``values``; the
-    package's own labelings come from arrays. ``labels``, a read-only
-    mapping, is built from ``values`` when first read.
+    package's own labelings come from arrays. ``labels`` is a read-only
+    mapping over ``graph.ends`` and ``values`` that stores nothing.
     """
 
     def __init__(self, graph: Graph, labels: Mapping[Edge, int], strength: int):
@@ -183,16 +183,70 @@ class EdgeLabeling:
     __hash__ = None
 
     def __repr__(self):
-        return (f"EdgeLabeling(graph={self.graph!r}, labels={dict(self.labels)!r}, "
+        return (f"EdgeLabeling(graph={self.graph!r}, labels={self.labels!r}, "
                 f"strength={self.strength})")
 
-    @cached_property
+    @property
     def labels(self) -> Mapping[Edge, int]:
-        u, v = self.graph.ends
-        return MappingProxyType(dict(zip(zip(u.tolist(), v.tolist()), self.values.tolist())))
+        return _Labels(self.graph, self.values)
 
     def label(self, u: int, v: int) -> int:
         return self.labels[edge_key(u, v)]
+
+
+class _Labels(Mapping):
+    """Edge (u, v), u < v, to its label as a Python int, in sorted edge
+    order: a read-only view over a graph's ``ends`` and the labels aligned
+    with them. A lookup is two binary searches; iterating walks the arrays."""
+
+    __slots__ = ("_graph", "_values")
+
+    def __init__(self, graph: Graph, values: np.ndarray):
+        self._graph, self._values = graph, values
+
+    def __getitem__(self, edge):
+        try:
+            a, b = edge
+        except (TypeError, ValueError):
+            raise KeyError(edge) from None
+        if not (isinstance(a, Integral) and isinstance(b, Integral)
+                and 0 <= a < b < self._graph.n_vertices):
+            raise KeyError(edge)
+        u, v = self._graph.ends
+        lo, hi = u.searchsorted((a, a + 1))  # the edges of a
+        i = lo + v[lo:hi].searchsorted(b)
+        if i == hi or v[i] != b:
+            raise KeyError(edge)
+        return self._values.item(i)
+
+    def __iter__(self):
+        u, v = self._graph.ends
+        return zip(u.tolist(), v.tolist())
+
+    def __len__(self):
+        return len(self._values)
+
+    def values(self):
+        return _LabelValues(self)
+
+    def items(self):
+        return _LabelItems(self)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _LabelValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._values.tolist())
+
+    def __contains__(self, value):
+        return value in self._mapping._values.tolist()
+
+
+class _LabelItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._values.tolist())
 
 
 def label_array(labels) -> np.ndarray:

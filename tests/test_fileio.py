@@ -498,3 +498,108 @@ def reference_parse_error(text: str) -> str:
     with pytest.raises(DocumentError) as err:
         reference_parse(text)
     return str(err.value)
+
+
+def block_starts(text: str) -> list[int]:
+    """The 0-based line index (the header is line 0) that starts each block
+    the kernel reads: a block runs to the first line end at or past
+    fileio._BLOCK_CHARS characters from its start."""
+    starts, start = [], text.index("\n") + 1
+    while start < len(text):
+        starts.append(text.count("\n", 0, start))
+        start = text.find("\n", start + fileio._BLOCK_CHARS - 1) + 1 or len(text)
+    return starts
+
+
+class TestArrayParserInBlocks(TestArrayParser):
+    """The array parser's cases with blocks of a few lines, so that every
+    large document spans many blocks; and the cases that hang on a block's
+    edges."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK_CHARS", 200)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("fault", sorted(LINE_FAULTS))
+    def test_fault_on_a_blocks_first_and_last_line(self, labeled, fault):
+        rng = random.Random(f"edges/{fault}/{labeled}")
+        text = large_document(rng, labeled)
+        starts = block_starts(text)
+        assert len(starts) > 20
+        lines = text.split("\n")
+        k = rng.randrange(1, len(starts) - 1)
+        for i in (starts[k], starts[k + 1] - 1):
+            doc = "\n".join(lines[:i] + [LINE_FAULTS[fault](rng, lines[i])] + lines[i + 1:])
+            # every fault keeps or lengthens its line, so the blocks before
+            # and around it stay where they were
+            assert block_starts(doc)[:k + 1] == starts[:k + 1]
+            assert block_starts(doc)[k + 1] > i
+            assert fileio._split_document(doc) is None, doc[:200]
+            assert_reads_as_the_reference(doc)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_duplicate_edge_in_the_next_block(self, labeled):
+        lines = large_document(random.Random(f"next/{labeled}"), labeled).split("\n")
+        starts = block_starts("\n".join(lines))
+        i = starts[len(starts) // 2]  # the first line of a block
+        u, v = lines[i - 1].split(" ")[1:3]  # the last line of the block before
+        lines[i] = " ".join(["e", v, u, *lines[i].split(" ")[3:]])
+        doc = "\n".join(lines)
+        assert block_starts(doc) == starts
+        assert fileio._split_document(doc) is not None
+        assert fileio._build(*fileio._split_document(doc)) is None
+        with pytest.raises(DocumentError) as err:
+            parse_graph(doc)
+        assert str(err.value) == f"line {i + 1}: duplicate edge {v} {u}"
+        assert str(err.value) == reference_parse_error(doc)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_blocks_of_another_width(self, labeled):
+        # the lines from a block on lose their labels, or gain one
+        lines = large_document(random.Random(f"width/{labeled}"), labeled).split("\n")
+        i = block_starts("\n".join(lines))[5]
+        lines[i:-1] = [" ".join(line.split(" ")[:3]) if labeled else f"{line} 2"
+                       for line in lines[i:-1]]
+        doc = "\n".join(lines)
+        assert fileio._split_document(doc) is None
+        with pytest.raises(DocumentError) as err:
+            parse_graph(doc)
+        assert str(err.value) == "mixed labeled and unlabeled edges" == reference_parse_error(doc)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_header_one_edge_off(self, labeled, off):
+        text = large_document(random.Random(f"header/{labeled}"), labeled)
+        head, body = text.split("\n", 1)
+        n, m = map(int, head.split(" ")[1:])
+        doc = f"p {n} {m + off}\n{body}"
+        assert fileio._split_document(doc) is None
+        with pytest.raises(DocumentError) as err:
+            parse_graph(doc)
+        assert str(err.value) == f"header declares {m + off} edges, found {m}"
+        assert str(err.value) == reference_parse_error(doc)
+
+
+class TestEmitInBlocks:
+    """emit_graph writes the same bytes whatever the number of edges in a
+    block."""
+
+    @pytest.mark.parametrize("line_end", ["\n", "\\n"])
+    def test_same_bytes_at_every_block_size(self, rng, monkeypatch, line_end):
+        g = Graph.from_edges(60, rng.sample(
+            [(u, v) for u in range(60) for v in range(u + 1, 60)], 500))
+        graphs = [
+            (g, None),
+            (g, EdgeLabeling.make(g, {e: rng.randint(1, 3) for e in g.edges})),
+            (g, EdgeLabeling.make(g, {e: rng.choice([1, 10**5, 2**70]) for e in g.edges})),
+            (Graph(4, frozenset()), None),
+            (complete_graph(2), EdgeLabeling.make(complete_graph(2), {(0, 1): 2**64})),
+        ]
+        assert graphs[2][1].values.dtype == object
+        docs = [emit_graph(h, lab, line_end) for h, lab in graphs]
+        assert docs[0] == render(g, None).replace("\n", line_end)
+        assert docs[3] == f"p 4 0{line_end}"
+        for size in (1, 7):
+            monkeypatch.setattr(fileio, "_EMIT_EDGES", size)
+            assert [emit_graph(h, lab, line_end) for h, lab in graphs] == docs

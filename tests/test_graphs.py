@@ -2,6 +2,7 @@ import collections
 import itertools
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,86 @@ class TestOneStoredForm:
             assert parsed == labeling and parsed.labels == labeling.labels
             assert parse_graph(emit_graph(g))[0] == g
         assert len({g, Graph(g.n_vertices, g.edges), h}) == 1
+
+
+class TestLabelsView:
+    """``EdgeLabeling.labels`` reads ``graph.ends`` and ``values`` and stores
+    nothing, yet reads as the dict of edge -> label it replaces."""
+
+    WANT = {(0, 1): 3, (0, 4): 1, (1, 2): 2, (3, 4): 2**63}
+
+    def labeling(self) -> EdgeLabeling:
+        return EdgeLabeling(Graph(5, frozenset(self.WANT)), self.WANT, 2**63)
+
+    def test_reads_as_a_dict(self):
+        labels, want = self.labeling().labels, self.WANT
+        assert labels == want and want == labels and not labels != want
+        assert labels != {**want, (0, 1): 2} and labels != {(0, 1): 3}
+        assert dict(labels) == want and len(labels) == 4 and repr(labels) == repr(want)
+        assert (0, 1) in labels and (1, 0) not in labels and labels.get((2, 3)) is None
+        assert 2 in labels.values() and 5 not in labels.values()
+        assert ((1, 2), 2) in labels.items() and ((1, 2), 3) not in labels.items()
+        assert labels.keys() == want.keys()
+
+    def test_iterates_in_sorted_edge_order(self):
+        labels, want = self.labeling().labels, self.WANT
+        assert list(labels) == list(labels.keys()) == sorted(want)
+        assert list(labels.values()) == [want[e] for e in sorted(want)]
+        assert list(labels.items()) == sorted(want.items())
+
+    def test_labels_are_exact_python_ints(self):
+        labeling = self.labeling()
+        assert labeling.values.dtype == object  # 2^63 does not fit int64
+        assert labeling.labels[3, 4] == 2**63 and labeling.label(4, 3) == 2**63
+        small = EdgeLabeling(Graph(3, {(0, 1), (1, 2)}), {(0, 1): 2, (1, 2): 3}, 3)
+        assert small.values.dtype == np.int64
+        for lab in (labeling, small):
+            assert all(type(w) is int for w in lab.labels.values())
+            assert all(type(lab.labels[e]) is int for e in lab.labels)
+            assert all(type(w) is int for _, w in lab.labels.items())
+
+    @pytest.mark.parametrize("key", [(1, 0), (4, 3), (0, 2), (2, 2), (2, 3), (-1, 0),
+                                     (0, 5), (4, 5), (0, 2**70), (0,), (0, 1, 2),
+                                     "01", None, 1])
+    def test_absent_or_unnormalized_pair(self, key):
+        with pytest.raises(KeyError):
+            self.labeling().labels[key]
+
+    def test_numpy_integer_keys(self):
+        labels = self.labeling().labels
+        assert labels[np.int64(0), np.uint8(1)] == 3 and labels[np.int32(3), 4] == 2**63
+
+    def test_read_only(self):
+        labeling = self.labeling()
+        with pytest.raises(TypeError):
+            labeling.labels[0, 1] = 2
+        with pytest.raises(TypeError):
+            del labeling.labels[0, 1]
+        assert labeling.labels == self.WANT
+
+    def test_rebuilds_a_labeling(self):
+        labeling = self.labeling()
+        assert EdgeLabeling(labeling.graph, labeling.labels, 2**63) == labeling
+        g, packed = matrix_to_labeled_graph(labeled_graph_to_matrix(
+            EdgeLabeling(complete_graph(4), dict.fromkeys(complete_graph(4).edges, 2), 2)))
+        assert EdgeLabeling(g, packed.labels, packed.strength) == packed
+
+    def test_reading_the_values_copies_nothing_per_edge(self):
+        # K448: 100,128 edges with labels 1..3, array-backed
+        n = 448
+        m = np.triu(np.random.default_rng(448).integers(1, 4, (n, n)), 1)
+        _, labeling = matrix_to_labeled_graph(m + m.T)
+        edges = labeling.graph.n_edges
+        assert edges >= 100_000
+        tracemalloc.start()
+        try:
+            top = max(labeling.labels.values())
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert top == 3
+        assert peak < 32 * edges  # the cached dict took 197 B an edge
+        assert kept < 4096 and set(vars(labeling)) == {"graph", "values", "strength"}
 
 
 class TestMatrixConversion:
