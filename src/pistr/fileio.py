@@ -6,23 +6,25 @@ with "c" and blank lines are ignored. Either every edge carries a label or
 none does. The header declares at most MAX_VERTICES vertices.
 
 A document of at least KERNEL_MIN_CHARS characters in the canonical form,
-the one emit_graph writes, is read by one byte kernel: a header "p n m",
-then m lines all "e u v" or all "e u v w", each field ASCII digits (at most
-18) after exactly one space, newline line ends with the last one optional.
+the one emit_graph writes, is read by one byte kernel: leading comment
+lines of printable ASCII (construct's first line), a header "p n m", then
+m lines all "e u v" or all "e u v w", each field ASCII digits (at most 18)
+after exactly one space, newline line ends with the last one optional.
 The kernel reads the lines in blocks of whole lines of about _BLOCK_CHARS
-characters, each encoded as a uint8 array, and writes their fields into
-arrays of m entries made from the header. In a block it finds the
+characters, each encoded as a uint8 array. In a block it finds the
 delimiters and works on them as 1-D columns, the c-th delimiter of every
 line: it checks each delimiter, each gap between two of them and each
 line's "e" by position, then reads a column's fields as a sum of their
 digits times powers of ten, one gather per digit place. Every line has the
 width of the first; a block of another width, or a line total other than
-m, leaves the document to the line loop. Every other document (a short one, comments, blank
-lines, tabs, CRLF, a longer field, any fault) goes through the line loop,
-the reference reader, which reads it or raises the message of its first
-fault. The kernel's endpoint arrays then pass the range, loop, duplicate
-and label checks at once, in _build; the line loop makes them line by
-line.
+m, leaves the document to the line loop. Each block's endpoints pass the
+range and loop checks, and its labels the label check, and become edge
+keys in an array of m entries made from the header before the next block
+is read; _build sorts the keys and finds a duplicate. Every other
+document (a short one, a comment after the header, blank lines,
+tabs, CRLF, a longer field, any fault) goes through the line loop, the
+reference reader, which reads it or raises the message of its first
+fault; the line loop makes every check line by line.
 
 emit_graph writes every document through byte tables: each vertex id and
 each distinct label is spelled once, as one fixed-size item (numpy.void),
@@ -46,7 +48,7 @@ from .graphs import EdgeLabeling, Graph, label_array
 # The largest vertex count a header may declare. A graph of n vertices
 # needs arrays of n + 1 entries, so a much larger count would exhaust
 # memory, or overflow int64, before a single edge is read. Under the cap
-# n * n fits int64, so _build keys every edge by one integer.
+# n * n fits int64, so the kernel keys every edge by one integer.
 MAX_VERTICES = 1 << 20
 
 # Shorter documents go to the line loop. Its cost grows by about 1.4 us a
@@ -87,15 +89,24 @@ def parse_graph(text: str) -> tuple[Graph, EdgeLabeling | None]:
 
 
 def _split_document(text: str):
-    """(n, u, v, labels or None) with 1-based endpoint arrays in document
-    order, when the document has at least KERNEL_MIN_CHARS characters and
-    the canonical form; otherwise None."""
+    """(n, keys, labels or None): the 0-based edge keys u * n + v in
+    document order, when the document has at least KERNEL_MIN_CHARS
+    characters and the canonical form and its endpoints and labels are in
+    range; otherwise None."""
     if len(text) < KERNEL_MIN_CHARS:
         return None
-    cut = text.find("\n")
+    top = 0
+    while text.startswith("c", top):  # a leading comment line
+        cut = text.find("\n", top)
+        # str.splitlines, which the line loop reads by, ends a line at some
+        # other characters too; no printable ASCII character is one of them
+        if cut < 0 or not (text[top:cut].isascii() and text[top:cut].isprintable()):
+            return None
+        top = cut + 1
+    cut = text.find("\n", top)
     if cut < 0:
         cut = len(text)
-    head = text[:cut].split(" ")
+    head = text[top:cut].split(" ")
     if (len(head) != 3 or head[0] != "p"
             or not all(f.isascii() and f.isdigit() and len(f) <= _DIGITS for f in head[1:])):
         return None
@@ -106,13 +117,14 @@ def _split_document(text: str):
     if not 1 <= n <= MAX_VERTICES or 6 * m > len(text) - cut:
         return None
     if not m:  # the header must be the whole document
-        return None if len(text) > cut + 1 else (n, *np.zeros((2, 0), np.int64), None)
+        return None if len(text) > cut + 1 else (n, np.zeros(0, np.int64), None)
     # the fields of the first edge line set the width of every line
     first = text.find("\n", cut + 1)
     width = text.count(" ", cut + 1, first if first >= 0 else len(text)) + 1
     if width not in (3, 4):
         return None
-    columns = np.empty((width - 1, m), np.int64)
+    keys = np.empty(m, np.int64)
+    labels = np.empty(m, np.int64) if width == 4 else None
     start, filled = cut + 1, 0
     while start < len(text):
         # a block of whole lines: up to the first line end at or past
@@ -124,19 +136,33 @@ def _split_document(text: str):
             return None
         if not block.endswith(b"\n"):  # the last line's end is optional
             block += b"\n"
-        lines = _read_block(np.frombuffer(block, np.uint8), width, columns[:, filled:])
-        if lines is None:
+        fields = _read_block(np.frombuffer(block, np.uint8), width)
+        if fields is None or filled + fields.shape[1] > m:
             return None
-        start, filled = end, filled + lines
+        a, b = fields[0], fields[1]
+        if (min(a.min(), b.min()) < 1 or max(a.max(), b.max()) > n
+                or np.count_nonzero(a == b) or width == 4 and fields[2].min() < 1):
+            return None
+        rows = slice(filled, filled + len(a))
+        # the key u * n + v - (n + 1) of the 1-based pair u < v, with
+        # u = min(a, b) and v = a + b - u: u * (n - 1) + a + b - (n + 1)
+        key = np.minimum(a, b, out=keys[rows])
+        key *= n - 1
+        key += a
+        key += b
+        key -= n + 1
+        if labels is not None:
+            labels[rows] = fields[2]
+        start, filled = end, rows.stop
     if filled != m:
         return None
-    return n, columns[0], columns[1], columns[2] if width == 4 else None
+    return n, keys, labels
 
 
-def _read_block(body: np.ndarray, width: int, out: np.ndarray) -> int | None:
-    """The number of lines in body, whole lines each ending in a newline,
-    their fields written to the first rows of out's columns; None if a
-    line is not "e" and width - 1 fields, or out has too few rows."""
+def _read_block(body: np.ndarray, width: int) -> np.ndarray | None:
+    """The fields of body, whole lines each ending in a newline, as width - 1
+    rows of one column per line; None if a line is not "e" and width - 1
+    fields."""
     # Each line must be "e", then fields of 1 to 18 digits, each after one
     # space. Column c, delims[c::width], holds the c-th delimiter of every
     # line: spaces in the first columns, "\n" in the last (with "\n" in the
@@ -147,7 +173,7 @@ def _read_block(body: np.ndarray, width: int, out: np.ndarray) -> int | None:
     # digit.
     delims = np.flatnonzero(body <= _SPACE)  # also any control byte
     lines, extra = divmod(len(delims), width)
-    if extra or lines > out.shape[1]:
+    if extra:
         return None
     steps = np.diff(delims)
     if (delims[0] != 1 or steps.min() < 2 or steps.max() > _DIGITS + 1
@@ -157,9 +183,10 @@ def _read_block(body: np.ndarray, width: int, out: np.ndarray) -> int | None:
             or np.count_nonzero(body.take(delims[::width] - 1) != _E)
             or np.count_nonzero(body - _ZERO < 10) != len(body) - len(delims) - lines):
         return None
+    out = np.empty((width - 1, lines), np.int64)
     for c in range(1, width):  # field c - 1 ends at the delimiter of column c
         ends, step = delims[c::width], steps[c - 1::width]
-        value = out[c - 1, :lines]
+        value = out[c - 1]
         value[:] = body.take(ends - 1) & 15  # the units
         for place in range(1, int(step.max()) - 1):  # the tens, hundreds, ...
             # byte & 15 is the value of a digit and 0 for the space before
@@ -170,24 +197,12 @@ def _read_block(body: np.ndarray, width: int, out: np.ndarray) -> int | None:
             if place >= step.min():  # some field is shorter than place
                 digit[step <= place] = 0
             value += digit * _POW10[place]
-    return lines
+    return out
 
 
-def _build(n: int, a: np.ndarray, b: np.ndarray, labels: np.ndarray | None):
-    """The graph and labeling of 1-based endpoint arrays, edges sorted; None
-    if an endpoint is out of range, an edge is a loop or a duplicate, or a
-    label is below 1."""
-    if len(a) and (min(a.min(), b.min()) < 1 or max(a.max(), b.max()) > n
-                   or np.count_nonzero(a == b)
-                   or labels is not None and labels.min() < 1):
-        return None
-    # the key u * n + v - (n + 1) of the 0-based pair, with u = min(a, b)
-    # and v = a + b - u: u * (n - 1) + a + b - (n + 1), built in place
-    keys = np.minimum(a, b)
-    keys *= n - 1
-    keys += a
-    keys += b
-    keys -= n + 1
+def _build(n: int, keys: np.ndarray, labels: np.ndarray | None):
+    """The graph and labeling of 0-based edge keys u * n + v (u < v) in
+    document order, edges sorted; None if an edge repeats."""
     if labels is None:
         keys.sort()
     else:  # the labels follow their edges
@@ -235,7 +250,7 @@ def _read_lines(text: str) -> tuple[Graph, EdgeLabeling | None]:
                 raise DocumentError(f"line {lineno}: vertex id outside 1..{n}")
             if u == v:
                 raise DocumentError(f"line {lineno}: loop at vertex {u}")
-            e = u * n + v - n1 if u < v else v * n + u - n1  # as in _build
+            e = u * n + v - n1 if u < v else v * n + u - n1  # as in _split_document
             if e in labels:
                 raise DocumentError(f"line {lineno}: duplicate edge {u} {v}")
             if w is not None:

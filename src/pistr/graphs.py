@@ -387,16 +387,15 @@ def component_subgraphs(g: Graph) -> list[tuple[Graph, list[int]]]:
 def clique_cover(g: Graph, k_max: int) -> CliqueCover | None:
     """Minimum clique cover if the minimum is <= k_max, else None.
 
-    Exact: a k-colouring of the complement graph for k = 1, 2, ... The
-    cliques of a cover with at most k_max parts hold at least the edges of
-    n vertices split as evenly as possible into k_max cliques, so a graph
-    with fewer edges is refused before any n x n work. Two colours are a
-    breadth-first search, whose cost does not depend on how the vertices
-    are numbered; every other k is a backtracking search with vertices
-    ordered by descending complement degree, then id. Closed twins of g,
-    the vertices of equal complement rows, share a colour in the first
-    colouring in that order, so only the first of each class is coloured
-    and the rest of its class takes its colour.
+    Exact: a k-colouring of the complement graph for k = 1, 2, ..., each by
+    _colour's search. The cliques of a cover with at most k_max parts hold
+    at least the edges of n vertices split as evenly as possible into k_max
+    cliques, so a graph with fewer edges is refused before any n x n work.
+    Closed twins of g, the vertices of equal complement rows, can always
+    share a colour, so only the first of each class is coloured and the rest
+    of its class takes its colour. The cover is the colouring the search
+    reaches first, which depends on the vertex ids only through _order's
+    tie-break.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -411,8 +410,7 @@ def clique_cover(g: Graph, k_max: int) -> CliqueCover | None:
     # each class's first vertex in order, its smallest: twins have one degree
     order = [(mask & -mask).bit_length() - 1 for mask in twins.values()]
     for k in range(1, k_max + 1):
-        classes = (_two_colour(comp_adj, order) if k == 2
-                   else _color_graph(comp_adj, k, order))
+        classes = _colour(comp_adj, k, order)
         if classes is not None:
             parts = sorted((tuple(_bits(sum(twins[comp_adj[v]] for v in _bits(mask))))
                             for mask in classes if mask), key=lambda p: (len(p), p[0]))
@@ -446,65 +444,66 @@ def _complement_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _color_graph(adj_masks: list[int], k: int, order: list[int]) -> list[int] | None:
-    """Proper k-coloring of the vertices in ``order`` as color-class
-    bitmasks, or None. Exact backtracking that recurses once per vertex:
-    the vertex at each depth of ``order`` (_order of the masks, or a part
-    of it) tries the colors in use and one new color, in order. A Python
-    call takes no C stack (Python 3.11 and later), so the recursion limit
-    is raised by the depth while the search runs and restored after, as
-    search_labelings does for its walk."""
-    n = len(order)
-    classes = [0] * k
+def _colour(adj_masks: list[int], k: int, order: list[int]) -> list[int] | None:
+    """Proper k-colouring of the vertices in ``order`` as colour-class
+    bitmasks, or None: DSatur (Brelaz, CACM 22, 1979) with forward checking.
+    The next vertex is the uncoloured one that the most colours exclude,
+    ties to the higher degree, then the lower id (``order`` is _order's, so
+    its degree tiers come highest first). It tries the colours in use that
+    do not exclude it, then one new colour. A branch ends once some
+    uncoloured vertex has all k colours excluded. A vertex that no colour
+    excludes starts a component apart from everything coloured: it takes
+    colour 0 alone, and a failure below it fails the whole search, since no
+    earlier choice reaches that component. One frame per depth, with the
+    recursion limit raised by the depth and restored, as in search_labelings."""
+    tiers: dict[int, int] = {}  # per degree, highest first, its vertices
+    for v in order:
+        degree = adj_masks[v].bit_count()
+        tiers[degree] = tiers.get(degree, 0) | 1 << v
+    classes, near = [0] * k, [0] * k  # per colour: its vertices, their neighbours
 
-    def assign(depth: int, used: int) -> bool:
-        if depth == n:
+    def assign(excluded: list[int], used: int) -> bool | None:
+        # excluded[j]: the uncoloured vertices that at least j colours
+        # exclude. True when all are coloured, None when the search fails.
+        if not excluded[0]:
             return True
-        v = order[depth]
-        mask, bit = adj_masks[v], 1 << v
-        for c in range(min(used + 1, k)):
-            if not classes[c] & mask:
-                classes[c] |= bit
-                if assign(depth + 1, used + (c == used)):
-                    return True
-                classes[c] &= ~bit
-        return False
+        j = min(used, k - 1)
+        while not excluded[j]:
+            j -= 1
+        for tier in tiers.values():
+            if pick := excluded[j] & tier:
+                break
+        bit = pick & -pick
+        mask = adj_masks[bit.bit_length() - 1]
+        rest = [x & ~bit for x in excluded]
+        for c in range(min(used + 1, k) if j else 1):
+            fresh = mask & ~near[c]  # the vertices c excludes from now on
+            if near[c] & bit or fresh & rest[-1]:
+                continue
+            rim = near[c]
+            classes[c] |= bit
+            near[c] = rim | mask
+            found = assign([rest[0], *(rest[i] | rest[i - 1] & fresh for i in range(1, k))],
+                           used + (c == used))
+            if found is not False:
+                return found
+            classes[c] ^= bit
+            near[c] = rim
+        return False if j else None
 
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + n)
+    sys.setrecursionlimit(limit + len(order))
     try:
-        return classes if assign(0, 0) else None
+        return classes if assign([sum(1 << v for v in order), *[0] * (k - 1)], 0) else None
     finally:
         sys.setrecursionlimit(limit)
 
 
 def _order(adj_masks: list[int]) -> list[int]:
-    """The vertices by descending degree, then id: the colourings' order.
+    """The vertices by descending degree, then id: the colouring's tie-break.
     The sort is stable, so vertices of equal degree keep ascending ids."""
     minus_degree = [-mask.bit_count() for mask in adj_masks]
     return sorted(range(len(adj_masks)), key=minus_degree.__getitem__)
-
-
-def _two_colour(adj_masks: list[int], order: list[int]) -> list[int] | None:
-    """The classes _color_graph(adj_masks, 2, order) returns, or None:
-    breadth first over the vertices in order from each component's first
-    vertex, on side 0, each layer on the other side from the last; an edge
-    inside a side is an odd cycle. Side 0 for those vertices is the least
-    colouring in that order, the one the backtracking finds first."""
-    sides = [0, 0]
-    todo = sum(1 << v for v in order)
-    for start in order:
-        frontier, side = todo & 1 << start, 0
-        while frontier:
-            sides[side] |= frontier
-            todo &= ~frontier
-            reach = 0
-            for v in _bits(frontier):
-                reach |= adj_masks[v]
-            if reach & sides[side]:
-                return None
-            frontier, side = reach & todo, 1 - side
-    return sides
 
 
 def _bits(mask: int):

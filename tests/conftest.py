@@ -64,12 +64,29 @@ def planted_cover_graph(rng: random.Random, sizes, extra_cross=0) -> Graph:
     return g
 
 
+def dense_planted_cover(rng: random.Random, sizes, p: float) -> Graph:
+    """Disjoint cliques of the given sizes, vertices numbered by a shuffle,
+    each pair of vertices in two different cliques an edge with probability
+    p, the pairs drawn in order."""
+    n = sum(sizes)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in itertools.combinations(range(n), 2)
+                                if part[u] == part[v] or rng.random() < p])
+
+
+def complement_of(n: int, edges) -> Graph:
+    """The graph on n vertices whose edges are the pairs not in edges."""
+    absent = {edge_key(u, v) for u, v in edges}
+    return Graph(n, frozenset(itertools.combinations(range(n), 2)) - absent)
+
+
 def cycle_complement(n: int, seed: int) -> Graph:
     """The complement of an n-cycle whose vertices follow the seeded
     permutation np.random.default_rng(seed).permutation(n)."""
     order = np.random.default_rng(seed).permutation(n).tolist()
-    cycle = {edge_key(order[i - 1], order[i]) for i in range(n)}
-    return Graph(n, frozenset(itertools.combinations(range(n), 2)) - cycle)
+    return complement_of(n, [(order[i - 1], order[i]) for i in range(n)])
 
 
 # The Grötzsch graph, the smallest triangle-free graph of chromatic number
@@ -90,9 +107,8 @@ def grotzsch_blowup_complement(t: int, seed: int) -> Graph:
     Grötzsch graph's chromatic number, 4."""
     n = 11 * t
     order = np.random.default_rng(seed).permutation(n).tolist()
-    blown = {edge_key(order[a * t + i], order[b * t + j])
-             for a, b in GROTZSCH_EDGES for i in range(t) for j in range(t)}
-    return Graph(n, frozenset(itertools.combinations(range(n), 2)) - blown)
+    return complement_of(n, [(order[a * t + i], order[b * t + j])
+                             for a, b in GROTZSCH_EDGES for i in range(t) for j in range(t)])
 
 
 def permute_graph(rng: random.Random, g: Graph, labels=None):

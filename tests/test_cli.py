@@ -14,7 +14,8 @@ from pistr.cli import main
 from pistr.fileio import emit_graph, parse_graph
 from pistr.graphs import complete_graph
 
-from conftest import deadline, grotzsch_blowup_complement, permute_graph, planted_cover_graph
+from conftest import (GROTZSCH_EDGES, complement_of, deadline, grotzsch_blowup_complement,
+                      permute_graph, planted_cover_graph)
 
 
 # gen output of the L<n> and LP<n> tokens, byte for byte: one K_2 or K_1
@@ -538,6 +539,22 @@ class TestCoverAndConstruct:
         assert (code, out, err) == (1, "unsupported: clique cover number exceeds 3\n", "")
         code, out, _ = run_cli(capsys, "cover", str(path), "--k-max", "4", "--json")
         assert code == 0 and json.loads(out)["sizes"] == [8, 24, 24, 32]
+
+    def test_construct_refuses_cliques_beside_a_grotzsch_graph(self, capsys, tmp_path):
+        # the complement of six K_{3,3,3} and the Grotzsch graph: cover
+        # number 4, from the Grotzsch graph alone. Each K_{3,3,3} is a
+        # triangle of twin classes, and a colouring in one static order
+        # refuted the Grotzsch graph again under every combination of the
+        # triangles' colourings (4.2 s)
+        t = 6
+        edges = [(9 * i + 3 * a + x, 9 * i + 3 * b + y) for i in range(t)
+                 for a, b in ((0, 1), (0, 2), (1, 2)) for x in range(3) for y in range(3)]
+        edges += [(9 * t + u, 9 * t + v) for u, v in GROTZSCH_EDGES]
+        path = tmp_path / "k333-grotzsch.txt"
+        path.write_text(emit_graph(complement_of(9 * t + 11, edges)))
+        with deadline(2):
+            code, out, err = run_cli(capsys, "construct", str(path))
+        assert (code, out, err) == (1, "unsupported: clique cover number exceeds 3\n", "")
 
     def test_cover_of_a_large_clique(self, capsys, tmp_path):
         n = 1200

@@ -1,12 +1,14 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pistr import fileio
+from pistr.cli import main
 from pistr.fileio import MAX_VERTICES, DocumentError, emit_graph, parse_graph
-from pistr.graphs import EdgeLabeling, Graph, complete_graph, disjoint_union
+from pistr.graphs import EdgeLabeling, Graph, add_cross_edge, complete_graph, disjoint_union
 from pistr.verifier import ProductDegree, is_product_irregular
 
 from conftest import random_graph_no_isolates, random_labeling
@@ -473,6 +475,28 @@ class TestArrayParser:
         assert str(err.value) == f"line {len(lines) - 1}: duplicate edge {v} {u}"
         assert str(err.value) == reference_parse_error(doc)
 
+    def test_reads_constructs_output(self, capsys, tmp_path):
+        # construct's answer starts with a comment line, which the kernel
+        # skips; a comment after the header, or one that str.splitlines
+        # would cut in two, leaves the document to the line loop
+        path = tmp_path / "k12k14.txt"
+        path.write_text(emit_graph(add_cross_edge(
+            disjoint_union(complete_graph(12), complete_graph(14)), 0, 12)))
+        assert main(["construct", str(path)]) == 0
+        doc = capsys.readouterr().out
+        assert doc.startswith("c strength 3 ") and len(doc) >= fileio.KERNEL_MIN_CHARS
+        fields = fileio._split_document(doc)
+        assert fields is not None
+        g, labeling = fileio._build(*fields)
+        want_g, want = fileio._read_lines(doc)
+        assert g == want_g and labeling == want
+        head, body = doc.split("\n", 1)
+        assert fileio._split_document(f"{head}\nc\n{doc}") is not None
+        for other in (f"{body}{head}\n", body.replace("\n", f"\n{head}\n", 1),
+                      f"c caf\u00e9\n{body}", f"c\x0bp 26 0\n{body}", f" {doc}", f"\n{doc}"):
+            assert fileio._split_document(other) is None, other[:80]
+            assert_reads_as_the_reference(other)
+
     def test_label_beyond_int64(self):
         doc = f"p 3 3\ne 1 2 {2**70}\ne 2 3 3\ne 1 3 1\n"
         g, labeling = parse_graph(doc)
@@ -603,3 +627,20 @@ class TestEmitInBlocks:
         for size in (1, 7):
             monkeypatch.setattr(fileio, "_EMIT_EDGES", size)
             assert [emit_graph(h, lab, line_end) for h, lab in graphs] == docs
+
+
+def test_parse_holds_keys_not_endpoint_columns():
+    # the kernel turns each block's endpoints into edge keys before it reads
+    # the next block, so a parse holds 8 bytes an edge of keys and the 16 of
+    # the graph's ends, not two whole endpoint columns besides (40 bytes)
+    n = 500
+    doc = f"p {n} {n * (n - 1) // 2}\n" + "".join(
+        f"e {u} {v}\n" for u in range(1, n + 1) for v in range(u + 1, n + 1))
+    tracemalloc.start()
+    try:
+        g, _ = parse_graph(doc)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g == complete_graph(n)
+    assert kept < 17 * g.n_edges and peak < 28 * g.n_edges, (kept, peak)

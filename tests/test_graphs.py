@@ -1,5 +1,6 @@
 import collections
 import itertools
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -14,13 +15,13 @@ from pistr.graphs import (CliqueCover, EdgeLabeling, Graph, add_cross_edge,
                           clique_cover, closed_masks, complete_graph, component_subgraphs,
                           disjoint_union, has_isolated_vertex_or_edge, is_connected,
                           labeled_graph_to_matrix, matrix_to_labeled_graph)
-from pistr.graphs import _color_graph, _complement_masks, _order, _two_colour
+from pistr.graphs import _complement_masks
 from pistr.matrices import fixed_matrix, m_matrix
 from pistr.verifier import is_product_irregular
 
-from conftest import (cycle_complement, deadline, grotzsch_blowup_complement,
-                      permute_graph, planted_cover_graph, random_graph_no_isolates,
-                      random_labeling)
+from conftest import (complement_of, cycle_complement, deadline, dense_planted_cover,
+                      grotzsch_blowup_complement, permute_graph, planted_cover_graph,
+                      random_graph_no_isolates, random_labeling)
 
 
 def brute_min_cover(g: Graph) -> int:
@@ -49,31 +50,25 @@ def brute_min_cover(g: Graph) -> int:
     return best[0]
 
 
-def recursive_color_graph(adj_masks, k):
-    """Reference k-coloring search: the recursive form of _color_graph."""
-    n = len(adj_masks)
-    order = sorted(range(n), key=lambda v: (-bin(adj_masks[v]).count("1"), v))
-    classes = [0] * k
-    used = 0
-
-    def assign(idx):
-        nonlocal used
-        if idx == n:
-            return True
-        v = order[idx]
-        for c in range(min(used + 1, k)):
-            if classes[c] & adj_masks[v]:
-                continue
-            classes[c] |= 1 << v
-            bump = c == used
-            used += bump
-            if assign(idx + 1):
-                return True
-            classes[c] &= ~(1 << v)
-            used -= bump
-        return False
-
-    return classes if assign(0) else None
+def colouring_families(rng) -> list[Graph]:
+    """Random graphs, renumbered planted covers, and the complements of
+    sparse random graphs, of cycles, of paths and of a cycle beside a path:
+    graphs on which the colouring both finds covers and refutes them."""
+    graphs = [random_graph_no_isolates(rng, n_min=2, n_max=11) for _ in range(120)]
+    graphs += [permute_graph(rng, planted_cover_graph(rng, sizes, extra))[0]
+               for sizes, extra in [((1, 4), 0), ((3, 4), 5), ((5, 9), 12),
+                                    ((4, 5, 6), 8), ((2, 2, 2), 3)]
+               for _ in range(4)]
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        graphs.append(complement_of(n, [e for e in itertools.combinations(range(n), 2)
+                                        if rng.random() < 1.5 / n]))
+    for n in range(1, 10):
+        cycle = [(i, (i + 1) % n) for i in range(n)] if n > 2 else []
+        path = [(i, i + 1) for i in range(n - 1)]
+        for edges in (cycle, path, cycle + [(u + n, v + n) for u, v in path]):
+            graphs.append(complement_of(2 * n, edges))
+    return graphs
 
 
 class TestBuilders:
@@ -591,9 +586,9 @@ class TestCliqueCover:
             clique_cover(complete_graph(3), 0)
 
     def test_even_cycle_complement_in_time(self):
-        # cover number 2; the backtracking 2-colouring took 24 s on this
-        # numbering of the 70-cycle, the breadth-first one reads both parts
-        # off the cycle at once
+        # cover number 2; a colouring in one static order took 24 s on this
+        # numbering of the 70-cycle, one by saturation reads both parts off
+        # the cycle at once
         n = 70
         g = cycle_complement(n, n)
         order = np.random.default_rng(n).permutation(n).tolist()
@@ -603,16 +598,6 @@ class TestCliqueCover:
         assert cover.parts == tuple(sorted((tuple(sorted(order[1::2])),
                                             tuple(sorted(order[0::2])))))
         assert out.strength == 3 and is_product_irregular(out.labeling).ok
-
-    def test_coloring_matches_recursive_search(self, rng):
-        # The explicit-stack search must visit colours in the order of the
-        # recursive one, so every cover (and every output byte) stays put.
-        for _ in range(60):
-            g = random_graph_no_isolates(rng, n_min=4, n_max=11)
-            masks = _complement_masks(g)
-            order = _order(masks)
-            for k in range(1, 5):
-                assert _color_graph(masks, k, order) == recursive_color_graph(masks, k)
 
     def test_colouring_deeper_than_the_default_recursion_limit(self):
         # Three K_550, the first two joined by a perfect matching and vertex
@@ -631,42 +616,68 @@ class TestCliqueCover:
         assert cover.sizes == (m, m, m)
         assert sys.getrecursionlimit() == limit
 
-    def test_two_colour_check_agrees_with_the_search(self, rng):
-        # clique_cover takes two parts from _two_colour instead of
-        # _color_graph(., 2), so the two must return the same classes on
-        # every graph: the complements of random graphs and of planted
-        # covers, sparse random graphs, and cycles, paths and their unions
-        # taken as they are.
-        graphs = [random_graph_no_isolates(rng, n_min=2, n_max=11) for _ in range(60)]
-        graphs += [permute_graph(rng, planted_cover_graph(rng, sizes, extra))[0]
-                   for sizes, extra in [((1, 4), 0), ((3, 4), 5), ((5, 9), 12),
-                                        ((4, 5, 6), 8), ((2, 2, 2), 3)]
-                   for _ in range(4)]
-        mask_sets = [_complement_masks(g) for g in graphs]
-        for _ in range(300):
-            n = rng.randint(1, 12)
-            masks = [0] * n
-            for u, v in itertools.combinations(range(n), 2):
-                if rng.random() < 1.5 / n:
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-            mask_sets.append(masks)
-        for n in range(1, 10):
-            cycle = [(i, (i + 1) % n) for i in range(n)] if n > 2 else []
-            path = [(i, i + 1) for i in range(n - 1)]
-            for edges in (cycle, path, cycle + [(u + n, v + n) for u, v in path]):
-                masks = [0] * (2 * n)
-                for u, v in edges:
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-                mask_sets.append(masks)
+    def test_matches_a_brute_force_oracle(self, rng):
+        # None exactly when no partition into at most k cliques exists;
+        # otherwise cliques that partition the vertices in the fewest parts
         verdicts = collections.Counter()
-        for masks in mask_sets:
-            order = _order(masks)
-            classes = _two_colour(masks, order)
-            assert classes == _color_graph(masks, 2, order), masks
-            verdicts[classes is not None] += 1
-        assert min(verdicts[True], verdicts[False]) > 100, verdicts
+        for g in colouring_families(rng):
+            least = brute_min_cover(g)
+            for k in range(1, 5):
+                cover = clique_cover(g, k)
+                verdicts[cover is None] += 1
+                if least > k:
+                    assert cover is None, (g, k)
+                    continue
+                assert cover.n_parts == least, (g, k)
+                assert sorted(v for part in cover.parts for v in part) == list(range(g.n_vertices))
+                assert all(g.has_edge(u, v) for part in cover.parts
+                           for u, v in itertools.combinations(part, 2)), (g, cover)
+        assert min(verdicts[True], verdicts[False]) > 400, verdicts
+
+    def test_dense_three_cliques_construct_in_time(self):
+        # three K50, each cross pair an edge with probability 0.95: many
+        # covers of 3 parts, none planted; a colouring in one static order
+        # with no look-ahead ran past 20 s
+        g = dense_planted_cover(random.Random(7), (50, 50, 50), 0.95)
+        assert g.n_edges == 10798
+        with deadline(2):
+            out = construct_labeling(g)
+        assert (out.strength, out.source, out.case_trace.construction_id) == (3, "theorem", "A+C+B")
+        assert is_product_irregular(out.labeling).ok
+
+    def test_dense_planted_cover_in_time(self):
+        # K50, K60 and K70, each cross pair an edge with probability 0.9: 3.2 s
+        # in one static order with no look-ahead
+        g = dense_planted_cover(random.Random(19), (50, 60, 70), 0.9)
+        with deadline(2):
+            cover = clique_cover(g, 3)
+        assert cover.sizes == (50, 60, 70)
+        assert all(g.has_edge(u, v) for part in cover.parts
+                   for u, v in itertools.combinations(part, 2))
+
+    def test_sparse_complement_refuted_in_time(self):
+        # the complement of G(120, 4.4 / 119): one pair of twins (two
+        # leaves of one vertex in the sparse graph) and no 3-colouring; a
+        # colouring in one static order with no look-ahead ran past 20 s
+        rng = random.Random(0)
+        n = 120
+        g = complement_of(n, [e for e in itertools.combinations(range(n), 2)
+                              if rng.random() < 4.4 / (n - 1)])
+        assert len(set(_complement_masks(g))) == n - 1
+        with deadline(2):
+            assert clique_cover(g, 3) is None
+        assert clique_cover(g, 4).n_parts == 4
+
+    def test_odd_cycle_beside_many_components_in_time(self):
+        # the complement of 40 K_{3,3} and a C5: the C5 refutes 2 colours
+        # whatever the K_{3,3} took, so the search does not go back into them
+        t = 40
+        edges = [(6 * i + a, 6 * i + 3 + b) for i in range(t) for a in range(3) for b in range(3)]
+        edges += [(6 * t + i, 6 * t + (i + 1) % 5) for i in range(5)]
+        g = complement_of(6 * t + 5, edges)
+        with deadline(1):
+            cover = clique_cover(g, 3)
+        assert cover.n_parts == 3
 
     @staticmethod
     def twin_rich_graph(rng):
@@ -690,10 +701,8 @@ class TestCliqueCover:
         return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
 
     def test_closed_twins_share_a_part(self, rng):
-        # In the first colouring the backtracking finds, a later twin takes
-        # its earlier twin's colour: otherwise swapping the two twins'
-        # colours gives a completion the search tries first. So covering
-        # the twin quotient and expanding it returns the same cover.
+        # clique_cover colours one vertex of each class of closed twins and
+        # gives the rest of the class its colour, so twins share a part.
         parts_seen = collections.Counter()
         for _ in range(400):
             g = self.twin_rich_graph(rng)
